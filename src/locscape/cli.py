@@ -19,6 +19,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__, bifurcation, experiments, landscape, runstats
 from .errors import LocscapeError, ParameterError
@@ -134,7 +135,7 @@ def _manifest(out, command, cfg, seed):
         "seed": seed,
         "config_sha256": hashlib.sha256(payload.encode()).hexdigest(),
         "versions": {"locscape": __version__, "numpy": np.__version__,
-                     "python": sys.version.split()[0]},
+                     "scipy": scipy.__version__, "python": sys.version.split()[0]},
         "written_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }
     (out / "run_manifest.json").write_text(json.dumps(doc, indent=2) + "\n")
@@ -331,6 +332,8 @@ def main(argv=None) -> int:
         trials = args.trials if args.trials is not None else _env_default("TRIALS", int, 200)
         threads = args.threads if args.threads is not None else _env_default(
             "THREADS", int, os.cpu_count() or 1)
+        if trials < 1 or threads < 1:
+            raise ConfigError(f"trials and threads must be >= 1, got {trials} and {threads}")
         out = Path(args.out if args.out is not None else _env_default("OUT", str, "locscape-out"))
     except (ConfigError, ParameterError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

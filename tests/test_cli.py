@@ -1,8 +1,12 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from locscape import load_potential
 from locscape.cli import main
@@ -33,6 +37,22 @@ def test_numerical_failure_exits_3(tmp_path):
     assert code == 3
 
 
+def test_singular_neumann_solve_exits_3(tmp_path):
+    # lambda = 0 is an eigenvalue here; the landscape solve then reports the singular operator
+    out = tmp_path / "o"
+    code = run_cli("solve", "--set", "dist_params=[0.0]", "--set", "K=0.0",
+                   "--out", str(out), "--seed", "1")
+    assert code == 3
+
+
+@pytest.mark.parametrize("flag", ["--trials", "--threads"])
+def test_nonpositive_counts_exit_2(tmp_path, flag):
+    out = tmp_path / "o"
+    code = run_cli("boundary-prob", "--set", "n_cells=10", flag, "0", "--out", str(out))
+    assert code == 2
+    assert not out.exists()
+
+
 def test_potential_roundtrip_and_manifest(tmp_path):
     out = tmp_path / "o"
     assert run_cli("potential", "--set", "n_cells=12", "--seed", "9",
@@ -44,6 +64,7 @@ def test_potential_roundtrip_and_manifest(tmp_path):
     assert manifest["command"] == "potential"
     assert manifest["seed"] == 9
     assert "config_sha256" in manifest and "versions" in manifest
+    assert manifest["versions"]["scipy"] == scipy.__version__
 
 
 def test_solve_writes_eigenpairs_and_landscape(tmp_path):
@@ -84,6 +105,20 @@ def test_ensemble_reruns_are_byte_identical(tmp_path):
     assert summary[0].split(",")[:4] == ["spec_hash", "predicate", "p_hat", "ci_low"]
     analytic = float(summary[1].split(",")[-1])
     assert 0.2 < analytic < 0.3
+
+
+def test_ensemble_fresh_process_reruns_are_byte_identical(tmp_path):
+    # separate interpreters: nothing cached in one process can hide run-to-run drift
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    bodies = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        subprocess.run([sys.executable, "-m", "locscape.cli", "multimodal-prob",
+                        "--seed", "51870", "--trials", "200", "--threads", "1",
+                        "--set", 'bc="dirichlet"', "--set", "K=3000000.0",
+                        "--out", str(out)], env=env, check=True, timeout=600)
+        bodies.append((out / "trials.csv").read_bytes())
+    assert bodies[0] == bodies[1]
 
 
 def test_multimodal_summary_carries_series_value(tmp_path):

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from locscape import (BoundaryCondition, ConvergenceError, DistributionSpec, DomainError,
-                      ParameterError, SingularOperatorError, assemble, degenerate_clusters,
-                      grid_1d, grid_2d, rayleigh_quotient, sample_potential,
-                      smallest_eigenpairs, solve_linear)
+                      ParameterError, SingularOperatorError, assemble, assemble_line,
+                      degenerate_clusters, grid_1d, grid_2d, rayleigh_quotient,
+                      sample_potential, smallest_eigenpairs, solve_linear, solver)
 from conftest import dense_eigenpairs
 
 
@@ -115,3 +115,61 @@ def test_rayleigh_quotient_of_constant_is_zero():
     zeros = sample_potential(grid, DistributionSpec.bernoulli(0.0), 0)
     op = assemble(grid, zeros, 0.0, BoundaryCondition.neumann())
     assert abs(rayleigh_quotient(np.ones(op.size), op)) < 1e-14
+
+
+def _assert_matches_oracle(op, pairs, modes=True):
+    for pair, (lam_d, u_d) in zip(pairs, dense_eigenpairs(op, len(pairs))):
+        assert abs(pair.eigenvalue - lam_d) <= 10 * 1e-8 * max(1.0, abs(lam_d))
+        if modes:
+            assert np.max(np.abs(np.abs(pair.mode) - np.abs(u_d))) < 1e-6
+        assert pair.residual <= 1e-8 * max(1.0, pair.eigenvalue)
+
+
+def _no_arpack(*args, **kwargs):
+    raise AssertionError("non-periodic 1D pencils must not reach ARPACK")
+
+
+@pytest.mark.parametrize("bc", [
+    BoundaryCondition.dirichlet(),
+    BoundaryCondition.neumann(),
+    BoundaryCondition.robin(3.0),
+    BoundaryCondition.mixed("dirichlet", "robin", h_right=50.0),
+], ids=["dirichlet", "neumann", "robin", "mixed"])
+def test_tridiagonal_branch_matches_dense_oracle(strong_disorder_1d, bc, monkeypatch):
+    grid, fieldv, K, _ = strong_disorder_1d
+    monkeypatch.setattr(solver.spla, "eigsh", _no_arpack)
+    op = assemble(grid, fieldv, K, bc)
+    _assert_matches_oracle(op, smallest_eigenpairs(op, 4, tol=1e-8))
+
+
+def test_tridiagonal_branch_on_nonuniform_line(monkeypatch):
+    rng = np.random.default_rng(31)
+    widths = rng.uniform(0.5, 1.5, 150)
+    widths /= widths.sum()
+    values = rng.uniform(0.0, 1.0, 150)
+    monkeypatch.setattr(solver.spla, "eigsh", _no_arpack)
+    op = assemble_line(widths, values, 5000.0, BoundaryCondition.mixed("neumann", "dirichlet"))
+    _assert_matches_oracle(op, smallest_eigenpairs(op, 4))
+
+
+def test_degenerate_criterion_6_trial_solves():
+    # trial 150 of the criterion-6 Dirichlet ensemble: six interior zero runs of two cells
+    # give a cluster degenerate to round-off, where shift-invert Lanczos missed the residual
+    # bound
+    grid = grid_1d(50)
+    fieldv = sample_potential(grid, DistributionSpec.bernoulli(0.5), 2718 ^ 150)
+    op = assemble(grid, fieldv, 3e6, BoundaryCondition.dirichlet())
+    pairs = smallest_eigenpairs(op, 3)
+    _assert_matches_oracle(op, pairs, modes=False)   # any basis of the cluster is valid
+    assert len(degenerate_clusters(pairs)) == 1
+
+
+def test_ring_still_matches_dense_oracle_through_arpack(strong_disorder_1d, monkeypatch):
+    grid, fieldv, K, _ = strong_disorder_1d
+    calls = []
+    eigsh = solver.spla.eigsh
+    monkeypatch.setattr(solver.spla, "eigsh",
+                        lambda *a, **kw: calls.append(1) or eigsh(*a, **kw))
+    op = assemble(grid, fieldv, K, BoundaryCondition.periodic())
+    _assert_matches_oracle(op, smallest_eigenpairs(op, 4, tol=1e-8))
+    assert calls == [1]
