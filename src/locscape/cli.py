@@ -30,10 +30,6 @@ from .solver import smallest_eigenpairs
 from .stochastic import PathConfig, estimate_landscape_mc, probe_points_for
 
 
-class ConfigError(Exception):
-    pass
-
-
 # schema: key -> (type, default); None default means required has a computed fallback
 _POTENTIAL_KEYS = {
     "dim": (int, 1),
@@ -64,7 +60,27 @@ SCHEMAS = {
 
 def _env_default(name, cast, fallback):
     raw = os.environ.get(f"LOCSCAPE_{name}")
-    return cast(raw) if raw is not None else fallback
+    if raw is None:
+        return fallback
+    try:
+        return cast(raw)
+    except ValueError as exc:
+        raise ParameterError(f"LOCSCAPE_{name}={raw!r} is not a valid {cast.__name__}") from exc
+
+
+def _checked(command, source, items):
+    """Config values from one source, each key known to the schema and of its type."""
+    out = {}
+    for key, value in items.items():
+        if key not in SCHEMAS[command]:
+            raise ParameterError(f"unknown {source} key {key!r} for {command}")
+        want = SCHEMAS[command][key][0]
+        if want in (int, float) and isinstance(value, (int, float)):
+            value = want(value)
+        if not isinstance(value, want):
+            raise ParameterError(f"{source} key {key!r} must be {want.__name__}")
+        out[key] = value
+    return out
 
 
 def _load_config(command, path, overrides):
@@ -72,23 +88,15 @@ def _load_config(command, path, overrides):
     if path is not None:
         p = Path(path)
         if not p.is_file():
-            raise ConfigError(f"config file not found: {path}")
+            raise ParameterError(f"config file not found: {path}")
         try:
             data = json.loads(p.read_text())
         except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
+            raise ParameterError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
-            raise ConfigError("config must be a JSON object")
-        for key, value in data.items():
-            if key not in SCHEMAS[command]:
-                raise ConfigError(f"unknown config key {key!r} for {command}")
-            want = SCHEMAS[command][key][0]
-            if want in (int, float) and isinstance(value, (int, float)):
-                value = want(value)
-            if want is not type(value) and not isinstance(value, want):
-                raise ConfigError(f"config key {key!r} must be {want.__name__}")
-            merged[key] = value
-    merged.update({k: v for k, v in overrides.items() if v is not None})
+            raise ParameterError("config must be a JSON object")
+        merged.update(_checked(command, "config", data))
+    merged.update(_checked(command, "--set", overrides))
     if merged.get("nodes_per_cell") is None and "dim" in merged:
         merged["nodes_per_cell"] = 8 if merged["dim"] == 1 else 4
     return merged
@@ -105,7 +113,7 @@ _DIST_MAKERS = {
 def _grid_dist(cfg):
     grid = GridSpec(cfg["dim"], cfg["n_cells"], cfg["nodes_per_cell"])
     if cfg["dist"] not in _DIST_MAKERS:
-        raise ConfigError(f"unknown distribution {cfg['dist']!r}")
+        raise ParameterError(f"unknown distribution {cfg['dist']!r}")
     dist = _DIST_MAKERS[cfg["dist"]](*(float(v) for v in cfg["dist_params"]))
     return grid, dist
 
@@ -116,7 +124,7 @@ def _bc(cfg):
         return BoundaryCondition.robin(cfg["h"])
     if kind in ("dirichlet", "neumann", "periodic"):
         return BoundaryCondition(kind)
-    raise ConfigError(f"unknown bc {kind!r}")
+    raise ParameterError(f"unknown bc {kind!r}")
 
 
 def _write_csv(path, header, rows):
@@ -321,7 +329,7 @@ def main(argv=None) -> int:
         overrides = {}
         for item in args.set:
             if "=" not in item:
-                raise ConfigError(f"--set needs KEY=VALUE, got {item!r}")
+                raise ParameterError(f"--set needs KEY=VALUE, got {item!r}")
             key, _, raw = item.partition("=")
             try:
                 overrides[key] = json.loads(raw)
@@ -333,16 +341,16 @@ def main(argv=None) -> int:
         threads = args.threads if args.threads is not None else _env_default(
             "THREADS", int, os.cpu_count() or 1)
         if trials < 1 or threads < 1:
-            raise ConfigError(f"trials and threads must be >= 1, got {trials} and {threads}")
+            raise ParameterError(f"trials and threads must be >= 1, got {trials} and {threads}")
         out = Path(args.out if args.out is not None else _env_default("OUT", str, "locscape-out"))
-    except (ConfigError, ParameterError) as exc:
+    except ParameterError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
         out.mkdir(parents=True, exist_ok=True)
         _COMMANDS[args.command](cfg, seed, trials, threads, out)
         _manifest(out, args.command, cfg, seed)
-    except (ConfigError, ParameterError) as exc:
+    except ParameterError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except LocscapeError as exc:

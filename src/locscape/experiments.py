@@ -17,6 +17,7 @@ from .landscape import landscape_from_operator, valley_partition
 from .operator import BoundaryCondition, assemble
 from .potential import DistributionSpec, GridSpec, PotentialField, runs_of_zeros, sample_potential
 from .regions import SubregionPartition
+from .runstats import RunConfig, config_flags
 from .solver import smallest_eigenpairs
 
 THRESHOLD = 0.5   # localization detectors compare sup-normalized amplitudes to this
@@ -112,18 +113,11 @@ def longest_extended_run_on_boundary(fieldv: PotentialField, bc: BoundaryConditi
     starts, lengths = runs_of_zeros(fieldv.cell_values)
     if len(lengths) == 0:
         return False
-    ext = lengths.astype(float).copy()
-    wall = np.zeros(len(lengths), dtype=bool)
-    if bc.kind != "dirichlet":
-        if starts[0] == 0:
-            ext[0] *= 2
-            wall[0] = True
-        if starts[-1] + lengths[-1] == N:
-            ext[-1] *= 2
-            wall[-1] = True
-    max_wall = ext[wall].max() if wall.any() else -np.inf
-    max_inner = ext[~wall].max() if (~wall).any() else -np.inf
-    return bool(max_wall > max_inner)
+    # a wall counts as a zero cell (its run doubles) only under reflective walls
+    reflective = bc.kind != "dirichlet"
+    left = 0 if reflective and starts[0] == 0 else 1
+    right = 0 if reflective and starts[-1] + lengths[-1] == N else 1
+    return config_flags(RunConfig(left, right, tuple(lengths))).longest_extended_on_boundary
 
 
 # --- the ensemble pipeline -------------------------------------------------------

@@ -17,6 +17,7 @@ import numpy as np
 from .errors import UsageError
 from .operator import BoundaryCondition, DiscreteOperator, assemble
 from .potential import GridSpec, PotentialField
+from .regions import SubregionPartition, _region_from_mask
 from .solver import EigenPair, solve_linear
 
 
@@ -92,25 +93,10 @@ def _splits_1d(w):
 
 
 def _partition_from_labels(labels, shape, measure_per_node):
-    from .regions import Region, SubregionPartition  # local import to avoid cycle
-
     lab = labels.reshape(shape)
-    regions = []
-    for rid in range(labels.max() + 1):
-        mask = lab == rid
-        idx = np.nonzero(mask)
-        bbox = tuple((int(ax.min()), int(ax.max())) for ax in idx)
-        touches = []
-        for axis, (lo, hi) in enumerate(bbox):
-            touches.append(lo == 0)
-            touches.append(hi == shape[axis] - 1)
-        corner = False
-        if lab.ndim == 2:
-            corner = any(mask[ci, cj] for ci in (0, -1) for cj in (0, -1))
-        size = int(mask.sum())
-        regions.append(Region(rid, size, bbox, tuple(touches), corner,
-                              size * measure_per_node))
-    return SubregionPartition(lab, "node", tuple(regions))
+    regions = tuple(_region_from_mask(rid, lab == rid, measure_per_node)
+                    for rid in range(labels.max() + 1))
+    return SubregionPartition(lab, "node", regions)
 
 
 def valley_partition(ls: Landscape):

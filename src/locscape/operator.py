@@ -11,9 +11,12 @@ This form is symmetric, second-order accurate, annihilates constants under
 pure Neumann conditions, and is an M-matrix whenever K*V >= 0, which makes the
 discrete landscape bound exact (see `landscape.landscape_bound_violation`).
 
-Node values of the (cell-wise constant) potential are the plain average of the
-adjacent cell values: 1 cell strictly inside, 2 across a face, 4 at an interior
-corner in 2D.
+Node values of the (cell-wise constant) potential are the width-weighted
+average of the adjacent cell values.  One 1D builder produces every axis: on
+the lattice's equal cells this is the plain average (1 cell strictly inside, 2
+across a face, 4 at an interior corner in 2D, where the Kronecker sum of two
+axes gives the 2D pencil), and the same builder serves lines and rings with
+arbitrary cell widths.
 """
 
 from dataclasses import dataclass
@@ -76,11 +79,6 @@ class BoundaryCondition:
             raise UnsupportedError("periodic condition has no per-end form")
         return ((self.kind, self.h), (self.kind, self.h))
 
-    @property
-    def g(self) -> float:
-        """Normal-derivative coefficient: 0 for dirichlet, else 1."""
-        return 0.0 if self.kind == "dirichlet" else 1.0
-
 
 @dataclass(frozen=True)
 class DiscreteOperator:
@@ -124,46 +122,43 @@ class DiscreteOperator:
             arr = np.pad(arr, pad)
         return arr
 
-    def full_axes(self) -> tuple:
-        """Node coordinates including eliminated boundary nodes."""
-        out = []
-        for ax, (lo, hi) in zip(self.axes, self.trimmed):
-            dx0 = ax[1] - ax[0]
-            left = [ax[0] - dx0] if lo else []
-            right = [ax[-1] + dx0] if hi else []
-            out.append(np.concatenate([left, ax, right]))
-        return tuple(out)
 
+def _axis_1d(widths, values, ends):
+    """One axis of the lumped-FE pencil on cells of the given widths.
 
-def _axis_parts(n_nodes, dx, end_specs):
-    """1D stiffness, lumped mass, and trim flags for one axis."""
-    d = np.full(n_nodes, 2.0 / dx)
-    d[0] = d[-1] = 1.0 / dx
-    off = np.full(n_nodes - 1, -1.0 / dx)
-    m = np.full(n_nodes, dx)
-    m[0] = m[-1] = dx / 2.0
+    ``values`` holds one row per cell; extra trailing axes are averaged alongside.
+    ``ends`` is the (kind, h) pair of the low and high end, or None for a ring
+    whose last cell closes onto node 0.  Returns the stiffness, the lumped mass,
+    the node potential (the width-weighted average of the adjacent cells) and
+    the (low, high) Dirichlet trim, restricted to the active nodes.
+    """
+    w = np.asarray(widths, float)
+    v = np.asarray(values, float)
+    if ends is None:
+        wp, vp = np.r_[w[-1], w], np.concatenate([v[-1:], v])
+    else:                                   # zero-width cells beyond both ends
+        pad = np.zeros_like(v[:1])
+        wp, vp = np.r_[0.0, w, 0.0], np.concatenate([pad, v, pad])
+    n = len(wp) - 1                         # node i joins cells wp[i] and wp[i + 1]
+    inv = 1.0 / np.where(wp > 0, wp, np.inf)   # the zero-width cells add no stiffness
+    span = wp[:-1] + wp[1:]
+    m = 0.5 * span
+    # weights are 1/2 on equal cells and 0, 1 at an end: the lattice's plain average, exactly
+    col = (-1,) + (1,) * (v.ndim - 1)
+    vnode = (wp[:-1] / span).reshape(col) * vp[:-1] + (wp[1:] / span).reshape(col) * vp[1:]
+    d = inv[:-1] + inv[1:]
     trim = [False, False]
-    for side, (kind, h) in enumerate(end_specs):
-        i = 0 if side == 0 else n_nodes - 1
+    for side, (kind, h) in enumerate(ends or ()):
         if kind == "robin":
-            d[i] += h
+            d[-side] += h                   # d[0] or d[-1]
         elif kind == "dirichlet":
             trim[side] = True
-    S = sp.diags([d, off, off], [0, 1, -1], format="csr")
-    lo = 1 if trim[0] else 0
-    hi = n_nodes - 1 if trim[1] else n_nodes
-    return S[lo:hi, lo:hi], m[lo:hi], (trim[0], trim[1]), slice(lo, hi)
-
-
-def _node_cell_average(cells_1d_values, n_cells, r):
-    """Average potential over the cells adjacent to each node along one axis."""
-    n = n_cells * r + 1
-    interval_value = np.repeat(cells_1d_values, r, axis=0)
-    v = np.empty((n,) + interval_value.shape[1:])
-    v[0] = interval_value[0]
-    v[-1] = interval_value[-1]
-    v[1:-1] = 0.5 * (interval_value[:-1] + interval_value[1:])
-    return v
+    S = sp.diags([d, -inv[1:n], -inv[1:n]], [0, 1, -1], format="csr")
+    if ends is None:
+        S = S + sp.csr_matrix(([-inv[0], -inv[0]], ([0, n - 1], [n - 1, 0])), shape=(n, n))
+    lo, hi = trim
+    sl = slice(int(lo), n - int(hi))
+    return S[sl, sl], m[sl], vnode[sl], (lo, hi)
 
 
 def assemble(grid: GridSpec, fieldv: PotentialField, K: float,
@@ -173,104 +168,53 @@ def assemble(grid: GridSpec, fieldv: PotentialField, K: float,
         raise ParameterError("disorder strength K must be >= 0")
     if fieldv.grid != grid:
         raise ParameterError("field was sampled on a different grid")
-    if bc.kind == "periodic":
-        if grid.dim != 1:
-            raise UnsupportedError("periodic conditions are implemented in 1D only")
-        return _assemble_periodic_uniform(grid, fieldv, K)
+    periodic = bc.kind == "periodic"
+    if periodic and grid.dim != 1:
+        raise UnsupportedError("periodic conditions are implemented in 1D only")
     if bc.kind == "mixed" and grid.dim != 1:
         raise UnsupportedError("mixed per-end conditions are 1D only")
 
-    N, r = grid.cells_per_side, grid.nodes_per_cell
-    dx = grid.spacing
+    r = grid.nodes_per_cell
     n = grid.nodes_per_axis
+    widths = np.full(n - 1, grid.spacing)
+    ends = None if periodic else bc.end_specs()
     coords = np.linspace(0.0, 1.0, n)
+    S, m, v, (lo, hi) = _axis_1d(widths, np.repeat(fieldv.cell_values, r, axis=0), ends)
+    coords = coords[:-1] if periodic else coords[int(lo):n - int(hi)]
 
     if grid.dim == 1:
-        S, m, trim, sl = _axis_parts(n, dx, bc.end_specs())
-        v = _node_cell_average(fieldv.cell_values, N, r)[sl]
         A = S + sp.diags(K * v * m)
-        return DiscreteOperator(A.tocsr(), m, bc, K, (coords[sl],), (trim,), v, grid)
+        return DiscreteOperator(A.tocsr(), m, bc, K, (coords,), ((lo, hi),), v, grid,
+                                periodic=periodic)
 
-    Sx, mx, trimx, slx = _axis_parts(n, dx, bc.end_specs())
-    vx = _node_cell_average(fieldv.cell_values, N, r)          # (n, N) after x-average
-    v = _node_cell_average(vx.T, N, r).T                       # (n, n) both axes
-    v = v[slx, slx]
-    Mx = sp.diags(mx)
-    A2 = sp.kron(Sx, Mx) + sp.kron(Mx, Sx)
-    m2 = np.multiply.outer(mx, mx).ravel()
+    # v is (active x, cells y); average along y as well, then index it [x, y]
+    v = _axis_1d(widths, np.repeat(v.T, r, axis=0), ends)[2].T
+    M = sp.diags(m)
+    A2 = sp.kron(S, M) + sp.kron(M, S)
+    m2 = np.multiply.outer(m, m).ravel()
     A = (A2 + sp.diags(K * v.ravel() * m2)).tocsr()
-    return DiscreteOperator(A, m2, bc, K, (coords[slx], coords[slx]),
-                            (trimx, trimx), v.ravel(), grid)
+    return DiscreteOperator(A, m2, bc, K, (coords, coords), ((lo, hi), (lo, hi)),
+                            v.ravel(), grid)
 
 
-def _assemble_periodic_uniform(grid, fieldv, K):
-    N, r = grid.cells_per_side, grid.nodes_per_cell
-    widths = np.full(N * r, grid.spacing)
-    values = np.repeat(fieldv.cell_values, r)
-    A, m, v = _ring_parts(widths, values, K)
-    coords = np.linspace(0.0, 1.0, N * r + 1)[:-1]
-    return DiscreteOperator(A, m, BoundaryCondition.periodic(), K, (coords,),
-                            ((False, False),), v, grid, periodic=True)
-
-
-# --- generic 1D builders on arbitrary cell widths ------------------------------
+# --- 1D operators on arbitrary cell widths ---------------------------------------
 # Used by the two-well model, whose breakpoints do not sit on a uniform lattice.
-
-def _ring_parts(widths, values, K):
-    widths = np.asarray(widths, float)
-    values = np.asarray(values, float)
-    n = len(widths)
-    h_prev = np.roll(widths, 1)
-    m = 0.5 * (h_prev + widths)
-    v_prev = np.roll(values, 1)
-    vnode = (h_prev * v_prev + widths * values) / (h_prev + widths)
-    diag = 1.0 / h_prev + 1.0 / widths + K * vnode * m
-    A = sp.lil_matrix((n, n))
-    idx = np.arange(n)
-    A[idx, idx] = diag
-    A[idx, (idx + 1) % n] = -1.0 / widths
-    A[(idx + 1) % n, idx] = -1.0 / widths
-    return A.tocsr(), m, vnode
-
 
 def assemble_ring(widths, values, K: float) -> DiscreteOperator:
     """Periodic 1D operator from cell widths and cell values (sum of widths = circumference)."""
-    A, m, v = _ring_parts(widths, values, K)
+    S, m, v, trim = _axis_1d(widths, values, None)
     coords = np.concatenate(([0.0], np.cumsum(widths)))[:-1]
-    return DiscreteOperator(A, m, BoundaryCondition.periodic(), float(K), (coords,),
-                            ((False, False),), v, None, periodic=True)
+    return DiscreteOperator((S + sp.diags(K * v * m)).tocsr(), m, BoundaryCondition.periodic(),
+                            float(K), (coords,), (trim,), v, None, periodic=True)
 
 
 def assemble_line(widths, values, K: float, bc: BoundaryCondition) -> DiscreteOperator:
     """1D operator on [0, sum(widths)] from cell widths/values, any non-periodic bc."""
-    widths = np.asarray(widths, float)
-    values = np.asarray(values, float)
-    n = len(widths) + 1
+    S, m, v, (lo, hi) = _axis_1d(widths, values, bc.end_specs())
     coords = np.concatenate(([0.0], np.cumsum(widths)))
-    m = np.zeros(n)
-    m[:-1] += widths / 2
-    m[1:] += widths / 2
-    vnode = np.zeros(n)
-    vnode[:-1] += values * widths / 2
-    vnode[1:] += values * widths / 2
-    vnode /= m
-    diag = np.zeros(n)
-    diag[:-1] += 1.0 / widths
-    diag[1:] += 1.0 / widths
-    trim = [False, False]
-    for side, (kind, h) in enumerate(bc.end_specs()):
-        i = 0 if side == 0 else n - 1
-        if kind == "robin":
-            diag[i] += h
-        elif kind == "dirichlet":
-            trim[side] = True
-    A = sp.diags([diag, -1.0 / widths, -1.0 / widths], [0, 1, -1], format="csr")
-    A = A + sp.diags(K * vnode * m)
-    lo = 1 if trim[0] else 0
-    hi = n - 1 if trim[1] else n
-    A = A[lo:hi, lo:hi].tocsr()
-    return DiscreteOperator(A, m[lo:hi], bc, float(K), (coords[lo:hi],),
-                            ((trim[0], trim[1]),), vnode[lo:hi], None)
+    coords = coords[int(lo):len(coords) - int(hi)]
+    return DiscreteOperator((S + sp.diags(K * v * m)).tocsr(), m, bc, float(K), (coords,),
+                            ((lo, hi),), v, None)
 
 
 def export_triplets(op: DiscreteOperator, path) -> None:

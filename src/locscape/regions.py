@@ -63,12 +63,7 @@ def _region_from_mask(rid, mask, cell_measure):
     for axis, (lo, hi) in enumerate(bbox):
         touches.append(lo == 0)
         touches.append(hi == shape[axis] - 1)
-    corner = False
-    if mask.ndim == 2:
-        x_lo, x_hi, y_lo, y_hi = touches
-        for ci, cj in ((0, 0), (0, -1), (-1, 0), (-1, -1)):
-            if mask[ci, cj]:
-                corner = True
+    corner = mask.ndim == 2 and any(mask[ci, cj] for ci in (0, -1) for cj in (0, -1))
     size = int(mask.sum())
     return Region(rid, size, bbox, tuple(touches), corner, size * cell_measure)
 
@@ -100,8 +95,7 @@ def zero_components(fieldv: PotentialField) -> SubregionPartition:
     return SubregionPartition(labels, "cell", regions)
 
 
-def extended_subregion(region: Region, partition: SubregionPartition,
-                       bc: BoundaryCondition) -> ExtendedSubregion:
+def extended_subregion(region: Region, bc: BoundaryCondition) -> ExtendedSubregion:
     """Extension factor from mirror reflection across touched reflective faces.
 
     Dirichlet walls reflect nothing (factor 1).  Under Neumann/Robin faces the
@@ -127,5 +121,5 @@ def extended_subregion(region: Region, partition: SubregionPartition,
 
 def extended_measures(partition: SubregionPartition, bc: BoundaryCondition) -> np.ndarray:
     """Extended measure per region, in region-id order."""
-    return np.array([extended_subregion(r, partition, bc).extended_measure
+    return np.array([extended_subregion(r, bc).extended_measure
                      for r in partition.regions])

@@ -196,23 +196,3 @@ def oracle_probabilities(model: RunModel, n_samples: int, seed: int,
     p = hits / n_samples
     return OracleEstimate(float(p[0]), float(p[1]), float(p[2]),
                           0.5 / np.sqrt(n_samples), n_samples)
-
-
-def emit_table(path, p_values, N: int, n_samples: int = 100_000, seed: int = 0) -> None:
-    """CSV of closed-form values next to their sampling-oracle estimates."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["p", "N", "M", "P_boundary", "P_multimodal_dirichlet",
-                         "P_multimodal_neumann", "mc_boundary", "mc_multimodal_plain",
-                         "mc_multimodal_extended", "mc_std_error"])
-        for p in p_values:
-            model = RunModel(float(p), N)
-            est = oracle_probabilities(model, n_samples, seed)
-            writer.writerow([repr(float(p)), N, model.M,
-                             repr(boundary_localization_prob(model)),
-                             repr(multimodal_prob_dirichlet(model)),
-                             repr(multimodal_prob_neumann(model)),
-                             repr(est.p_boundary), repr(est.p_multimodal_plain),
-                             repr(est.p_multimodal_extended), repr(est.std_error)])

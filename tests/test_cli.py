@@ -29,6 +29,26 @@ def test_unknown_config_key_rejected(tmp_path):
     assert run_cli("landscape", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
 
 
+def test_unknown_set_key_rejected(tmp_path):
+    # a typo must not fall back to the default n_cells silently
+    out = tmp_path / "o"
+    assert run_cli("potential", "--set", "n_cellz=10", "--out", str(out)) == 2
+    assert not out.exists()
+
+
+def test_mistyped_set_value_rejected(tmp_path):
+    out = tmp_path / "o"
+    assert run_cli("potential", "--set", 'n_cells="ten"', "--out", str(out)) == 2
+    assert not out.exists()
+
+
+def test_bad_env_value_exits_2(tmp_path, monkeypatch):
+    monkeypatch.setenv("LOCSCAPE_SEED", "abc")
+    out = tmp_path / "o"
+    assert run_cli("potential", "--out", str(out)) == 2
+    assert not out.exists()
+
+
 def test_numerical_failure_exits_3(tmp_path):
     # all-zero potential under pure reflective walls is singular
     out = tmp_path / "o"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from locscape import (BoundaryCondition, DistributionSpec, GridSpec, ParameterError,
                       UnsupportedError, assemble, assemble_line, assemble_ring,
@@ -135,15 +137,61 @@ def test_embed_pads_dirichlet_zeros():
     assert full[0] == 0.0 and full[-1] == 0.0 and full[1:-1].min() == 1.0
 
 
-def test_line_and_ring_match_uniform_assembly():
+@pytest.mark.parametrize("bc", [
+    BoundaryCondition.dirichlet(), BoundaryCondition.neumann(), BoundaryCondition.robin(0.7),
+    BoundaryCondition.periodic(), BoundaryCondition.mixed("dirichlet", "robin", h_right=2.0),
+], ids=lambda bc: bc.kind)
+def test_line_and_ring_match_uniform_assembly(bc):
     # the generic nonuniform builders reduce to the lattice assembly on equal cells
     grid = grid_1d(8, 4)
     fieldv = sample_potential(grid, DistributionSpec.bernoulli(0.5), 12)
-    op_u = assemble(grid, fieldv, 123.0, BoundaryCondition.neumann())
+    op_u = assemble(grid, fieldv, 123.0, bc)
     widths = np.full(32, 1 / 32)
     values = np.repeat(fieldv.cell_values, 4)
-    op_g = assemble_line(widths, values, 123.0, BoundaryCondition.neumann())
+    op_g = (assemble_ring(widths, values, 123.0) if bc.kind == "periodic"
+            else assemble_line(widths, values, 123.0, bc))
+    assert op_u.trimmed == op_g.trimmed
     assert np.max(np.abs((op_u.matrix - op_g.matrix).toarray())) < 1e-9
-    op_up = assemble(grid, fieldv, 123.0, BoundaryCondition.periodic())
-    op_gp = assemble_ring(widths, values, 123.0)
-    assert np.max(np.abs((op_up.matrix - op_gp.matrix).toarray())) < 1e-9
+
+
+# --- properties of the 1D builder behind every operator ----------------------------
+
+_END = st.one_of(st.just(("dirichlet", 0.0)), st.just(("neumann", 0.0)),
+                 st.tuples(st.just("robin"), st.floats(0.0, 100.0)))
+_CELLS = st.integers(2, 30).flatmap(lambda n: st.tuples(
+    st.lists(st.floats(1e-3, 10.0), min_size=n, max_size=n),       # widths
+    st.lists(st.floats(0.0, 10.0), min_size=n, max_size=n)))       # values
+
+
+def _build(cells, K, ends):
+    """A ring when ends is None, else a line with one (kind, h) per end."""
+    widths, values = (np.array(c) for c in cells)
+    if ends is None:
+        return assemble_ring(widths, values, K)
+    (left, h_left), (right, h_right) = ends
+    return assemble_line(widths, values, K, BoundaryCondition.mixed(left, right, h_left, h_right))
+
+
+def _roundoff(A):
+    """Bound on the round-off of summing each row of A."""
+    return 4 * np.finfo(float).eps * np.abs(A).sum(axis=1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_CELLS, st.one_of(st.just(0.0), st.floats(0.0, 1e4)),
+       st.one_of(st.none(), st.tuples(_END, _END)))
+def test_builder_gives_symmetric_m_matrix_with_positive_mass(cells, K, ends):
+    op = _build(cells, K, ends)
+    A = op.matrix.toarray()
+    assert np.array_equal(A, A.T)
+    assert np.all(A[~np.eye(len(A), dtype=bool)] <= 0.0)
+    assert np.all(A.sum(axis=1) >= -_roundoff(A))
+    assert np.all(op.mass > 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_CELLS, st.sampled_from([None, (("neumann", 0.0), ("neumann", 0.0))]))
+def test_builder_annihilates_constants_without_absorption(cells, ends):
+    # K = 0 under reflective or periodic walls: constants span the kernel
+    A = _build(cells, 0.0, ends).matrix.toarray()
+    assert np.all(np.abs(A.sum(axis=1)) <= _roundoff(A))

@@ -52,13 +52,13 @@ def test_extension_factors_1d():
     part = zero_components(_field_1d([0, 1, 0, 0, 1, 0]))
     neumann = BoundaryCondition.neumann()
     left, middle, right = part.regions
-    assert extended_subregion(middle, part, neumann).factor == 1
-    ext_left = extended_subregion(left, part, neumann)
+    assert extended_subregion(middle, neumann).factor == 1
+    ext_left = extended_subregion(left, neumann)
     assert ext_left.factor == 2
     assert ext_left.extended_measure == pytest.approx(2 * left.measure)
-    assert extended_subregion(right, part, neumann).factor == 2
+    assert extended_subregion(right, neumann).factor == 2
     # absorbing walls reflect nothing
-    assert extended_subregion(left, part, BoundaryCondition.dirichlet()).factor == 1
+    assert extended_subregion(left, BoundaryCondition.dirichlet()).factor == 1
 
 
 def test_extension_factors_2d():
@@ -69,7 +69,7 @@ def test_extension_factors_2d():
     part = zero_components(PotentialField(GridSpec(2, 5, 2), cells, 0))
     factors = {}
     for region in part.regions:
-        factors[region.bbox] = extended_subregion(region, part, BoundaryCondition.robin(0.01)).factor
+        factors[region.bbox] = extended_subregion(region, BoundaryCondition.robin(0.01)).factor
     assert factors[((0, 0), (0, 0))] == 4
     assert factors[((0, 0), (2, 2))] == 2
     assert factors[((2, 2), (2, 2))] == 1
