@@ -1,9 +1,8 @@
 """locscape: localization-landscape toolkit for random lattice potentials."""
 
 from .bifurcation import (BASE_RATIOS, REFERENCE_PARAMS, CriticalPoint, ScalingFit, ShapeRatios,
-                          SweepResult, TwoWellParams, characteristic_left,
-                          characteristic_right, characteristic_right_raw, critical_coupling_sweep,
-                          critical_point, lengths_to_ratios, mirrored_ring_operator,
+                          SweepResult, TwoWellParams, characteristic_left, characteristic_right,
+                          critical_coupling_sweep, critical_point, lengths_to_ratios,
                           peak_height_ratio, piecewise_potential, ratios_to_lengths,
                           scaling_study, subsystem_ground_energy, subsystem_operator,
                           toy_operator)

@@ -13,10 +13,11 @@ the full spectrum provides the independent numerical route to the same number.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 from scipy.stats import linregress
 
 from .errors import (ConstraintError, CrossingNotBracketedError, DomainError,
-                     NoBifurcationError, NoRootError, PoleProximityError)
+                     NoBifurcationError, NoRootError, PoleProximityError, UnsupportedSizeError)
 from .operator import BoundaryCondition, DiscreteOperator, assemble_line, assemble_ring
 from .rng import stream
 from .solver import smallest_eigenpairs
@@ -134,66 +135,48 @@ def subsystem_operator(params: TwoWellParams, K: float, which: int,
     return assemble_line(widths, cells, K, BoundaryCondition.neumann())
 
 
-def mirrored_ring_operator(params: TwoWellParams, K: float, which: int,
-                           nodes_per_unit: int = 4000) -> DiscreteOperator:
-    """Full-period operator with the isolated well centered; its even modes are
-    exactly the folded half-interval's (the grid mirrors node-for-node)."""
-    bps, values = subsystem_half_pieces(params, which)
-    widths, cells = _pieces_to_cells(bps, values, nodes_per_unit)
-    ring_w = np.concatenate([widths, widths[::-1]])
-    ring_v = np.concatenate([cells, cells[::-1]])
-    return assemble_ring(ring_w, ring_v, K)
-
-
 # --- transcendental matching conditions -------------------------------------------
 
 def _check_lambda(K, lam):
-    if not 0.0 < lam < K:
+    if not np.all((0.0 < lam) & (lam < K)):
         raise DomainError(f"need 0 < lambda < K, got lambda={lam}, K={K}")
 
 
-def characteristic_left(K: float, lam: float, params: TwoWellParams) -> float:
-    """alpha tan(alpha t0) - beta tanh(beta (1/2 - t0)); zero at long-well energies."""
+def characteristic_left(K: float, lam, params: TwoWellParams):
+    """alpha tan(alpha t0) - beta tanh(beta (1/2 - t0)); zero at long-well energies.
+
+    `lam` may be a scalar or an array; the result has its shape.
+    """
     _check_lambda(K, lam)
     a = np.sqrt(lam)
     b = np.sqrt(K - lam)
     t0 = params.half_widths[0]
-    if abs(np.cos(a * t0)) < 0.25 * POLE_WIDTH:
-        raise PoleProximityError(f"tan pole at alpha*t0 = {a * t0}")
-    return float(a * np.tan(a * t0) - b * np.tanh(b * (0.5 - t0)))
+    near = np.abs(np.cos(a * t0)) < 0.25 * POLE_WIDTH
+    if np.any(near):
+        raise PoleProximityError(f"tan pole at alpha*t0 = {np.extract(near, a * t0)}")
+    return a * np.tan(a * t0) - b * np.tanh(b * (0.5 - t0))
 
 
-def characteristic_right(K: float, lam: float, params: TwoWellParams) -> float:
-    """Split-well matching condition, in overflow-free form.
+def characteristic_right(K: float, lam, params: TwoWellParams):
+    """Split-well matching condition, in overflow-free form; `lam` scalar or array.
 
-    The raw form (see `characteristic_right_raw`) carries exp(2 beta t) factors
-    that overflow for K beyond ~1e5; dividing every exponential by
-    exp(2 beta (t1 + t3)) leaves only nonpositive exponents (t2 < t1 + t3
-    always holds here), which is exact algebra, not an approximation.
+    The direct form carries exp(2 beta t) factors that overflow for K beyond
+    ~1e5; dividing every exponential by exp(2 beta (t1 + t3)) leaves only
+    nonpositive exponents (t2 < t1 + t3 always holds here), which is exact
+    algebra, not an approximation.
     """
     _check_lambda(K, lam)
     a = np.sqrt(lam)
     b = np.sqrt(K - lam)
     t0, t1, t2, t3 = params.half_widths
-    if abs(np.sin(a * (t2 - t1))) < 0.25 * POLE_WIDTH:
-        raise PoleProximityError(f"cot pole at alpha*L3 = {a * (t2 - t1)}")
+    near = np.abs(np.sin(a * (t2 - t1))) < 0.25 * POLE_WIDTH
+    if np.any(near):
+        raise PoleProximityError(f"cot pole at alpha*L3 = {np.extract(near, a * (t2 - t1))}")
     ea = np.exp(2 * b * (t2 - t1 - t3))
     eb = np.exp(-2 * b * t1)
     ec = np.exp(2 * b * (t2 - t3))
     ratio = ((a * a - b * b) * (ea + 1.0) + (a * a + b * b) * (eb + ec)) / (1.0 - ea)
-    return float(ratio + 2 * a * b / np.tan(a * (t1 - t2)))
-
-
-def characteristic_right_raw(K: float, lam: float, params: TwoWellParams) -> float:
-    """Direct exponential form; kept as the dual evaluation for the stable one."""
-    _check_lambda(K, lam)
-    a = np.sqrt(lam)
-    b = np.sqrt(K - lam)
-    t0, t1, t2, t3 = params.half_widths
-    denom = np.exp(2 * b * (t1 + t3)) - np.exp(2 * b * t2)
-    return float((a * a - b * b) * (np.exp(2 * b * t2) + np.exp(2 * b * (t1 + t3))) / denom
-                 + (a * a + b * b) * (np.exp(2 * b * t3) + np.exp(2 * b * (t1 + t2))) / denom
-                 + 2 * a * b / np.tan(a * (t1 - t2)))
+    return ratio + 2 * a * b / np.tan(a * (t1 - t2))
 
 
 def _pole_lambdas(which, K, lam_max, params):
@@ -225,7 +208,9 @@ def _pole_margin(lam_pole, t_char):
 
 
 def subsystem_ground_energy(K: float, params: TwoWellParams, which: int) -> float:
-    """Smallest root of the matching condition in (0, K): pole-aware scan, then bisection."""
+    """Smallest root of the matching condition in (0, K): a pole-aware scan, one
+    array evaluation per pole-free interval, then Brent's method on the first
+    sign change."""
     f = characteristic_left if which == 1 else characteristic_right
     t0, t1, t2, t3 = params.half_widths
     t_char = t0 if which == 1 else t2 - t1
@@ -235,28 +220,13 @@ def subsystem_ground_energy(K: float, params: TwoWellParams, which: int) -> floa
         lo2 = lo + _pole_margin(lo, t_char) if lo > 0 else 1e-12 * lam_max
         hi2 = hi - max(_pole_margin(hi, t_char), 1e-12 * hi)
         grid = np.linspace(lo2, hi2, SCAN_INTERVALS + 1)
-        vals = np.array([f(K, g, params) for g in grid])
+        vals = f(K, grid, params)
         sign_change = np.flatnonzero(np.signbit(vals[:-1]) != np.signbit(vals[1:]))
         if len(sign_change) == 0:
             continue
         a, b = grid[sign_change[0]], grid[sign_change[0] + 1]
-        fa = vals[sign_change[0]]
-        while b - a > 1e-12 * max(1.0, a):
-            mid = 0.5 * (a + b)
-            fm = f(K, mid, params)
-            if (fa < 0) != (fm < 0):
-                b = mid
-            else:
-                a, fa = mid, fm
-        return 0.5 * (a + b)
+        return brentq(lambda lam: f(K, lam, params), a, b, xtol=1e-12 * max(1.0, a))
     raise NoRootError(f"no root of condition {which} below lambda={lam_max} at K={K}")
-
-
-def scaled_residual(f, K, lam, params, rel_step=1e-6) -> float:
-    """|f| normalized by lambda * |df/dlambda|: dimensionless closeness to a root."""
-    d = rel_step * lam
-    deriv = (f(K, lam + d, params) - f(K, lam - d, params)) / (2 * d)
-    return abs(f(K, lam, params)) / max(abs(deriv) * lam, 1e-300)
 
 
 @dataclass(frozen=True)
@@ -267,7 +237,8 @@ class CriticalPoint:
 
 def critical_point(params: TwoWellParams, K_bounds=(10.0, 1e8),
                    rtol: float = 1e-10) -> CriticalPoint:
-    """Coupling at which the two wells' ground energies cross, by bisection in K."""
+    """Coupling at which the two wells' ground energies cross, by Brent's method
+    in log K (an absolute tolerance `rtol` there is a relative one in K)."""
     def gap(K):
         try:
             return subsystem_ground_energy(K, params, 1) - subsystem_ground_energy(K, params, 2)
@@ -280,14 +251,7 @@ def critical_point(params: TwoWellParams, K_bounds=(10.0, 1e8),
     if not (ga < 0) != (gb < 0):
         raise NoBifurcationError(
             f"ground energies do not cross on [{a:g}, {b:g}] (gap {ga:.3g} -> {gb:.3g})")
-    while b - a > rtol * a:
-        mid = np.sqrt(a * b)
-        gm = gap(mid)
-        if (ga < 0) != (gm < 0):
-            b = mid
-        else:
-            a, ga = mid, gm
-    Kc = 0.5 * (a + b)
+    Kc = np.exp(brentq(lambda u: gap(np.exp(u)), np.log(a), np.log(b), xtol=rtol))
     lam = 0.5 * (subsystem_ground_energy(Kc, params, 1) + subsystem_ground_energy(Kc, params, 2))
     return CriticalPoint(float(Kc), float(lam))
 
@@ -425,6 +389,9 @@ def scaling_study(axis: str, n_points: int = 30, seed: int = 0,
             skipped.append(float(P))
             continue
         samples.append((float(P), cp.K_c))
+    if len(samples) < 2:
+        raise UnsupportedSizeError(
+            f"only {len(samples)} of {n_points} {axis} points have a crossover; a fit needs 2")
     P_arr = np.array([s[0] for s in samples])
     K_arr = np.array([s[1] for s in samples])
     if axis == "P2":

@@ -12,11 +12,13 @@ Exit codes: 0 ok, 2 configuration error, 3 numerical failure.
 import argparse
 import csv
 import hashlib
+import inspect
 import json
 import os
 import sys
 import time
 from pathlib import Path
+from typing import get_args, get_origin
 
 import numpy as np
 import scipy
@@ -30,13 +32,14 @@ from .solver import smallest_eigenpairs
 from .stochastic import PathConfig, estimate_landscape_mc, probe_points_for
 
 
-# schema: key -> (type, default); None default means required has a computed fallback
+# schema: key -> (type, default); None default means required has a computed fallback;
+# list keys name their element type
 _POTENTIAL_KEYS = {
     "dim": (int, 1),
     "n_cells": (int, 50),
     "nodes_per_cell": (int, None),        # 8 in 1D, 4 in 2D
     "dist": (str, "bernoulli"),
-    "dist_params": (list, [0.5]),
+    "dist_params": (list[float], [0.5]),
 }
 _BC_KEYS = {"bc": (str, "neumann"), "h": (float, 0.0)}
 
@@ -47,13 +50,14 @@ SCHEMAS = {
     "valleys": {**_POTENTIAL_KEYS, **_BC_KEYS, "K": (float, 8000.0)},
     "boundary-prob": {**_POTENTIAL_KEYS, **_BC_KEYS, "K": (float, 5e4), "predicate": (str, "boundary")},
     "multimodal-prob": {**_POTENTIAL_KEYS, **_BC_KEYS, "K": (float, 3e6)},
-    "dist-study": {"h_list": (list, [0.01, 1.0]), "dims": (list, [1]), "K": (float, 1e4)},
+    "dist-study": {"h_list": (list[float], [0.01, 1.0]), "dims": (list[int], [1]),
+                   "K": (float, 1e4)},
     "fk-check": {**_POTENTIAL_KEYS, **_BC_KEYS, "K": (float, 8000.0), "dt": (float, 2e-5),
-                 "n_paths": (int, 10_000), "probes": (list, [])},
+                 "n_paths": (int, 10_000), "probes": (list[float], [])},
     "bifurcation": {"L1": (float, bifurcation.REFERENCE_PARAMS.L1), "L2": (float, bifurcation.REFERENCE_PARAMS.L2),
                     "L3": (float, bifurcation.REFERENCE_PARAMS.L3), "L4": (float, bifurcation.REFERENCE_PARAMS.L4),
                     "nodes_per_unit": (int, 3000), "sweep": (bool, True)},
-    "scaling": {"axes": (list, ["P1", "P2", "P3"]), "n_points": (int, 30),
+    "scaling": {"axes": (list[str], ["P1", "P2", "P3"]), "n_points": (int, 30),
                 "P1": (float, 0.25), "P2": (float, 0.4), "P3": (float, 0.1)},
 }
 
@@ -68,6 +72,18 @@ def _env_default(name, cast, fallback):
         raise ParameterError(f"LOCSCAPE_{name}={raw!r} is not a valid {cast.__name__}") from exc
 
 
+def _cast(want, value):
+    """`value` as type `want` (int and float convert; a list element by element), or None."""
+    if get_origin(want) is list:
+        if not isinstance(value, list):
+            return None
+        items = [_cast(get_args(want)[0], v) for v in value]
+        return None if None in items else items
+    if want in (int, float) and isinstance(value, (int, float)):
+        return want(value)
+    return value if isinstance(value, want) else None
+
+
 def _checked(command, source, items):
     """Config values from one source, each key known to the schema and of its type."""
     out = {}
@@ -75,11 +91,10 @@ def _checked(command, source, items):
         if key not in SCHEMAS[command]:
             raise ParameterError(f"unknown {source} key {key!r} for {command}")
         want = SCHEMAS[command][key][0]
-        if want in (int, float) and isinstance(value, (int, float)):
-            value = want(value)
-        if not isinstance(value, want):
-            raise ParameterError(f"{source} key {key!r} must be {want.__name__}")
-        out[key] = value
+        out[key] = _cast(want, value)
+        if out[key] is None:
+            name = want if get_origin(want) else want.__name__
+            raise ParameterError(f"{source} key {key!r} must be {name}")
     return out
 
 
@@ -99,7 +114,32 @@ def _load_config(command, path, overrides):
     merged.update(_checked(command, "--set", overrides))
     if merged.get("nodes_per_cell") is None and "dim" in merged:
         merged["nodes_per_cell"] = 8 if merged["dim"] == 1 else 4
+    _check_values(merged)
     return merged
+
+
+# key -> (test, description) for values that a key's type does not constrain enough
+_LIMITS = {
+    "nodes_per_unit": (lambda v: v >= 1, ">= 1"),
+    "n_points": (lambda v: v >= 2, ">= 2 for a fit"),
+    "axes": (lambda v: set(v) <= set(bifurcation.AXIS_WINDOWS),
+             f"among {tuple(bifurcation.AXIS_WINDOWS)}"),
+    **{name: (lambda v: 0.0 < v < 1.0, "in (0, 1)") for name in ("P1", "P2", "P3")},
+}
+
+
+def _check_values(cfg):
+    """Value checks made before a run starts: `_LIMITS` and the distribution's arity."""
+    for key, (ok, what) in _LIMITS.items():
+        if key in cfg and not ok(cfg[key]):
+            raise ParameterError(f"{key} must be {what}, got {cfg[key]!r}")
+    if "dist" in cfg:
+        if cfg["dist"] not in _DIST_MAKERS:
+            raise ParameterError(f"unknown distribution {cfg['dist']!r}")
+        arity = len(inspect.signature(_DIST_MAKERS[cfg["dist"]]).parameters)
+        if len(cfg["dist_params"]) != arity:
+            raise ParameterError(f"{cfg['dist']} takes {arity} dist_params, "
+                                 f"got {len(cfg['dist_params'])}")
 
 
 _DIST_MAKERS = {
@@ -112,10 +152,7 @@ _DIST_MAKERS = {
 
 def _grid_dist(cfg):
     grid = GridSpec(cfg["dim"], cfg["n_cells"], cfg["nodes_per_cell"])
-    if cfg["dist"] not in _DIST_MAKERS:
-        raise ParameterError(f"unknown distribution {cfg['dist']!r}")
-    dist = _DIST_MAKERS[cfg["dist"]](*(float(v) for v in cfg["dist_params"]))
-    return grid, dist
+    return grid, _DIST_MAKERS[cfg["dist"]](*cfg["dist_params"])
 
 
 def _bc(cfg):
@@ -234,8 +271,7 @@ def _cmd_multimodal_prob(cfg, seed, trials, threads, out):
 
 
 def _cmd_dist_study(cfg, seed, trials, threads, out):
-    rows = experiments.distribution_study([float(h) for h in cfg["h_list"]],
-                                          dims=tuple(int(d) for d in cfg["dims"]),
+    rows = experiments.distribution_study(cfg["h_list"], dims=tuple(cfg["dims"]),
                                           K=cfg["K"], n_trials=trials, seed=seed,
                                           workers=threads)
     table = []
@@ -254,7 +290,7 @@ def _cmd_fk_check(cfg, seed, trials, threads, out):
     fieldv = sample_potential(grid, dist, seed)
     op = assemble(grid, fieldv, cfg["K"], bc)
     w = landscape.landscape_from_operator(op).w
-    probes = np.asarray([float(p) for p in cfg["probes"]]) if cfg["probes"] else probe_points_for(fieldv)
+    probes = np.asarray(cfg["probes"]) if cfg["probes"] else probe_points_for(fieldv)
     pcfg = PathConfig(dt=cfg["dt"], n_paths=cfg["n_paths"], seed=seed)
     rows = []
     for x in probes:

@@ -11,7 +11,7 @@ import pytest
 
 from locscape import (REFERENCE_PARAMS, BoundaryCondition, DistributionSpec, ExperimentSpec,
                       PathConfig, RunModel, assemble, boundary_localization_prob,
-                      characteristic_left, characteristic_right, characteristic_right_raw,
+                      characteristic_left, characteristic_right,
                       compute_landscape, critical_coupling_sweep, critical_point,
                       estimate_landscape_mc, estimate_probability, landscape_bound_violation, grid_1d,
                       grid_2d, landscape_from_operator, multimodal_prob_dirichlet,
@@ -22,6 +22,7 @@ from locscape import (REFERENCE_PARAMS, BoundaryCondition, DistributionSpec, Exp
 from locscape.bifurcation import piecewise_potential
 from locscape.operator import assemble_ring
 from locscape.rng import stream
+from twowell_oracles import characteristic_right_raw
 
 
 class Gate:

@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from locscape import (REFERENCE_PARAMS, ConstraintError, DomainError, NoBifurcationError,
-                      ShapeRatios, TwoWellParams, characteristic_left, characteristic_right,
-                      characteristic_right_raw, critical_coupling_sweep, critical_point,
-                      lengths_to_ratios, mirrored_ring_operator, peak_height_ratio,
-                      piecewise_potential, ratios_to_lengths, scaling_study,
-                      smallest_eigenpairs, subsystem_ground_energy, subsystem_operator,
-                      toy_operator)
-from locscape.bifurcation import scaled_residual
+                      ShapeRatios, TwoWellParams, UnsupportedSizeError, bifurcation,
+                      characteristic_left, characteristic_right, critical_coupling_sweep,
+                      critical_point, lengths_to_ratios, peak_height_ratio, piecewise_potential,
+                      ratios_to_lengths, scaling_study, smallest_eigenpairs,
+                      subsystem_ground_energy, subsystem_operator, toy_operator)
 from locscape.operator import assemble_ring
 from locscape.rng import stream
+from twowell_oracles import characteristic_right_raw, mirrored_ring_operator, scaled_residual
 
 
 def test_reference_breakpoints():
@@ -69,6 +70,21 @@ def test_stable_and_raw_right_conditions_agree():
         assert a == pytest.approx(b, rel=1e-10)
 
 
+@settings(max_examples=100, deadline=None)
+@given(K=st.floats(20.0, 1e6),
+       fractions=st.lists(st.floats(1e-9, 1.0 - 1e-9), min_size=1, max_size=40),
+       which=st.sampled_from([1, 2]))
+def test_array_call_matches_scalar_calls(K, fractions, which):
+    t0, t1, t2, t3 = REFERENCE_PARAMS.half_widths
+    f, trig, t = ((characteristic_left, np.cos, t0) if which == 1
+                  else (characteristic_right, np.sin, t2 - t1))
+    lam = K * np.array(fractions)
+    lam = lam[np.abs(trig(np.sqrt(lam) * t)) > 1e-6]
+    assume(len(lam) > 0)
+    scalar = np.array([f(K, x, REFERENCE_PARAMS) for x in lam])
+    np.testing.assert_allclose(f(K, lam, REFERENCE_PARAMS), scalar, rtol=1e-14, atol=0)
+
+
 def test_stable_right_condition_finite_at_huge_coupling():
     K = 1e6
     for lam in np.linspace(1.0, K - 1.0, 50):
@@ -102,6 +118,19 @@ def test_critical_point_solves_both_conditions():
     assert 0 < cp.lambda_c < cp.K_c
     assert scaled_residual(characteristic_left, cp.K_c, cp.lambda_c, REFERENCE_PARAMS) < 1e-8
     assert scaled_residual(characteristic_right, cp.K_c, cp.lambda_c, REFERENCE_PARAMS) < 1e-8
+
+
+def test_critical_point_evaluation_budget_and_value(monkeypatch):
+    calls = []
+    for name in ("characteristic_left", "characteristic_right"):
+        def counted(*args, _f=getattr(bifurcation, name)):
+            calls.append(1)
+            return _f(*args)
+        monkeypatch.setattr(bifurcation, name, counted)
+    cp = critical_point(REFERENCE_PARAMS)
+    assert 0 < len(calls) <= 400
+    # the value found by geometric bisection in K down to the same tolerance
+    assert cp.K_c == pytest.approx(724.2871998063104, rel=1e-10)
 
 
 def test_no_crossing_without_a_longer_split_well():
@@ -203,6 +232,14 @@ def test_scaling_study_runs_and_reports():
     assert fit.r2 > 0.99
     with pytest.raises(DomainError):
         scaling_study("P9", n_points=3)
+
+
+def test_scaling_study_needs_two_fitted_points():
+    with pytest.raises(UnsupportedSizeError):
+        scaling_study("P1", n_points=1, seed=3)
+    # L1 >= 2 L3 at every P1: each point violates constraint (ii) and is skipped
+    with pytest.raises(UnsupportedSizeError):
+        scaling_study("P1", n_points=3, seed=3, base=ShapeRatios(0.25, 0.9, 0.1))
 
 
 def test_randomized_geometries_agree_between_routes():

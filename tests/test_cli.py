@@ -175,6 +175,36 @@ def test_bifurcation_and_scaling_commands(tmp_path):
     assert (out2 / "scaling_P1.csv").exists()
 
 
+@pytest.mark.parametrize("command,setting", [
+    ("scaling", "n_points=1"),
+    ("scaling", "n_points=0"),
+    ("scaling", 'axes=["P9"]'),
+    ("scaling", "P3=1.5"),
+    ("bifurcation", "nodes_per_unit=0"),
+])
+def test_twowell_config_out_of_range_exits_2(tmp_path, command, setting):
+    out = tmp_path / "o"
+    assert run_cli(command, "--set", setting, "--out", str(out)) == 2
+    assert not out.exists()
+
+
+def test_scaling_without_two_fitted_points_exits_3(tmp_path):
+    # P2 = 0.9 gives L1 >= 2 L3: every sampled geometry violates a constraint
+    assert run_cli("scaling", "--set", 'axes=["P1"]', "--set", "P2=0.9", "--set", "n_points=3",
+                   "--out", str(tmp_path / "o")) == 3
+
+
+@pytest.mark.parametrize("command,setting", [
+    ("potential", 'dist_params=["a"]'),
+    ("potential", "dist_params=[]"),
+    ("dist-study", 'dims=["x"]'),
+])
+def test_list_keys_checked_element_by_element(tmp_path, command, setting):
+    out = tmp_path / "o"
+    assert run_cli(command, "--set", setting, "--out", str(out)) == 2
+    assert not out.exists()
+
+
 def test_env_defaults_and_flag_precedence(tmp_path, monkeypatch):
     monkeypatch.setenv("LOCSCAPE_TRIALS", "7")
     monkeypatch.setenv("LOCSCAPE_OUT", str(tmp_path / "envout"))

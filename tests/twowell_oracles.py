@@ -1,0 +1,37 @@
+"""Independent evaluations of the two-well model that only the tests use."""
+
+import numpy as np
+
+from locscape.bifurcation import (TwoWellParams, _check_lambda, _pieces_to_cells,
+                                  subsystem_half_pieces)
+from locscape.operator import DiscreteOperator, assemble_ring
+
+
+def mirrored_ring_operator(params: TwoWellParams, K: float, which: int,
+                           nodes_per_unit: int = 4000) -> DiscreteOperator:
+    """Full-period operator with the isolated well centered; its even modes are
+    exactly the folded half-interval's (the grid mirrors node-for-node)."""
+    bps, values = subsystem_half_pieces(params, which)
+    widths, cells = _pieces_to_cells(bps, values, nodes_per_unit)
+    ring_w = np.concatenate([widths, widths[::-1]])
+    ring_v = np.concatenate([cells, cells[::-1]])
+    return assemble_ring(ring_w, ring_v, K)
+
+
+def characteristic_right_raw(K: float, lam: float, params: TwoWellParams) -> float:
+    """Direct exponential form; kept as the dual evaluation for the stable one."""
+    _check_lambda(K, lam)
+    a = np.sqrt(lam)
+    b = np.sqrt(K - lam)
+    t0, t1, t2, t3 = params.half_widths
+    denom = np.exp(2 * b * (t1 + t3)) - np.exp(2 * b * t2)
+    return float((a * a - b * b) * (np.exp(2 * b * t2) + np.exp(2 * b * (t1 + t3))) / denom
+                 + (a * a + b * b) * (np.exp(2 * b * t3) + np.exp(2 * b * (t1 + t2))) / denom
+                 + 2 * a * b / np.tan(a * (t1 - t2)))
+
+
+def scaled_residual(f, K, lam, params, rel_step=1e-6) -> float:
+    """|f| normalized by lambda * |df/dlambda|: dimensionless closeness to a root."""
+    d = rel_step * lam
+    deriv = (f(K, lam + d, params) - f(K, lam - d, params)) / (2 * d)
+    return abs(f(K, lam, params)) / max(abs(deriv) * lam, 1e-300)
