@@ -20,8 +20,8 @@ from .operator import (BoundaryCondition, DiscreteOperator, assemble, assemble_l
                        assemble_ring, export_triplets)
 from .potential import (DistributionSpec, GridSpec, PotentialField, grid_1d, grid_2d,
                         load_potential, run_decomposition, sample_potential, save_potential)
-from .regions import (ExtendedSubregion, Region, SubregionPartition, extended_measures,
-                      extended_subregion, zero_components)
+from .regions import (ExtendedSubregion, Region, SubregionPartition, extended_subregion,
+                      zero_components)
 from .runstats import (OracleEstimate, RunConfig, RunFlags, RunModel,
                        boundary_localization_prob, config_flags, multimodal_prob_dirichlet,
                        multimodal_prob_neumann, oracle_probabilities, sample_run_config)

@@ -10,6 +10,7 @@ well to the center of the period and folding the half-interval; the sweep of
 the full spectrum provides the independent numerical route to the same number.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -239,7 +240,9 @@ def critical_point(params: TwoWellParams, K_bounds=(10.0, 1e8),
                    rtol: float = 1e-10) -> CriticalPoint:
     """Coupling at which the two wells' ground energies cross, by Brent's method
     in log K (an absolute tolerance `rtol` there is a relative one in K)."""
-    def gap(K):
+    @functools.cache   # brentq evaluates both ends again after the sign check
+    def gap(u):
+        K = np.exp(u)
         try:
             return subsystem_ground_energy(K, params, 1) - subsystem_ground_energy(K, params, 2)
         except NoRootError as exc:
@@ -247,11 +250,11 @@ def critical_point(params: TwoWellParams, K_bounds=(10.0, 1e8),
             raise NoBifurcationError(str(exc)) from exc
 
     a, b = K_bounds
-    ga, gb = gap(a), gap(b)
+    ga, gb = gap(np.log(a)), gap(np.log(b))
     if not (ga < 0) != (gb < 0):
         raise NoBifurcationError(
             f"ground energies do not cross on [{a:g}, {b:g}] (gap {ga:.3g} -> {gb:.3g})")
-    Kc = np.exp(brentq(lambda u: gap(np.exp(u)), np.log(a), np.log(b), xtol=rtol))
+    Kc = np.exp(brentq(gap, np.log(a), np.log(b), xtol=rtol))
     lam = 0.5 * (subsystem_ground_energy(Kc, params, 1) + subsystem_ground_energy(Kc, params, 2))
     return CriticalPoint(float(Kc), float(lam))
 

@@ -73,13 +73,18 @@ def _env_default(name, cast, fallback):
 
 
 def _cast(want, value):
-    """`value` as type `want` (int and float convert; a list element by element), or None."""
+    """`value` as type `want`, or None: int and float convert only without loss (a
+    boolean is no number), a list element by element."""
     if get_origin(want) is list:
         if not isinstance(value, list):
             return None
         items = [_cast(get_args(want)[0], v) for v in value]
         return None if None in items else items
-    if want in (int, float) and isinstance(value, (int, float)):
+    if want in (int, float):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            return None
+        if want is int and isinstance(value, float) and not value.is_integer():
+            return None
         return want(value)
     return value if isinstance(value, want) else None
 
@@ -125,14 +130,17 @@ _LIMITS = {
     "axes": (lambda v: set(v) <= set(bifurcation.AXIS_WINDOWS),
              f"among {tuple(bifurcation.AXIS_WINDOWS)}"),
     **{name: (lambda v: 0.0 < v < 1.0, "in (0, 1)") for name in ("P1", "P2", "P3")},
+    "predicate": (lambda v: v in experiments.PREDICATES, f"among {experiments.PREDICATES}"),
 }
 
 
 def _check_values(cfg):
-    """Value checks made before a run starts: `_LIMITS` and the distribution's arity."""
+    """Value checks made before a run starts: `_LIMITS`, corner's dim, the distribution's arity."""
     for key, (ok, what) in _LIMITS.items():
         if key in cfg and not ok(cfg[key]):
             raise ParameterError(f"{key} must be {what}, got {cfg[key]!r}")
+    if cfg.get("predicate") == "corner" and cfg["dim"] != 2:
+        raise ParameterError(f"predicate 'corner' needs dim 2, got dim {cfg['dim']}")
     if "dist" in cfg:
         if cfg["dist"] not in _DIST_MAKERS:
             raise ParameterError(f"unknown distribution {cfg['dist']!r}")

@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import UsageError
 from .operator import BoundaryCondition, DiscreteOperator, assemble
-from .potential import GridSpec, PotentialField
-from .regions import SubregionPartition, _region_from_mask
+from .potential import GridSpec, PotentialField, _runs
+from .regions import _partition
 from .solver import EigenPair, solve_linear
 
 
@@ -32,10 +32,6 @@ class Landscape:
         w = np.asarray(self.w, float)
         w.flags.writeable = False
         object.__setattr__(self, "w", w)
-
-    @property
-    def grid_values(self) -> np.ndarray:
-        return self.w.reshape(self.op.shape_active)
 
 
 def landscape_from_operator(op: DiscreteOperator, tol: float = 1e-10) -> Landscape:
@@ -61,42 +57,14 @@ def landscape_bound_violation(pair: EigenPair, ls: Landscape) -> float:
 
 def local_maxima_1d(w: np.ndarray) -> list[int]:
     """Indices of local maxima (one representative per plateau, its midpoint)."""
-    n = len(w)
-    out = []
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and w[j + 1] == w[i]:
-            j += 1
-        left_lower = i == 0 or w[i - 1] < w[i]
-        right_lower = j == n - 1 or w[j + 1] < w[j]
-        if left_lower and right_lower:
-            out.append((i + j) // 2)
-        i = j + 1
-    return out
-
-
-def _splits_1d(w):
-    """Interior minima as (ridge node, join-left flag); plateaus split at their midpoint."""
-    n = len(w)
-    splits = []
-    i = 1
-    while i < n - 1:
-        j = i
-        while j + 1 < n and w[j + 1] == w[i]:
-            j += 1
-        if w[i - 1] > w[i] and j + 1 < n and w[j + 1] > w[j]:
-            mid = (i + j) // 2
-            splits.append((mid, w[i - 1] >= w[j + 1]))  # tie joins the lower-index side
-        i = j + 1
-    return splits
-
-
-def _partition_from_labels(labels, shape, measure_per_node):
-    lab = labels.reshape(shape)
-    regions = tuple(_region_from_mask(rid, lab == rid, measure_per_node)
-                    for rid in range(labels.max() + 1))
-    return SubregionPartition(lab, "node", regions)
+    w = np.asarray(w)
+    first, last = _runs(w)
+    v = w[first]
+    left_lower = np.ones(len(v), dtype=bool)    # a missing neighbour counts as lower
+    left_lower[1:] = v[:-1] < v[1:]
+    right_lower = np.ones(len(v), dtype=bool)
+    right_lower[:-1] = v[1:] < v[:-1]
+    return ((first + last) // 2)[left_lower & right_lower].tolist()
 
 
 def valley_partition(ls: Landscape):
@@ -116,18 +84,15 @@ def valley_partition(ls: Landscape):
     shape = ls.op.shape_active
     spacing = np.prod([ax[1] - ax[0] for ax in ls.op.axes])
     if ls.op.dim == 1:
-        labels = np.empty(len(w), dtype=int)
-        prev = 0
-        rid = 0
-        for mid, join_left in _splits_1d(w):
-            end = mid + 1 if join_left else mid
-            labels[prev:end] = rid
-            rid += 1
-            prev = end
-        labels[prev:] = rid
-        return _partition_from_labels(labels, shape, spacing)
-    labels = _watershed(w.reshape(shape))
-    return _partition_from_labels(labels.ravel(), shape, spacing)
+        first, last = _runs(w)
+        v = w[first]
+        k = np.flatnonzero((v[:-2] > v[1:-1]) & (v[1:-1] < v[2:])) + 1   # interior minima
+        # the split node joins the side of the higher neighbour; a tie joins the lower index
+        split = (first[k] + last[k]) // 2 + (v[k - 1] >= v[k + 1])
+        labels = np.zeros(len(w), dtype=int)
+        labels[split] = 1
+        return _partition(np.cumsum(labels), "node", spacing)
+    return _partition(_watershed(w.reshape(shape)).reshape(shape), "node", spacing)
 
 
 def _neighbors(i, nx, ny):

@@ -123,14 +123,15 @@ class DiscreteOperator:
         return arr
 
 
-def _axis_1d(widths, values, ends):
+def _axis_1d(widths, values, ends, K):
     """One axis of the lumped-FE pencil on cells of the given widths.
 
     ``values`` holds one row per cell; extra trailing axes are averaged alongside.
     ``ends`` is the (kind, h) pair of the low and high end, or None for a ring
-    whose last cell closes onto node 0.  Returns the stiffness, the lumped mass,
-    the node potential (the width-weighted average of the adjacent cells) and
-    the (low, high) Dirichlet trim, restricted to the active nodes.
+    whose last cell closes onto node 0; K must be 0 if ``values`` has trailing
+    axes.  Returns the matrix (stiffness + K*diag(v*m)), the lumped mass m, the
+    node potential v (the width-weighted average of the adjacent cells) and the
+    (low, high) Dirichlet trim, restricted to the active nodes.
     """
     w = np.asarray(widths, float)
     v = np.asarray(values, float)
@@ -153,6 +154,8 @@ def _axis_1d(widths, values, ends):
             d[-side] += h                   # d[0] or d[-1]
         elif kind == "dirichlet":
             trim[side] = True
+    if K:
+        d = d + K * vnode * m
     S = sp.diags([d, -inv[1:n], -inv[1:n]], [0, 1, -1], format="csr")
     if ends is None:
         S = S + sp.csr_matrix(([-inv[0], -inv[0]], ([0, n - 1], [n - 1, 0])), shape=(n, n))
@@ -179,16 +182,15 @@ def assemble(grid: GridSpec, fieldv: PotentialField, K: float,
     widths = np.full(n - 1, grid.spacing)
     ends = None if periodic else bc.end_specs()
     coords = np.linspace(0.0, 1.0, n)
-    S, m, v, (lo, hi) = _axis_1d(widths, np.repeat(fieldv.cell_values, r, axis=0), ends)
+    S, m, v, (lo, hi) = _axis_1d(widths, np.repeat(fieldv.cell_values, r, axis=0), ends,
+                                 K if grid.dim == 1 else 0.0)   # 2D adds K*V after the kron
     coords = coords[:-1] if periodic else coords[int(lo):n - int(hi)]
 
     if grid.dim == 1:
-        A = S + sp.diags(K * v * m)
-        return DiscreteOperator(A.tocsr(), m, bc, K, (coords,), ((lo, hi),), v, grid,
-                                periodic=periodic)
+        return DiscreteOperator(S, m, bc, K, (coords,), ((lo, hi),), v, grid, periodic=periodic)
 
     # v is (active x, cells y); average along y as well, then index it [x, y]
-    v = _axis_1d(widths, np.repeat(v.T, r, axis=0), ends)[2].T
+    v = _axis_1d(widths, np.repeat(v.T, r, axis=0), ends, 0.0)[2].T
     M = sp.diags(m)
     A2 = sp.kron(S, M) + sp.kron(M, S)
     m2 = np.multiply.outer(m, m).ravel()
@@ -202,18 +204,18 @@ def assemble(grid: GridSpec, fieldv: PotentialField, K: float,
 
 def assemble_ring(widths, values, K: float) -> DiscreteOperator:
     """Periodic 1D operator from cell widths and cell values (sum of widths = circumference)."""
-    S, m, v, trim = _axis_1d(widths, values, None)
+    A, m, v, trim = _axis_1d(widths, values, None, K)
     coords = np.concatenate(([0.0], np.cumsum(widths)))[:-1]
-    return DiscreteOperator((S + sp.diags(K * v * m)).tocsr(), m, BoundaryCondition.periodic(),
+    return DiscreteOperator(A, m, BoundaryCondition.periodic(),
                             float(K), (coords,), (trim,), v, None, periodic=True)
 
 
 def assemble_line(widths, values, K: float, bc: BoundaryCondition) -> DiscreteOperator:
     """1D operator on [0, sum(widths)] from cell widths/values, any non-periodic bc."""
-    S, m, v, (lo, hi) = _axis_1d(widths, values, bc.end_specs())
+    A, m, v, (lo, hi) = _axis_1d(widths, values, bc.end_specs(), K)
     coords = np.concatenate(([0.0], np.cumsum(widths)))
     coords = coords[int(lo):len(coords) - int(hi)]
-    return DiscreteOperator((S + sp.diags(K * v * m)).tocsr(), m, bc, float(K), (coords,),
+    return DiscreteOperator(A, m, bc, float(K), (coords,),
                             ((lo, hi),), v, None)
 
 

@@ -138,6 +138,15 @@ def sample_potential(grid: GridSpec, dist: DistributionSpec, seed: int) -> Poten
     return PotentialField(grid, dist.sample(rng, shape), seed, dist)
 
 
+def _runs(a) -> tuple[np.ndarray, np.ndarray]:
+    """First and last index of each maximal run of equal values in a 1D array."""
+    a = np.asarray(a)
+    edge = np.ones(a.size + 1, dtype=bool)
+    edge[1:-1] = a[1:] != a[:-1]
+    bounds = np.flatnonzero(edge)
+    return bounds[:-1], bounds[1:] - 1
+
+
 def run_decomposition(fieldv: PotentialField) -> list[tuple[int, int]]:
     """Maximal runs of a 1D binary field as (value, length) pairs, left to right.
 
@@ -148,16 +157,16 @@ def run_decomposition(fieldv: PotentialField) -> list[tuple[int, int]]:
     if not fieldv.is_binary:
         raise UnsupportedError("run decomposition needs a {0,1}-valued field")
     cells = fieldv.cell_values.astype(int)
-    change = np.flatnonzero(np.diff(cells)) + 1
-    bounds = np.concatenate(([0], change, [len(cells)]))
-    return [(int(cells[a]), int(b - a)) for a, b in zip(bounds[:-1], bounds[1:])]
+    first, last = _runs(cells)
+    return [(int(cells[a]), int(b - a + 1)) for a, b in zip(first, last)]
 
 
 def runs_of_zeros(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Start indices and lengths of maximal zero runs in a 1D binary array."""
     z = np.asarray(cells) == 0
-    edges = np.flatnonzero(np.diff(np.concatenate(([0], z.astype(np.int8), [0]))))
-    return edges[::2], edges[1::2] - edges[::2]
+    first, last = _runs(z)
+    zero = z[first]
+    return first[zero], (last - first + 1)[zero]
 
 
 # --- plain-text serialization -------------------------------------------------

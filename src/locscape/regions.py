@@ -7,7 +7,7 @@ from scipy import ndimage
 
 from .errors import UnsupportedError
 from .operator import BoundaryCondition
-from .potential import PotentialField, runs_of_zeros
+from .potential import PotentialField
 
 
 @dataclass(frozen=True)
@@ -41,9 +41,6 @@ class SubregionPartition:
     def n_regions(self) -> int:
         return len(self.regions)
 
-    def region_mask(self, region_id: int) -> np.ndarray:
-        return self.labels == region_id
-
 
 @dataclass(frozen=True)
 class ExtendedSubregion:
@@ -68,6 +65,13 @@ def _region_from_mask(rid, mask, cell_measure):
     return Region(rid, size, bbox, tuple(touches), corner, size * cell_measure)
 
 
+def _partition(labels, granularity, cell_measure):
+    """Partition whose region ids are the labels 0, 1, ...; -1 marks unassigned."""
+    regions = tuple(_region_from_mask(rid, labels == rid, cell_measure)
+                    for rid in range(labels.max() + 1))
+    return SubregionPartition(labels, granularity, regions)
+
+
 def zero_components(fieldv: PotentialField) -> SubregionPartition:
     """Connected components of {V = 0} at cell granularity.
 
@@ -76,23 +80,9 @@ def zero_components(fieldv: PotentialField) -> SubregionPartition:
     """
     if not fieldv.is_binary:
         raise UnsupportedError("zero components are defined for {0,1}-valued fields")
-    cells = fieldv.cell_values
-    N = fieldv.grid.cells_per_side
-    cell_measure = (1.0 / N) ** fieldv.grid.dim
-    if fieldv.grid.dim == 1:
-        starts, lengths = runs_of_zeros(cells)
-        labels = np.full(N, -1, dtype=int)
-        regions = []
-        for rid, (s, ln) in enumerate(zip(starts, lengths)):
-            labels[s:s + ln] = rid
-            regions.append(Region(rid, int(ln), ((int(s), int(s + ln - 1)),),
-                                  (s == 0, s + ln == N), False, ln / N))
-        return SubregionPartition(labels, "cell", tuple(regions))
-    lab, n = ndimage.label(cells == 0)   # default structure = 4-connectivity
-    labels = lab.astype(int) - 1         # background -> -1
-    regions = tuple(_region_from_mask(rid, labels == rid, cell_measure)
-                    for rid in range(n))
-    return SubregionPartition(labels, "cell", regions)
+    cell_measure = (1.0 / fieldv.grid.cells_per_side) ** fieldv.grid.dim
+    labels, _ = ndimage.label(fieldv.cell_values == 0)   # default structure = 4-connectivity
+    return _partition(labels.astype(int) - 1, "cell", cell_measure)   # background -> -1
 
 
 def extended_subregion(region: Region, bc: BoundaryCondition) -> ExtendedSubregion:
@@ -102,24 +92,7 @@ def extended_subregion(region: Region, bc: BoundaryCondition) -> ExtendedSubregi
     measure doubles per touched direction: 2 for a side region, 4 for a 2D
     region meeting two perpendicular sides.
     """
-    if bc.kind == "dirichlet":
-        return ExtendedSubregion(region.id, 1, region.measure, region.measure)
     t = region.touches
-    if len(t) == 2:  # 1D
-        factor = 2 if (t[0] or t[1]) else 1
-    else:
-        touches_x = t[0] or t[1]
-        touches_y = t[2] or t[3]
-        if touches_x and touches_y:
-            factor = 4
-        elif touches_x or touches_y:
-            factor = 2
-        else:
-            factor = 1
+    touched_axes = sum(t[i] or t[i + 1] for i in range(0, len(t), 2))
+    factor = 1 if bc.kind == "dirichlet" else 2 ** touched_axes
     return ExtendedSubregion(region.id, factor, region.measure, factor * region.measure)
-
-
-def extended_measures(partition: SubregionPartition, bc: BoundaryCondition) -> np.ndarray:
-    """Extended measure per region, in region-id order."""
-    return np.array([extended_subregion(r, bc).extended_measure
-                     for r in partition.regions])

@@ -42,6 +42,32 @@ def test_mistyped_set_value_rejected(tmp_path):
     assert not out.exists()
 
 
+def test_fractional_int_value_rejected(tmp_path):
+    # 10.7 cells must not be truncated to 10; an integral float such as 1e4 still passes
+    out = tmp_path / "o"
+    assert run_cli("potential", "--set", "n_cells=10.7", "--out", str(out)) == 2
+    assert not out.exists()
+    assert run_cli("potential", "--set", "n_cells=1e1", "--out", str(out)) == 0
+    assert len(load_potential(out / "potential.txt").cell_values) == 10
+
+
+def test_boolean_number_value_rejected(tmp_path):
+    out = tmp_path / "o"
+    assert run_cli("solve", "--set", "K=true", "--set", "n_cells=10", "--out", str(out)) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("settings", [
+    ['predicate="foo"'],
+    ['predicate="corner"', "dim=1"],
+])
+def test_bad_predicate_is_a_config_error(tmp_path, settings):
+    out = tmp_path / "o"
+    args = [a for s in settings for a in ("--set", s)]
+    assert run_cli("boundary-prob", *args, "--trials", "2", "--out", str(out)) == 2
+    assert not out.exists()
+
+
 def test_bad_env_value_exits_2(tmp_path, monkeypatch):
     monkeypatch.setenv("LOCSCAPE_SEED", "abc")
     out = tmp_path / "o"
