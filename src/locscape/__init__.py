@@ -27,7 +27,6 @@ from .runstats import (OracleEstimate, RunConfig, RunFlags, RunModel,
                        multimodal_prob_neumann, oracle_probabilities, sample_run_config)
 from .solver import (EigenPair, degenerate_clusters, rayleigh_quotient, smallest_eigenpairs,
                      solve_linear)
-from .stochastic import (FeynmanKacEstimate, PathConfig, estimate_landscape_mc,
-                         probe_points_for, simulate_reflecting_path)
+from .stochastic import FeynmanKacEstimate, PathConfig, estimate_landscape_mc, probe_points_for
 
 __version__ = "0.1.0"

@@ -305,9 +305,11 @@ def _cmd_fk_check(cfg, seed, trials, threads, out):
         est = estimate_landscape_mc(x, fieldv, cfg["K"], bc, pcfg)
         node = int(np.argmin(np.abs(op.axes[0] - x)))
         rows.append((x, est.mean, est.std_error, w[node],
-                     (est.mean - w[node]) / est.std_error if est.std_error else 0.0))
+                     (est.mean - w[node]) / est.std_error if est.std_error else 0.0,
+                     est.n_truncated))
     _write_csv(out / "fk_check.csv",
-               ["probe_x", "mc_mean", "mc_std_error", "fd_landscape", "deviation_sigmas"], rows)
+               ["probe_x", "mc_mean", "mc_std_error", "fd_landscape", "deviation_sigmas",
+                "n_truncated"], rows)
 
 
 def _cmd_bifurcation(cfg, seed, trials, threads, out):

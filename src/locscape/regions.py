@@ -52,24 +52,24 @@ class ExtendedSubregion:
     extended_measure: float
 
 
-def _region_from_mask(rid, mask, cell_measure):
-    idx = np.nonzero(mask)
-    bbox = tuple((int(ax.min()), int(ax.max())) for ax in idx)
-    shape = mask.shape
-    touches = []
-    for axis, (lo, hi) in enumerate(bbox):
-        touches.append(lo == 0)
-        touches.append(hi == shape[axis] - 1)
-    corner = mask.ndim == 2 and any(mask[ci, cj] for ci in (0, -1) for cj in (0, -1))
-    size = int(mask.sum())
-    return Region(rid, size, bbox, tuple(touches), corner, size * cell_measure)
-
-
 def _partition(labels, granularity, cell_measure):
-    """Partition whose region ids are the labels 0, 1, ...; -1 marks unassigned."""
-    regions = tuple(_region_from_mask(rid, labels == rid, cell_measure)
-                    for rid in range(labels.max() + 1))
-    return SubregionPartition(labels, granularity, regions)
+    """Partition whose region ids are the labels 0, 1, ...; -1 marks unassigned.
+
+    One sweep over the labels: bounding boxes from ``ndimage.find_objects``, sizes
+    from ``np.bincount``, wall contact from the boxes and corner contact from the
+    labels of the four corners.
+    """
+    boxes = ndimage.find_objects(labels + 1)
+    sizes = np.bincount(labels.ravel() + 1, minlength=len(boxes) + 1)[1:]
+    corners = ({int(labels[i, j]) for i in (0, -1) for j in (0, -1)}
+               if labels.ndim == 2 else set())
+    regions = []
+    for rid, (box, size) in enumerate(zip(boxes, sizes.tolist())):
+        bbox = tuple((sl.start, sl.stop - 1) for sl in box)
+        touches = tuple(t for (lo, hi), n in zip(bbox, labels.shape)
+                        for t in (lo == 0, hi == n - 1))
+        regions.append(Region(rid, size, bbox, touches, rid in corners, size * cell_measure))
+    return SubregionPartition(labels, granularity, tuple(regions))
 
 
 def zero_components(fieldv: PotentialField) -> SubregionPartition:

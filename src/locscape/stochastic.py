@@ -18,8 +18,31 @@ tolerances rather than for generality:
   time F (half-space approximation, adequate for dt <= 1e-4 and h <= 1);
 * absorbing walls use the Brownian-bridge crossing probability
   exp(-d_start d_end / dt) per axis, which removes the O(sqrt(dt)) exit bias;
-* each path draws from its own counter-based stream (seed xor path index) and
-  the reduction is by path index, so results do not depend on scheduling.
+* a path stops at its first absorption, once its weight falls below
+  ``weight_cutoff``, or when ``t_max`` runs out; the estimate reports how many
+  paths the last cut off and their largest remaining weight.
+
+Lanes.  Paths [LANE j, LANE j + LANE) form lane j and share one counter-based
+stream, ``stream(seed, j, TAG_WALK)``.  Each block of B steps draws (B, n, d)
+normals, then under absorbing walls (B, n) uniforms, for the n paths of the
+lane still alive, in path order.  Which paths are alive depends only on the
+lane's own draws and the reduction is by path index, so results do not depend
+on ``chunk`` or on scheduling.  The tag keeps the lanes apart from the untagged
+streams of potentials and ensembles (lane 0 of seed s is not the potential
+stream of seed s) and from the lanes of every other seed.
+
+Block scan.  A block advances every alive path by B steps with one pass of
+numpy calls.  Let u = x_0 + cumsum(dW) be the unfolded walk.  Under reflecting
+and Robin walls the positions are x_k = fold(u_k).  With s = +1 or -1 the
+orientation of the mirror sheet holding u_{k-1}, this is the per-step rule
+x_k = fold(x_{k-1} + s dW_k), with push |x_k - (x_{k-1} + s dW_k)|: the step
+law above with dW_k replaced by s dW_k.  Since s is fixed by the past and dW_k
+is a centred Gaussian independent of it, s dW_k has the same law as dW_k given
+the past, so the scanned walk equals the stepped one in law (not path by path).
+Under absorbing walls an alive path is inside, so its positions are u itself
+and the bridge test is applied per step.  Weights are Y_0 cumprod(decay), and a
+path's occupation sums Y_{k-1} step_weight through its first death step; the
+steps a block computes after that are discarded.
 
 The step-start/step-end sampling of V cannot resolve potential features
 narrower than the walk step sqrt(2 dt); comparisons against the
@@ -33,7 +56,9 @@ import numpy as np
 from .errors import DomainError, UnsupportedError
 from .operator import BoundaryCondition
 from .potential import PotentialField
-from .rng import stream
+from .rng import TAG_WALK, stream
+
+LANE = 1024    # paths per random stream
 
 
 @dataclass(frozen=True)
@@ -43,43 +68,84 @@ class PathConfig:
     n_paths: int = 10_000
     seed: int = 0
     weight_cutoff: float = 1e-10   # horizon: a path stops once its weight is below this
-    block: int = 256               # steps drawn per stream request
-    chunk: int = 4096              # paths simulated together
+    block: int = 32                # steps advanced per block scan
+    chunk: int = 1024              # paths simulated together, rounded up to whole lanes
 
     def __post_init__(self):
         if self.dt <= 0 or self.t_max <= 0 or self.n_paths < 1:
             raise DomainError("dt, t_max must be positive and n_paths >= 1")
+        if self.block < 1 or self.chunk < 1:
+            raise DomainError("block and chunk must be >= 1")
 
 
 @dataclass(frozen=True)
 class FeynmanKacEstimate:
     mean: float
-    std_error: float   # sample std / sqrt(n_paths)
+    std_error: float             # sample std / sqrt(n_paths)
     n_paths: int
+    n_truncated: int             # paths still alive when t_max ran out
+    max_truncated_weight: float  # their largest remaining weight Y (0 when none)
 
 
-def _fold(raw):
-    """Mirror a raw position into [0,1] (reflection at both walls)."""
-    y = np.mod(raw, 2.0)
-    return np.where(y > 1.0, 2.0 - y, y)
+@dataclass(frozen=True)
+class _Walk:
+    """What a block scan needs besides the paths' state."""
+
+    cells: np.ndarray
+    K: float
+    dt: float
+    h: float            # Robin wall strength; 0 for Neumann and Dirichlet walls
+    absorbing: bool
+    cutoff: float
+
+    def potential(self, pts):
+        """Cell value at each position of ``pts`` (..., d); outside points take the wall cell."""
+        N = self.cells.shape[0]
+        ci = np.clip((pts * N).astype(int), 0, N - 1)
+        return self.cells[tuple(np.moveaxis(ci, -1, 0))]
 
 
-def simulate_reflecting_path(dim: int, x0, cfg: PathConfig, n_steps: int):
-    """One reflected path: positions (n_steps+1, dim) and local-time increments."""
-    x0 = np.broadcast_to(np.asarray(x0, float), (dim,)).copy()
-    if np.any(x0 < 0) or np.any(x0 > 1):
-        raise DomainError(f"start point {x0} outside the closed unit domain")
-    rng = stream(cfg.seed)
-    sdt = np.sqrt(2.0 * cfg.dt)
-    pos = np.empty((n_steps + 1, dim))
-    dF = np.zeros(n_steps)
-    pos[0] = x0
-    for k in range(n_steps):
-        raw = pos[k] + sdt * rng.standard_normal(dim)
-        folded = _fold(raw)
-        dF[k] = np.abs(folded - raw).sum()
-        pos[k + 1] = folded
-    return pos, dF
+def _scan(walk: _Walk, x0, Y0, dW, U=None):
+    """Advance n paths by B steps at once (see the module docstring).
+
+    ``x0`` (n, d) positions, ``Y0`` (n,) weights, ``dW`` (B, n, d) increments and,
+    under absorbing walls, ``U`` (B, n) uniforms for the bridge test.  Returns each
+    path's occupation over the block through its death step, its weight and position
+    after step B, and whether it died.
+    """
+    u = np.cumsum(np.concatenate([x0[None], dW]), axis=0)    # unfolded walk, (B+1, n, d)
+    if walk.absorbing:
+        x = u
+    else:
+        q = np.floor(0.5 * u)                # u lies in the mirror period [2q, 2q + 2)
+        r = u - 2.0 * q
+        odd = r > 1.0                        # on its mirrored sheet [2q + 1, 2q + 2]
+        x = np.where(odd, 2.0 - r, r)        # fold(u)
+    vx = walk.potential(x)
+    kv = walk.K * (0.5 * (vx[:-1] + vx[1:]))
+    decay = np.exp(-kv * walk.dt)
+    step_weight = np.where(kv > 0, (1.0 - decay) / np.where(kv > 0, kv, 1.0), walk.dt)
+    if walk.h > 0:
+        # x = s u + c on each sheet, so x_k - (x_{k-1} + s_{k-1} dW_k) is
+        # (s_k - s_{k-1}) u_k + c_k - c_{k-1}: exactly 0 while the sheet is unchanged
+        s = 1.0 - 2.0 * odd
+        c = np.where(odd, 2.0 * q + 2.0, -2.0 * q)
+        push = np.abs(np.diff(s, axis=0) * u[1:] + np.diff(c, axis=0)).sum(axis=-1)
+        decay *= np.exp(-walk.h * push)
+    Y = np.cumprod(np.concatenate([Y0[None], decay]), axis=0)   # (B+1, n)
+    dead = Y[1:] < walk.cutoff
+    if walk.absorbing:
+        # survival of both bridges per axis; 0 once a step ends on or beyond a wall
+        lo = np.maximum(u, 0.0)
+        hi = np.maximum(1.0 - u, 0.0)
+        p_survive = np.prod((1.0 - np.exp(-lo[:-1] * lo[1:] / walk.dt))
+                            * (1.0 - np.exp(-hi[:-1] * hi[1:] / walk.dt)), axis=-1)
+        dead |= U >= p_survive
+    died = dead.any(axis=0)
+    last = np.where(died, dead.argmax(axis=0), len(dW) - 1)
+    counted = np.arange(len(dW))[:, None] <= last          # steps through the death step
+    occupation = (Y[:-1] * step_weight * counted).sum(axis=0)
+    return occupation, Y[-1], x[-1], died
 
 
 def estimate_landscape_mc(x, fieldv: PotentialField, K: float,
@@ -92,69 +158,38 @@ def estimate_landscape_mc(x, fieldv: PotentialField, K: float,
     if np.any(x0 < 0) or np.any(x0 > 1):
         raise DomainError(f"probe {x0} outside the closed unit domain")
 
-    cells = fieldv.cell_values
-    N = fieldv.grid.cells_per_side
-    absorbing = bc.kind == "dirichlet"
-    h = bc.h if bc.kind == "robin" else 0.0
-    dt, sdt = cfg.dt, np.sqrt(2.0 * cfg.dt)
-    max_steps = int(np.ceil(cfg.t_max / dt))
+    walk = _Walk(fieldv.cell_values, K, cfg.dt, bc.h if bc.kind == "robin" else 0.0,
+                 bc.kind == "dirichlet", cfg.weight_cutoff)
+    sdt = np.sqrt(2.0 * cfg.dt)
+    max_steps = int(np.ceil(cfg.t_max / cfg.dt))
+    n_lanes = -(-cfg.n_paths // LANE)
+    lanes_together = -(-cfg.chunk // LANE)
 
-    def v_at(pts):
-        ci = np.clip((pts * N).astype(int), 0, N - 1)
-        return cells[ci[:, 0]] if d == 1 else cells[ci[:, 0], ci[:, 1]]
-
-    acc_all = np.empty(cfg.n_paths)
-    for c0 in range(0, cfg.n_paths, cfg.chunk):
-        ids = np.arange(c0, min(c0 + cfg.chunk, cfg.n_paths))
-        nc = len(ids)
-        gens = [stream(cfg.seed, int(i)) for i in ids]
-        acc = np.zeros(nc)
-        x_cur = np.tile(x0, (nc, 1))
-        Y = np.ones(nc)
-        alive_pos = np.arange(nc)
+    acc = np.zeros(cfg.n_paths)
+    n_truncated, max_truncated_weight = 0, 0.0
+    for first in range(0, n_lanes, lanes_together):
+        gens = [stream(cfg.seed, j, TAG_WALK)
+                for j in range(first, min(first + lanes_together, n_lanes))]
+        ids = np.arange(first * LANE, min((first + len(gens)) * LANE, cfg.n_paths))
+        pos = np.tile(x0, (len(ids), 1))
+        Y = np.ones(len(ids))
         steps_done = 0
-        while len(alive_pos) and steps_done < max_steps:
+        while len(ids) and steps_done < max_steps:
             B = min(cfg.block, max_steps - steps_done)
-            xi = np.stack([gens[p].standard_normal((B, d)) for p in alive_pos])
-            uu = np.stack([gens[p].random(B) for p in alive_pos]) if absorbing else None
-            xa = x_cur[alive_pos].copy()
-            Ya = Y[alive_pos].copy()
-            aa = acc[alive_pos].copy()
-            live = np.ones(len(alive_pos), dtype=bool)
-            for b in range(B):
-                if not live.any():
-                    break
-                raw = xa + sdt * xi[:, b, :]
-                if absorbing:
-                    p_lo = np.minimum(1.0, np.exp(-np.maximum(xa, 0) * np.maximum(raw, 0) / dt))
-                    p_hi = np.minimum(1.0, np.exp(-np.maximum(1 - xa, 0) * np.maximum(1 - raw, 0) / dt))
-                    p_survive = np.prod((1 - p_lo) * (1 - p_hi), axis=1)
-                    new = np.clip(raw, 0.0, 1.0)
-                else:
-                    new = _fold(raw)
-                v = 0.5 * (v_at(xa) + v_at(new))
-                kv = K * v
-                safe = np.where(kv > 0, kv, 1.0)
-                step_weight = np.where(kv > 0, (1.0 - np.exp(-kv * dt)) / safe, dt)
-                aa = aa + np.where(live, Ya * step_weight, 0.0)
-                decay = np.exp(-kv * dt)
-                if h > 0:
-                    decay = decay * np.exp(-h * np.abs(new - raw).sum(axis=1))
-                Ya = np.where(live, Ya * decay, Ya)
-                xa = np.where(live[:, None], new, xa)
-                if absorbing:
-                    crossed = (raw <= 0).any(axis=1) | (raw >= 1).any(axis=1)
-                    live &= ~(crossed | (uu[:, b] > p_survive))
-                live &= Ya >= cfg.weight_cutoff
-            x_cur[alive_pos] = xa
-            Y[alive_pos] = Ya
-            acc[alive_pos] = aa
-            alive_pos = alive_pos[live]
+            per_lane = np.bincount(ids // LANE - first, minlength=len(gens))
+            dW = sdt * np.concatenate([g.standard_normal((B, n, d))
+                                       for g, n in zip(gens, per_lane)], axis=1)
+            U = (np.concatenate([g.random((B, n)) for g, n in zip(gens, per_lane)], axis=1)
+                 if walk.absorbing else None)
+            occupation, Y, pos, died = _scan(walk, pos, Y, dW, U)
+            acc[ids] += occupation
+            ids, pos, Y = ids[~died], pos[~died], Y[~died]
             steps_done += B
-        acc_all[ids] = acc
-    mean = float(acc_all.mean())
-    se = float(acc_all.std(ddof=1) / np.sqrt(cfg.n_paths)) if cfg.n_paths > 1 else 0.0
-    return FeynmanKacEstimate(mean, se, cfg.n_paths)
+        n_truncated += len(ids)
+        max_truncated_weight = max(max_truncated_weight, float(Y.max(initial=0.0)))
+    mean = float(acc.mean())
+    se = float(acc.std(ddof=1) / np.sqrt(cfg.n_paths)) if cfg.n_paths > 1 else 0.0
+    return FeynmanKacEstimate(mean, se, cfg.n_paths, n_truncated, max_truncated_weight)
 
 
 def probe_points_for(fieldv: PotentialField, n_probes: int = 5) -> np.ndarray:

@@ -1,7 +1,9 @@
-"""Plateau-by-plateau loop scans of a 1D landscape: the reference for the vectorized
-scans in `locscape.landscape`."""
+"""Loop and mask references for the vectorized scans: plateau-by-plateau scans of a
+1D landscape (for `locscape.landscape`) and one mask per region (for `locscape.regions`)."""
 
 import numpy as np
+
+from locscape import Region
 
 
 def local_maxima_1d(w) -> list[int]:
@@ -49,3 +51,23 @@ def valley_labels_1d(w) -> np.ndarray:
         prev = end
     labels[prev:] = rid
     return labels
+
+
+def region_from_mask(rid, mask, cell_measure):
+    """One `Region` read from a full-size boolean mask of its cells."""
+    idx = np.nonzero(mask)
+    bbox = tuple((int(ax.min()), int(ax.max())) for ax in idx)
+    touches = []
+    for axis, (lo, hi) in enumerate(bbox):
+        touches.append(lo == 0)
+        touches.append(hi == mask.shape[axis] - 1)
+    corner = mask.ndim == 2 and any(mask[ci, cj] for ci in (0, -1) for cj in (0, -1))
+    size = int(mask.sum())
+    return Region(rid, size, bbox, tuple(touches), corner, size * cell_measure)
+
+
+def regions_by_masks(labels, cell_measure):
+    """The regions of labels 0, 1, ..., one mask per region: the reference for
+    `regions._partition`."""
+    return tuple(region_from_mask(rid, labels == rid, cell_measure)
+                 for rid in range(labels.max() + 1))

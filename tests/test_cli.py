@@ -182,6 +182,9 @@ def test_fk_check_table(tmp_path):
     rows = (out / "fk_check.csv").read_text().splitlines()
     assert rows[0].split(",")[0] == "probe_x"
     assert len(rows) == 6
+    # every path dies at a barrier long before the default t_max
+    assert rows[0].split(",")[-1] == "n_truncated"
+    assert all(r.split(",")[-1] == "0" for r in rows[1:])
 
 
 def test_bifurcation_and_scaling_commands(tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from locscape import (BoundaryCondition, GridSpec, Landscape, PotentialField, assemble_line,
                       local_maxima_1d, run_decomposition, valley_partition, zero_components)
 from locscape.potential import runs_of_zeros
+from locscape.regions import _partition
 
 import scan_oracles
 
@@ -61,3 +62,19 @@ def test_zero_components_are_the_zero_runs(cells):
     assert [r.bbox for r in regions] == [((s, s + n - 1),) for s, n in zip(starts, lengths)]
     assert [r.touches for r in regions] == [(s == 0, s + n == len(cells))
                                             for s, n in zip(starts, lengths)]
+
+
+@st.composite
+def _label_arrays(draw):
+    """Labels 0..k-1 (each present, not necessarily connected) and -1, in 1D or 2D."""
+    shape = draw(st.lists(st.integers(1, 12), min_size=1, max_size=2))
+    raw = np.array(draw(st.lists(st.integers(-1, 6), min_size=int(np.prod(shape)),
+                                 max_size=int(np.prod(shape))))).reshape(shape)
+    return np.where(raw < 0, -1, np.searchsorted(np.unique(raw[raw >= 0]), raw))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_label_arrays())
+def test_region_sweep_matches_mask_builder(labels):
+    part = _partition(labels, "cell", 0.25)
+    assert part.regions == scan_oracles.regions_by_masks(labels, 0.25)

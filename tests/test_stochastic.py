@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from locscape import (BoundaryCondition, DistributionSpec, DomainError, PathConfig, assemble,
-                      estimate_landscape_mc, grid_1d, landscape_from_operator, probe_points_for,
-                      sample_potential, simulate_reflecting_path, smallest_eigenpairs)
+                      estimate_landscape_mc, grid_1d, grid_2d, landscape_from_operator,
+                      probe_points_for, sample_potential, smallest_eigenpairs)
+from locscape import stochastic
+from locscape.rng import TAG_WALK, stream
+
+from walk_oracles import scan_by_steps, simulate_reflecting_path
 
 
 def test_reflected_path_stays_inside():
@@ -94,6 +100,10 @@ def test_estimator_independent_of_chunking(strong_disorder_1d):
     a = estimate_landscape_mc(0.4, fieldv, K, bc, PathConfig(n_paths=500, seed=16, chunk=64))
     b = estimate_landscape_mc(0.4, fieldv, K, bc, PathConfig(n_paths=500, seed=16, chunk=4096))
     assert a.mean == b.mean and a.std_error == b.std_error
+    # three lanes of paths, scanned one at a time or all together
+    c = estimate_landscape_mc(0.4, fieldv, K, bc, PathConfig(n_paths=2500, seed=16, chunk=1))
+    d = estimate_landscape_mc(0.4, fieldv, K, bc, PathConfig(n_paths=2500, seed=16, chunk=4096))
+    assert c.mean == d.mean and c.std_error == d.std_error
 
 
 def test_landscape_bound_holds_stochastically(strong_disorder_1d):
@@ -105,3 +115,76 @@ def test_landscape_bound_holds_stochastically(strong_disorder_1d):
         est = estimate_landscape_mc(x, fieldv, K, bc, cfg)
         node = int(np.argmin(np.abs(op.axes[0] - x)))
         assert pair.eigenvalue * est.mean + 3 * pair.eigenvalue * est.std_error >= abs(pair.mode[node])
+
+
+def test_paths_cut_off_at_t_max_are_reported():
+    # uniform V=1, K=100: every path's weight is exp(-100 t), below the 1e-10 cutoff at t=0.23
+    fieldv = sample_potential(grid_1d(10), DistributionSpec.bernoulli(1.0), 0)
+    bc = BoundaryCondition.neumann()
+    short = estimate_landscape_mc(0.5, fieldv, 100.0, bc,
+                                  PathConfig(dt=1e-3, t_max=0.1, n_paths=300, seed=18))
+    assert short.n_truncated == 300
+    assert np.isclose(short.max_truncated_weight, np.exp(-10.0), rtol=1e-12, atol=0)
+    long = estimate_landscape_mc(0.5, fieldv, 100.0, bc,
+                                 PathConfig(dt=1e-3, t_max=1.0, n_paths=300, seed=18))
+    assert long.n_truncated == 0 and long.max_truncated_weight == 0.0
+
+
+@pytest.mark.parametrize("bc", [BoundaryCondition.neumann(), BoundaryCondition.robin(5.0),
+                                BoundaryCondition.dirichlet()], ids=lambda bc: bc.kind)
+@pytest.mark.parametrize("dim", [1, 2])
+def test_block_scan_matches_per_step_walk(bc, dim):
+    grid = grid_1d(30) if dim == 1 else grid_2d(12)
+    fieldv = sample_potential(grid, DistributionSpec.bernoulli(0.5), 7)
+    walk = stochastic._Walk(fieldv.cell_values, 100.0, 1e-3, bc.h, bc.kind == "dirichlet",
+                            1e-3)
+    rng = np.random.default_rng(19)
+    n, B = 60, 100
+    x0 = rng.uniform(0.0, 1.0, (n, dim))
+    Y0 = rng.uniform(0.5, 1.0, n)
+    dW = np.sqrt(2e-3) * rng.standard_normal((B, n, dim))
+    U = rng.random((B, n))
+    occ, Y, x, died = stochastic._scan(walk, x0, Y0, dW, U)
+    ref_occ, ref_Y, ref_x, ref_died = scan_by_steps(walk, x0, Y0, dW, U)
+    assert np.array_equal(died, ref_died)
+    assert 0 < died.sum() < n          # both endings are exercised
+    np.testing.assert_allclose(occ, ref_occ, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(Y[~died], ref_Y[~died], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(x[~died], ref_x[~died], rtol=1e-12, atol=1e-15)
+
+
+def _key(gen):
+    return tuple(int(k) for k in gen.bit_generator.state["state"]["key"])
+
+
+@given(st.integers(0, 2**64 - 1), st.integers(0, 2**32 - 1), st.integers(1, 7),
+       st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1))
+def test_tagged_stream_keys_never_equal_untagged_keys(seed, index, tag, seed2, index2):
+    untagged = _key(stream(seed2, index2))
+    assert _key(stream(seed, index, tag)) != untagged
+    assert untagged == (seed2 ^ index2, 0)    # untagged keys are unchanged
+
+
+def _walk_stream_keys(monkeypatch, seed, n_paths):
+    """Keys of the streams one estimate draws its paths from."""
+    keys = []
+
+    def spy(*args, **kwargs):
+        gen = stream(*args, **kwargs)
+        keys.append(_key(gen))
+        return gen
+
+    monkeypatch.setattr(stochastic, "stream", spy)
+    fieldv = sample_potential(grid_1d(10), DistributionSpec.bernoulli(1.0), 0)
+    estimate_landscape_mc(0.5, fieldv, 1e4, BoundaryCondition.neumann(),
+                          PathConfig(dt=1e-3, n_paths=n_paths, seed=seed))
+    return keys
+
+
+def test_walk_lanes_share_no_stream_with_potentials_or_other_seeds(monkeypatch):
+    seed = 20210
+    keys = _walk_stream_keys(monkeypatch, seed, 2500)
+    assert len(keys) == -(-2500 // stochastic.LANE)      # one stream per lane of paths
+    assert _key(stream(seed)) not in keys                 # fk-check's potential stream
+    assert not set(keys) & set(_walk_stream_keys(monkeypatch, seed + 1, 2500))
+    assert keys[0] == (seed, TAG_WALK << 32)
