@@ -19,12 +19,15 @@ from scipy.stats import linregress
 
 from .errors import (ConstraintError, CrossingNotBracketedError, DomainError,
                      NoBifurcationError, NoRootError, PoleProximityError, UnsupportedSizeError)
-from .operator import BoundaryCondition, DiscreteOperator, assemble_line, assemble_ring
+from .operator import DiscreteOperator, assemble_ring
 from .rng import stream
 from .solver import smallest_eigenpairs
 
 POLE_WIDTH = 1e-8
 SCAN_INTERVALS = 200
+K_BOUNDS = (10.0, 1e8)   # couplings between which `critical_point` seeks the crossing
+K_RTOL = 1e-10           # relative tolerance of `critical_point` in K
+SWEEP_RTOL = 1e-5        # relative width at which the sweep stops refining its bracket
 
 
 @dataclass(frozen=True)
@@ -128,14 +131,6 @@ def subsystem_half_pieces(params: TwoWellParams, which: int) -> tuple[np.ndarray
     raise DomainError("which must be 1 or 2")
 
 
-def subsystem_operator(params: TwoWellParams, K: float, which: int,
-                       nodes_per_unit: int = 4000) -> DiscreteOperator:
-    """FD oracle for the matching conditions: the folded half-interval, both ends reflective."""
-    bps, values = subsystem_half_pieces(params, which)
-    widths, cells = _pieces_to_cells(bps, values, nodes_per_unit)
-    return assemble_line(widths, cells, K, BoundaryCondition.neumann())
-
-
 # --- transcendental matching conditions -------------------------------------------
 
 def _check_lambda(K, lam):
@@ -236,10 +231,9 @@ class CriticalPoint:
     lambda_c: float
 
 
-def critical_point(params: TwoWellParams, K_bounds=(10.0, 1e8),
-                   rtol: float = 1e-10) -> CriticalPoint:
-    """Coupling at which the two wells' ground energies cross, by Brent's method
-    in log K (an absolute tolerance `rtol` there is a relative one in K)."""
+def critical_point(params: TwoWellParams) -> CriticalPoint:
+    """Coupling in K_BOUNDS at which the two wells' ground energies cross, by Brent's
+    method in log K (an absolute tolerance K_RTOL there is a relative one in K)."""
     @functools.cache   # brentq evaluates both ends again after the sign check
     def gap(u):
         K = np.exp(u)
@@ -249,12 +243,12 @@ def critical_point(params: TwoWellParams, K_bounds=(10.0, 1e8),
             # a well with no energy inside the scan window cannot produce a crossing
             raise NoBifurcationError(str(exc)) from exc
 
-    a, b = K_bounds
+    a, b = K_BOUNDS
     ga, gb = gap(np.log(a)), gap(np.log(b))
     if not (ga < 0) != (gb < 0):
         raise NoBifurcationError(
             f"ground energies do not cross on [{a:g}, {b:g}] (gap {ga:.3g} -> {gb:.3g})")
-    Kc = np.exp(brentq(gap, np.log(a), np.log(b), xtol=rtol))
+    Kc = np.exp(brentq(gap, np.log(a), np.log(b), xtol=K_RTOL))
     lam = 0.5 * (subsystem_ground_energy(Kc, params, 1) + subsystem_ground_energy(Kc, params, 2))
     return CriticalPoint(float(Kc), float(lam))
 
@@ -288,8 +282,7 @@ class SweepResult:
 
 
 def critical_coupling_sweep(params: TwoWellParams, K_grid=None,
-                            nodes_per_unit: int = 3000,
-                            refine_rtol: float = 1e-5) -> SweepResult:
+                            nodes_per_unit: int = 3000) -> SweepResult:
     """Independent route to the crossover: solve the full ring spectrum per K and
     find where the peak-height ratio crosses 1/2, refining the bracketing pair
     and finishing with linear interpolation."""
@@ -303,7 +296,7 @@ def critical_coupling_sweep(params: TwoWellParams, K_grid=None,
     i = cross[0]
     a, b = K_grid[i], K_grid[i + 1]
     fa, fb = ratios[i], ratios[i + 1]
-    while b - a > refine_rtol * a:
+    while b - a > SWEEP_RTOL * a:
         mid = np.sqrt(a * b)
         fm = _ratio_at(params, mid, nodes_per_unit)
         if fm < 0.5:
@@ -343,11 +336,6 @@ def ratios_to_lengths(r: ShapeRatios) -> TwoWellParams:
     L3 = (rest - L4) / 2
     L2 = (1.0 - W) / 2
     return TwoWellParams(L1, L2, L3, L4)
-
-
-def lengths_to_ratios(p: TwoWellParams) -> ShapeRatios:
-    W = p.L1 + 2 * p.L3 + p.L4
-    return ShapeRatios(W, p.L1 / W, p.L4 / (2 * p.L3 + p.L4))
 
 
 AXIS_WINDOWS = {

@@ -180,13 +180,11 @@ def _write_csv(path, header, rows):
             writer.writerow([repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row])
 
 
-def _manifest(out, command, cfg, seed):
-    payload = json.dumps({"command": command, "config": cfg, "seed": seed}, sort_keys=True)
+def _manifest(out, command, cfg, seed, trials, threads):
+    run = {"command": command, "config": cfg, "seed": seed, "trials": trials, "threads": threads}
     doc = {
-        "command": command,
-        "config": cfg,
-        "seed": seed,
-        "config_sha256": hashlib.sha256(payload.encode()).hexdigest(),
+        **run,
+        "config_sha256": hashlib.sha256(json.dumps(run, sort_keys=True).encode()).hexdigest(),
         "versions": {"locscape": __version__, "numpy": np.__version__,
                      "scipy": scipy.__version__, "python": sys.version.split()[0]},
         "written_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
@@ -395,7 +393,7 @@ def main(argv=None) -> int:
     try:
         out.mkdir(parents=True, exist_ok=True)
         _COMMANDS[args.command](cfg, seed, trials, threads, out)
-        _manifest(out, args.command, cfg, seed)
+        _manifest(out, args.command, cfg, seed, trials, threads)
     except ParameterError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -15,9 +15,8 @@ import numpy as np
 from .errors import ConvergenceError, ExperimentError, UnsupportedError, UsageError
 from .landscape import landscape_from_operator, valley_partition
 from .operator import BoundaryCondition, assemble
-from .potential import DistributionSpec, GridSpec, PotentialField, runs_of_zeros, sample_potential
+from .potential import DistributionSpec, GridSpec, sample_potential
 from .regions import SubregionPartition
-from .runstats import RunConfig, config_flags
 from .solver import smallest_eigenpairs
 
 THRESHOLD = 0.5   # localization detectors compare sup-normalized amplitudes to this
@@ -33,15 +32,12 @@ class ExperimentSpec:
     n_trials: int
     seed: int
     predicate: str
-    eigen_index: int = 1
 
     def __post_init__(self):
         if self.n_trials < 1:
             raise UsageError("n_trials must be >= 1")
         if self.predicate not in PREDICATES:
             raise UsageError(f"predicate must be one of {PREDICATES}")
-        if self.eigen_index < 1:
-            raise UsageError("eigen_index counts from 1")
 
 
 @dataclass(frozen=True)
@@ -64,13 +60,17 @@ class TrialRecord:
 
 
 def wilson_interval(hits: int, n: int, z: float = 1.959963984540054) -> tuple[float, float]:
+    """Wilson score interval; its ends are exactly 0 at hits = 0 and 1 at hits = n,
+    where round-off would otherwise leave p_hat outside it."""
     if n == 0:
         return (0.0, 1.0)
     ph = hits / n
     denom = 1.0 + z * z / n
     center = (ph + z * z / (2 * n)) / denom
     half = z * np.sqrt(ph * (1 - ph) / n + z * z / (4 * n * n)) / denom
-    return (max(0.0, center - half), min(1.0, center + half))
+    lo = 0.0 if hits == 0 else max(0.0, center - half)
+    hi = 1.0 if hits == n else min(1.0, center + half)
+    return (lo, hi)
 
 
 # --- predicates -----------------------------------------------------------------
@@ -104,35 +104,17 @@ def is_multimodal(envelope: np.ndarray, partition: SubregionPartition) -> bool:
     return int((hot >= 0).sum()) >= 2
 
 
-def longest_extended_run_on_boundary(fieldv: PotentialField, bc: BoundaryCondition) -> bool:
-    """Pure lattice statistic mirroring the boundary predicate: the longest
-    (wall-doubled under reflective bc) zero run sits strictly at a wall."""
-    if fieldv.grid.dim != 1:
-        raise UnsupportedError("run statistic is 1D")
-    N = fieldv.grid.cells_per_side
-    starts, lengths = runs_of_zeros(fieldv.cell_values)
-    if len(lengths) == 0:
-        return False
-    # a wall counts as a zero cell (its run doubles) only under reflective walls
-    reflective = bc.kind != "dirichlet"
-    left = 0 if reflective and starts[0] == 0 else 1
-    right = 0 if reflective and starts[-1] + lengths[-1] == N else 1
-    return config_flags(RunConfig(left, right, tuple(lengths))).longest_extended_on_boundary
-
-
 # --- the ensemble pipeline -------------------------------------------------------
 
 def run_trial(spec: ExperimentSpec, trial: int) -> TrialRecord:
     trial_seed = spec.seed ^ trial
     fieldv = sample_potential(spec.grid, spec.dist, trial_seed)
     op = assemble(spec.grid, fieldv, spec.K, spec.bc)
-    idx = spec.eigen_index - 1
-    k = idx + (3 if spec.predicate == "multimodal" else 1)
     try:
-        pairs = smallest_eigenpairs(op, k=k)
+        pairs = smallest_eigenpairs(op, k=3 if spec.predicate == "multimodal" else 1)
     except ConvergenceError:
         return TrialRecord(trial, trial_seed, float("nan"), False, True)
-    pair = pairs[idx]
+    pair = pairs[0]
     if spec.predicate == "boundary":
         hit = is_boundary_localized(op.embed(pair.mode), spec.grid.dim)
     elif spec.predicate == "corner":
@@ -185,13 +167,14 @@ class StudyRow:
     corner: ProbabilityEstimate | None
 
 
-def feasible_distribution(kind: str, sigma: float, mu: float = 0.5) -> DistributionSpec | None:
-    """Mean-mu distribution of the given family and (pre-clamp) std, or None.
+def feasible_distribution(kind: str, sigma: float) -> DistributionSpec | None:
+    """Mean-1/2 distribution of the given family and (pre-clamp) std, or None.
 
     A {0,1} Bernoulli with mean 1/2 has std exactly 1/2, and a nonnegative
     uniform with mean 1/2 has std at most 1/(2 sqrt 3); other combinations do
     not exist in these families and are skipped.
     """
+    mu = 0.5
     if kind == "bernoulli":
         return DistributionSpec.bernoulli(mu) if abs(sigma - mu) < 1e-12 else None
     if kind == "uniform":
@@ -207,8 +190,8 @@ def feasible_distribution(kind: str, sigma: float, mu: float = 0.5) -> Distribut
 
 
 def distribution_study(h_list, dims=(1, 2), kinds=("bernoulli", "normal", "gamma", "uniform"),
-                       sigmas=STUDY_SIGMAS, K: float = 1e4, n_trials: int = 200,
-                       seed: int = 0, workers: int = 1) -> list[StudyRow]:
+                       K: float = 1e4, n_trials: int = 200, seed: int = 0,
+                       workers: int = 1) -> list[StudyRow]:
     """Boundary (and 2D corner) probabilities across potential families.
 
     Grids follow the desk-scale defaults: N=50 in 1D, N=15 in 2D.
@@ -217,14 +200,14 @@ def distribution_study(h_list, dims=(1, 2), kinds=("bernoulli", "normal", "gamma
     for dim in dims:
         grid = GridSpec(dim, 50 if dim == 1 else 15, 8 if dim == 1 else 4)
         for kind in kinds:
-            for sigma in sigmas:
+            for sigma in STUDY_SIGMAS:
                 dist = feasible_distribution(kind, sigma)
                 if dist is None:
                     continue
                 for h in h_list:
                     bc = BoundaryCondition.robin(h) if h > 0 else BoundaryCondition.neumann()
                     spec = ExperimentSpec(grid, dist, K, bc, n_trials, seed, "boundary")
-                    boundary, records = run_ensemble(spec, workers)
+                    boundary = estimate_probability(spec, workers)
                     corner = None
                     if dim == 2:
                         cspec = ExperimentSpec(grid, dist, K, bc, n_trials, seed, "corner")

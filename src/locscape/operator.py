@@ -95,8 +95,10 @@ class DiscreteOperator:
     axes: tuple
     trimmed: tuple          # per axis: (low_end_eliminated, high_end_eliminated)
     vnode: np.ndarray       # potential value at active nodes (flattened)
-    grid: GridSpec | None = None
-    periodic: bool = False
+
+    @property
+    def periodic(self) -> bool:
+        return self.bc.kind == "periodic"
 
     @property
     def dim(self) -> int:
@@ -187,7 +189,7 @@ def assemble(grid: GridSpec, fieldv: PotentialField, K: float,
     coords = coords[:-1] if periodic else coords[int(lo):n - int(hi)]
 
     if grid.dim == 1:
-        return DiscreteOperator(S, m, bc, K, (coords,), ((lo, hi),), v, grid, periodic=periodic)
+        return DiscreteOperator(S, m, bc, K, (coords,), ((lo, hi),), v)
 
     # v is (active x, cells y); average along y as well, then index it [x, y]
     v = _axis_1d(widths, np.repeat(v.T, r, axis=0), ends, 0.0)[2].T
@@ -195,8 +197,7 @@ def assemble(grid: GridSpec, fieldv: PotentialField, K: float,
     A2 = sp.kron(S, M) + sp.kron(M, S)
     m2 = np.multiply.outer(m, m).ravel()
     A = (A2 + sp.diags(K * v.ravel() * m2)).tocsr()
-    return DiscreteOperator(A, m2, bc, K, (coords, coords), ((lo, hi), (lo, hi)),
-                            v.ravel(), grid)
+    return DiscreteOperator(A, m2, bc, K, (coords, coords), ((lo, hi), (lo, hi)), v.ravel())
 
 
 # --- 1D operators on arbitrary cell widths ---------------------------------------
@@ -206,8 +207,7 @@ def assemble_ring(widths, values, K: float) -> DiscreteOperator:
     """Periodic 1D operator from cell widths and cell values (sum of widths = circumference)."""
     A, m, v, trim = _axis_1d(widths, values, None, K)
     coords = np.concatenate(([0.0], np.cumsum(widths)))[:-1]
-    return DiscreteOperator(A, m, BoundaryCondition.periodic(),
-                            float(K), (coords,), (trim,), v, None, periodic=True)
+    return DiscreteOperator(A, m, BoundaryCondition.periodic(), float(K), (coords,), (trim,), v)
 
 
 def assemble_line(widths, values, K: float, bc: BoundaryCondition) -> DiscreteOperator:
@@ -215,13 +215,4 @@ def assemble_line(widths, values, K: float, bc: BoundaryCondition) -> DiscreteOp
     A, m, v, (lo, hi) = _axis_1d(widths, values, bc.end_specs(), K)
     coords = np.concatenate(([0.0], np.cumsum(widths)))
     coords = coords[int(lo):len(coords) - int(hi)]
-    return DiscreteOperator(A, m, bc, float(K), (coords,),
-                            ((lo, hi),), v, None)
-
-
-def export_triplets(op: DiscreteOperator, path) -> None:
-    """Dump the matrix as plain-text ``row col value`` coordinate triplets."""
-    coo = op.matrix.tocoo()
-    with open(path, "w") as fh:
-        for i, j, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{i} {j} {float(v)!r}\n")
+    return DiscreteOperator(A, m, bc, float(K), (coords,), ((lo, hi),), v)

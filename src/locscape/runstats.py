@@ -9,9 +9,10 @@ ground mode localizes under strong disorder and reflective walls), and the
 longest plain/extended run is tied (so the ground mode splits over several
 runs) under absorbing/reflective walls respectively.
 
-`sample_run_config` draws directly from the same idealized model, giving an
-independent transcription check of the series: both routes must agree to
-sampling error.
+`oracle_probabilities` samples the same idealized model, giving an independent
+transcription check of the series: both routes must agree to sampling error.
+Its per-draw counterpart, `sample_run_config`, lives in the tests
+(`tests/run_oracles.py`).
 """
 
 from dataclasses import dataclass
@@ -118,23 +119,9 @@ def multimodal_prob_neumann(model: RunModel) -> float:
 
 # --- sampling oracle ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One draw of the idealized model: wall cell values and zero-run lengths."""
-
-    left_value: int
-    right_value: int
-    zero_runs: tuple
-
-
-@dataclass(frozen=True)
-class RunFlags:
-    longest_extended_on_boundary: bool
-    unique_longest_plain: bool
-    unique_longest_extended: bool
-
-
 def _batch_flags(X, left_zero, right_zero):
+    """Per row of zero-run lengths X: is the longest extended run strictly at a wall,
+    is the longest plain run unique, is the longest extended run unique."""
     ext = X.astype(float).copy()
     ext[left_zero, 0] *= 2
     ext[right_zero, -1] *= 2
@@ -149,23 +136,6 @@ def _batch_flags(X, left_zero, right_zero):
     mxe = ext.max(axis=1)
     unique_ext = (ext == mxe[:, None]).sum(axis=1) == 1
     return on_boundary, unique_plain, unique_ext
-
-
-def config_flags(config: RunConfig) -> RunFlags:
-    X = np.array([config.zero_runs])
-    b, up, ue = _batch_flags(X, np.array([config.left_value == 0]),
-                             np.array([config.right_value == 0]))
-    return RunFlags(bool(b[0]), bool(up[0]), bool(ue[0]))
-
-
-def sample_run_config(model: RunModel, seed: int) -> tuple[RunConfig, RunFlags]:
-    """Draw wall values (P(wall cell = 0) = q each) and M geometric run lengths."""
-    rng = stream(seed)
-    X = rng.geometric(model.p, size=model.M)
-    left = 0 if rng.random() < model.q else 1
-    right = 0 if rng.random() < model.q else 1
-    config = RunConfig(left, right, tuple(int(v) for v in X))
-    return config, config_flags(config)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import ConvergenceError, DomainError, ParameterError, SingularOperatorError
+from .errors import ConvergenceError, ParameterError, SingularOperatorError
 from .operator import DiscreteOperator
 from .rng import stream
 
@@ -91,14 +91,6 @@ def smallest_eigenpairs(op: DiscreteOperator, k: int, tol: float = DEFAULT_TOL) 
     return pairs
 
 
-def degenerate_clusters(pairs: list[EigenPair]) -> list[list[int]]:
-    """Indices of pairs grouped by near-equal eigenvalue."""
-    groups: dict[int, list[int]] = {}
-    for i, p in enumerate(pairs):
-        groups.setdefault(p.cluster, []).append(i)
-    return list(groups.values())
-
-
 def solve_linear(op: DiscreteOperator, rhs, tol: float = 1e-10) -> np.ndarray:
     """Solve A w = M rhs, i.e. the discrete form of (-Lap + K V) w = rhs.
 
@@ -127,12 +119,3 @@ def solve_linear(op: DiscreteOperator, rhs, tol: float = 1e-10) -> np.ndarray:
         raise ConvergenceError(f"linear solve residual {res:.3e} above {tol * scale:.3e}",
                                residual=float(res))
     return w
-
-
-def rayleigh_quotient(u, op: DiscreteOperator) -> float:
-    """<A u, u> / <M u, u>: the discrete energy per unit norm."""
-    u = np.asarray(u, float)
-    denom = float(u @ (op.mass * u))
-    if denom == 0.0:
-        raise DomainError("Rayleigh quotient of the zero vector")
-    return float(u @ (op.matrix @ u)) / denom

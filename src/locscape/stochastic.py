@@ -19,17 +19,16 @@ tolerances rather than for generality:
 * absorbing walls use the Brownian-bridge crossing probability
   exp(-d_start d_end / dt) per axis, which removes the O(sqrt(dt)) exit bias;
 * a path stops at its first absorption, once its weight falls below
-  ``weight_cutoff``, or when ``t_max`` runs out; the estimate reports how many
+  ``WEIGHT_CUTOFF``, or when ``t_max`` runs out; the estimate reports how many
   paths the last cut off and their largest remaining weight.
 
 Lanes.  Paths [LANE j, LANE j + LANE) form lane j and share one counter-based
-stream, ``stream(seed, j, TAG_WALK)``.  Each block of B steps draws (B, n, d)
-normals, then under absorbing walls (B, n) uniforms, for the n paths of the
-lane still alive, in path order.  Which paths are alive depends only on the
-lane's own draws and the reduction is by path index, so results do not depend
-on ``chunk`` or on scheduling.  The tag keeps the lanes apart from the untagged
-streams of potentials and ensembles (lane 0 of seed s is not the potential
-stream of seed s) and from the lanes of every other seed.
+stream, ``stream(seed, j, TAG_WALK)``.  Lanes are scanned one at a time: each
+block of B steps (BLOCK, fewer at ``t_max``) draws (B, n, d) normals, then under
+absorbing walls (B, n) uniforms, for the n paths of the lane still alive, in
+path order.  The tag keeps the lanes apart from the untagged streams of
+potentials and ensembles (lane 0 of seed s is not the potential stream of seed
+s) and from the lanes of every other seed.
 
 Block scan.  A block advances every alive path by B steps with one pass of
 numpy calls.  Let u = x_0 + cumsum(dW) be the unfolded walk.  Under reflecting
@@ -58,7 +57,9 @@ from .operator import BoundaryCondition
 from .potential import PotentialField
 from .rng import TAG_WALK, stream
 
-LANE = 1024    # paths per random stream
+LANE = 1024             # paths per random stream
+BLOCK = 32              # steps advanced per block scan
+WEIGHT_CUTOFF = 1e-10   # horizon: a path stops once its weight is below this
 
 
 @dataclass(frozen=True)
@@ -67,15 +68,10 @@ class PathConfig:
     t_max: float = 10.0
     n_paths: int = 10_000
     seed: int = 0
-    weight_cutoff: float = 1e-10   # horizon: a path stops once its weight is below this
-    block: int = 32                # steps advanced per block scan
-    chunk: int = 1024              # paths simulated together, rounded up to whole lanes
 
     def __post_init__(self):
         if self.dt <= 0 or self.t_max <= 0 or self.n_paths < 1:
             raise DomainError("dt, t_max must be positive and n_paths >= 1")
-        if self.block < 1 or self.chunk < 1:
-            raise DomainError("block and chunk must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -96,7 +92,6 @@ class _Walk:
     dt: float
     h: float            # Robin wall strength; 0 for Neumann and Dirichlet walls
     absorbing: bool
-    cutoff: float
 
     def potential(self, pts):
         """Cell value at each position of ``pts`` (..., d); outside points take the wall cell."""
@@ -133,7 +128,7 @@ def _scan(walk: _Walk, x0, Y0, dW, U=None):
         push = np.abs(np.diff(s, axis=0) * u[1:] + np.diff(c, axis=0)).sum(axis=-1)
         decay *= np.exp(-walk.h * push)
     Y = np.cumprod(np.concatenate([Y0[None], decay]), axis=0)   # (B+1, n)
-    dead = Y[1:] < walk.cutoff
+    dead = Y[1:] < WEIGHT_CUTOFF
     if walk.absorbing:
         # survival of both bridges per axis; 0 once a step ends on or beyond a wall
         lo = np.maximum(u, 0.0)
@@ -159,28 +154,22 @@ def estimate_landscape_mc(x, fieldv: PotentialField, K: float,
         raise DomainError(f"probe {x0} outside the closed unit domain")
 
     walk = _Walk(fieldv.cell_values, K, cfg.dt, bc.h if bc.kind == "robin" else 0.0,
-                 bc.kind == "dirichlet", cfg.weight_cutoff)
+                 bc.kind == "dirichlet")
     sdt = np.sqrt(2.0 * cfg.dt)
     max_steps = int(np.ceil(cfg.t_max / cfg.dt))
-    n_lanes = -(-cfg.n_paths // LANE)
-    lanes_together = -(-cfg.chunk // LANE)
 
     acc = np.zeros(cfg.n_paths)
     n_truncated, max_truncated_weight = 0, 0.0
-    for first in range(0, n_lanes, lanes_together):
-        gens = [stream(cfg.seed, j, TAG_WALK)
-                for j in range(first, min(first + lanes_together, n_lanes))]
-        ids = np.arange(first * LANE, min((first + len(gens)) * LANE, cfg.n_paths))
+    for lane in range(-(-cfg.n_paths // LANE)):
+        gen = stream(cfg.seed, lane, TAG_WALK)
+        ids = np.arange(lane * LANE, min((lane + 1) * LANE, cfg.n_paths))
         pos = np.tile(x0, (len(ids), 1))
         Y = np.ones(len(ids))
         steps_done = 0
         while len(ids) and steps_done < max_steps:
-            B = min(cfg.block, max_steps - steps_done)
-            per_lane = np.bincount(ids // LANE - first, minlength=len(gens))
-            dW = sdt * np.concatenate([g.standard_normal((B, n, d))
-                                       for g, n in zip(gens, per_lane)], axis=1)
-            U = (np.concatenate([g.random((B, n)) for g, n in zip(gens, per_lane)], axis=1)
-                 if walk.absorbing else None)
+            B = min(BLOCK, max_steps - steps_done)
+            dW = sdt * gen.standard_normal((B, len(ids), d))
+            U = gen.random((B, len(ids))) if walk.absorbing else None
             occupation, Y, pos, died = _scan(walk, pos, Y, dW, U)
             acc[ids] += occupation
             ids, pos, Y = ids[~died], pos[~died], Y[~died]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from locscape import BoundaryCondition, DistributionSpec, grid_1d, sample_potential
+from locscape import BoundaryCondition, DistributionSpec, DomainError, grid_1d, sample_potential
 
 
 def dense_eigenpairs(op, k):
@@ -14,6 +14,15 @@ def dense_eigenpairs(op, k):
         peak = np.argmax(np.abs(u))
         out.append((vals[j], u / u[peak]))
     return out
+
+
+def rayleigh_quotient(u, op) -> float:
+    """<A u, u> / <M u, u>: the discrete energy per unit norm."""
+    u = np.asarray(u, float)
+    denom = float(u @ (op.mass * u))
+    if denom == 0.0:
+        raise DomainError("Rayleigh quotient of the zero vector")
+    return float(u @ (op.matrix @ u)) / denom
 
 
 @pytest.fixture(scope="session")

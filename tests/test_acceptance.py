@@ -18,11 +18,11 @@ from locscape import (REFERENCE_PARAMS, BoundaryCondition, DistributionSpec, Exp
                       multimodal_prob_neumann, oracle_probabilities, peak_height_ratio,
                       probe_points_for, run_decomposition, sample_potential, scaling_study,
                       smallest_eigenpairs, solve_linear, subsystem_ground_energy,
-                      subsystem_operator, toy_operator, valley_partition)
+                      toy_operator, valley_partition)
 from locscape.bifurcation import piecewise_potential
 from locscape.operator import assemble_ring
 from locscape.rng import stream
-from twowell_oracles import characteristic_right_raw
+from twowell_oracles import characteristic_right_raw, subsystem_operator
 
 
 class Gate:

@@ -6,12 +6,13 @@ from hypothesis import strategies as st
 from locscape import (REFERENCE_PARAMS, ConstraintError, DomainError, NoBifurcationError,
                       ShapeRatios, TwoWellParams, UnsupportedSizeError, bifurcation,
                       characteristic_left, characteristic_right, critical_coupling_sweep,
-                      critical_point, lengths_to_ratios, peak_height_ratio, piecewise_potential,
+                      critical_point, peak_height_ratio, piecewise_potential,
                       ratios_to_lengths, scaling_study, smallest_eigenpairs,
-                      subsystem_ground_energy, subsystem_operator, toy_operator)
+                      subsystem_ground_energy, toy_operator)
 from locscape.operator import assemble_ring
 from locscape.rng import stream
-from twowell_oracles import characteristic_right_raw, mirrored_ring_operator, scaled_residual
+from twowell_oracles import (characteristic_right_raw, lengths_to_ratios, mirrored_ring_operator,
+                             scaled_residual, subsystem_operator)
 
 
 def test_reference_breakpoints():

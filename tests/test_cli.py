@@ -113,6 +113,18 @@ def test_potential_roundtrip_and_manifest(tmp_path):
     assert manifest["versions"]["scipy"] == scipy.__version__
 
 
+def test_manifest_records_and_hashes_trials_and_threads(tmp_path):
+    manifests = {}
+    for trials, threads in ((5, 1), (6, 1), (5, 2)):
+        out = tmp_path / f"{trials}-{threads}"
+        assert run_cli("boundary-prob", "--set", "n_cells=12", "--trials", str(trials),
+                       "--threads", str(threads), "--out", str(out)) == 0
+        manifests[trials, threads] = json.loads((out / "run_manifest.json").read_text())
+    for (trials, threads), manifest in manifests.items():
+        assert (manifest["trials"], manifest["threads"]) == (trials, threads)
+    assert len({m["config_sha256"] for m in manifests.values()}) == 3
+
+
 def test_solve_writes_eigenpairs_and_landscape(tmp_path):
     cfg = tmp_path / "solve.json"
     cfg.write_text(json.dumps({

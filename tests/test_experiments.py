@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from locscape import (BoundaryCondition, DistributionSpec, ExperimentSpec, RunModel, UsageError,
                       boundary_localization_prob, distribution_study, estimate_probability,
                       grid_1d, is_boundary_localized, is_corner_localized, is_multimodal,
-                      longest_extended_run_on_boundary, run_ensemble, sample_potential,
-                      wilson_interval)
+                      run_ensemble, sample_potential, wilson_interval)
 from locscape.regions import Region, SubregionPartition
+from run_oracles import longest_extended_run_on_boundary
 
 
 def test_boundary_predicate_threshold_is_strict():
@@ -68,6 +70,13 @@ def test_wilson_interval_basics():
     assert hi == 1.0 and lo > 0.95
     lo, hi = wilson_interval(26, 100)
     assert 0.0 < lo < 0.26 < hi < 1.0
+
+
+@given(st.integers(1, 10**6).flatmap(lambda n: st.tuples(st.integers(0, n), st.just(n))))
+def test_wilson_interval_contains_p_hat(case):
+    hits, n = case
+    lo, hi = wilson_interval(hits, n)
+    assert 0.0 <= lo <= hits / n <= hi <= 1.0
 
 
 def test_dirichlet_boundary_hits_are_impossible():

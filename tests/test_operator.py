@@ -4,9 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from locscape import (BoundaryCondition, DistributionSpec, GridSpec, ParameterError,
-                      UnsupportedError, assemble, assemble_line, assemble_ring,
-                      export_triplets, grid_1d, grid_2d, sample_potential,
-                      smallest_eigenpairs)
+                      UnsupportedError, assemble, assemble_line, assemble_ring, grid_1d,
+                      grid_2d, sample_potential, smallest_eigenpairs)
 from conftest import dense_eigenpairs
 
 
@@ -112,20 +111,6 @@ def test_dirichlet_rows_diagonally_dominant():
     off = np.abs(A).sum(axis=1) - np.abs(np.diag(A))
     assert np.all(np.diag(A) >= off - 1e-12)
     assert np.any(np.diag(A) > off + 1e-12)
-
-
-def test_export_triplets_roundtrip(tmp_path):
-    grid = grid_1d(6, 3)
-    op = assemble(grid, _zero_field(grid), 0.0, BoundaryCondition.neumann())
-    path = tmp_path / "matrix.txt"
-    export_triplets(op, path)
-    rows, cols, vals = [], [], []
-    for line in path.read_text().splitlines():
-        i, j, v = line.split()
-        rows.append(int(i)); cols.append(int(j)); vals.append(float(v))
-    import scipy.sparse as sp
-    back = sp.coo_matrix((vals, (rows, cols)), shape=op.matrix.shape)
-    assert np.max(np.abs((back - op.matrix).toarray())) == 0.0
 
 
 def test_embed_pads_dirichlet_zeros():

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from locscape import (DegenerateParameterError, RunConfig, RunModel, UnsupportedSizeError,
-                      boundary_localization_prob, config_flags, multimodal_prob_dirichlet,
-                      multimodal_prob_neumann, oracle_probabilities, sample_run_config)
+from locscape import (DegenerateParameterError, RunModel, UnsupportedSizeError,
+                      boundary_localization_prob, multimodal_prob_dirichlet,
+                      multimodal_prob_neumann, oracle_probabilities)
+from run_oracles import RunConfig, config_flags, sample_run_config
 
 
 def test_model_size_and_parameter_guards():

@@ -2,9 +2,17 @@
 
 import numpy as np
 
-from locscape.bifurcation import (TwoWellParams, _check_lambda, _pieces_to_cells,
+from locscape.bifurcation import (ShapeRatios, TwoWellParams, _check_lambda, _pieces_to_cells,
                                   subsystem_half_pieces)
-from locscape.operator import DiscreteOperator, assemble_ring
+from locscape.operator import BoundaryCondition, DiscreteOperator, assemble_line, assemble_ring
+
+
+def subsystem_operator(params: TwoWellParams, K: float, which: int,
+                       nodes_per_unit: int = 4000) -> DiscreteOperator:
+    """FD oracle for the matching conditions: the folded half-interval, both ends reflective."""
+    bps, values = subsystem_half_pieces(params, which)
+    widths, cells = _pieces_to_cells(bps, values, nodes_per_unit)
+    return assemble_line(widths, cells, K, BoundaryCondition.neumann())
 
 
 def mirrored_ring_operator(params: TwoWellParams, K: float, which: int,
@@ -35,3 +43,8 @@ def scaled_residual(f, K, lam, params, rel_step=1e-6) -> float:
     d = rel_step * lam
     deriv = (f(K, lam + d, params) - f(K, lam - d, params)) / (2 * d)
     return abs(f(K, lam, params)) / max(abs(deriv) * lam, 1e-300)
+
+
+def lengths_to_ratios(p: TwoWellParams) -> ShapeRatios:
+    W = p.L1 + 2 * p.L3 + p.L4
+    return ShapeRatios(W, p.L1 / W, p.L4 / (2 * p.L3 + p.L4))

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from locscape import DomainError, PathConfig
+from locscape import DomainError, PathConfig, stochastic
 from locscape.rng import stream
 
 
@@ -62,5 +62,5 @@ def scan_by_steps(walk, x0, Y0, dW, U=None):
         x = np.where(live[:, None], new, x)
         if walk.absorbing:
             live &= U[k] < p_survive
-        live &= Y >= walk.cutoff
+        live &= Y >= stochastic.WEIGHT_CUTOFF
     return occupation, Y, x, ~live
