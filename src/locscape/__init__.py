@@ -5,10 +5,8 @@ from .bifurcation import (BASE_RATIOS, REFERENCE_PARAMS, CriticalPoint, ScalingF
                           critical_coupling_sweep, critical_point, peak_height_ratio,
                           piecewise_potential, ratios_to_lengths, scaling_study,
                           subsystem_ground_energy, toy_operator)
-from .errors import (ConstraintError, ConvergenceError, CrossingNotBracketedError,
-                     DegenerateParameterError, DomainError, ExperimentError, LocscapeError,
-                     NoBifurcationError, NoRootError, ParameterError, PoleProximityError,
-                     SingularOperatorError, UnsupportedError, UnsupportedSizeError, UsageError)
+from .errors import (ConstraintError, ConvergenceError, LocscapeError, NoBifurcationError,
+                     NoRootError, ParameterError, SingularOperatorError)
 from .experiments import (ExperimentSpec, ProbabilityEstimate, StudyRow, TrialRecord,
                           distribution_study, estimate_probability, is_boundary_localized,
                           is_corner_localized, is_multimodal, run_ensemble, wilson_interval)

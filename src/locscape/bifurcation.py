@@ -17,8 +17,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.stats import linregress
 
-from .errors import (ConstraintError, CrossingNotBracketedError, DomainError,
-                     NoBifurcationError, NoRootError, PoleProximityError, UnsupportedSizeError)
+from .errors import ConstraintError, LocscapeError, NoBifurcationError, NoRootError, ParameterError
 from .operator import DiscreteOperator, assemble_ring
 from .rng import stream
 from .solver import smallest_eigenpairs
@@ -128,14 +127,14 @@ def subsystem_half_pieces(params: TwoWellParams, which: int) -> tuple[np.ndarray
         return np.array([0.0, t0, t3]), np.array([0.0, 1.0])
     if which == 2:
         return np.array([0.0, t1, t2, t3]), np.array([1.0, 0.0, 1.0])
-    raise DomainError("which must be 1 or 2")
+    raise ParameterError("which must be 1 or 2")
 
 
 # --- transcendental matching conditions -------------------------------------------
 
 def _check_lambda(K, lam):
     if not np.all((0.0 < lam) & (lam < K)):
-        raise DomainError(f"need 0 < lambda < K, got lambda={lam}, K={K}")
+        raise ParameterError(f"need 0 < lambda < K, got lambda={lam}, K={K}")
 
 
 def characteristic_left(K: float, lam, params: TwoWellParams):
@@ -149,7 +148,7 @@ def characteristic_left(K: float, lam, params: TwoWellParams):
     t0 = params.half_widths[0]
     near = np.abs(np.cos(a * t0)) < 0.25 * POLE_WIDTH
     if np.any(near):
-        raise PoleProximityError(f"tan pole at alpha*t0 = {np.extract(near, a * t0)}")
+        raise ParameterError(f"tan pole at alpha*t0 = {np.extract(near, a * t0)}")
     return a * np.tan(a * t0) - b * np.tanh(b * (0.5 - t0))
 
 
@@ -167,7 +166,7 @@ def characteristic_right(K: float, lam, params: TwoWellParams):
     t0, t1, t2, t3 = params.half_widths
     near = np.abs(np.sin(a * (t2 - t1))) < 0.25 * POLE_WIDTH
     if np.any(near):
-        raise PoleProximityError(f"cot pole at alpha*L3 = {np.extract(near, a * (t2 - t1))}")
+        raise ParameterError(f"cot pole at alpha*L3 = {np.extract(near, a * (t2 - t1))}")
     ea = np.exp(2 * b * (t2 - t1 - t3))
     eb = np.exp(-2 * b * t1)
     ec = np.exp(2 * b * (t2 - t3))
@@ -175,27 +174,19 @@ def characteristic_right(K: float, lam, params: TwoWellParams):
     return ratio + 2 * a * b / np.tan(a * (t1 - t2))
 
 
-def _pole_lambdas(which, K, lam_max, params):
-    t0, t1, t2, t3 = params.half_widths
-    poles = []
+def _pole_lambdas(which, lam_max, t_char):
+    """Poles of the condition's tan (which=1) or cot (which=2) term below lam_max, ascending.
+
+    Candidates are squared by Python's float power: numpy's square differs from it
+    in the last bit for about 1 geometry in 100, and the poles bound the scan's brackets.
+    """
+    n = int(np.sqrt(lam_max) * t_char / np.pi) + 1
     if which == 1:
-        k = 0
-        while True:
-            lam = ((np.pi / 2 + k * np.pi) / t0) ** 2
-            if lam >= lam_max:
-                break
-            poles.append(lam)
-            k += 1
+        alpha = (np.pi / 2 + np.arange(n) * np.pi) / t_char
     else:
-        L3 = t2 - t1
-        k = 1
-        while True:
-            lam = (k * np.pi / L3) ** 2
-            if lam >= lam_max:
-                break
-            poles.append(lam)
-            k += 1
-    return poles
+        alpha = np.arange(1, n + 1) * np.pi / t_char
+    lam = [a ** 2 for a in alpha.tolist()]
+    return [x for x in lam if x < lam_max]
 
 
 def _pole_margin(lam_pole, t_char):
@@ -211,7 +202,7 @@ def subsystem_ground_energy(K: float, params: TwoWellParams, which: int) -> floa
     t0, t1, t2, t3 = params.half_widths
     t_char = t0 if which == 1 else t2 - t1
     lam_max = min(K * (1 - 1e-12), 4 * (np.pi / params.L1) ** 2)
-    bounds = [0.0, *_pole_lambdas(which, K, lam_max, params), lam_max]
+    bounds = [0.0, *_pole_lambdas(which, lam_max, t_char), lam_max]
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         lo2 = lo + _pole_margin(lo, t_char) if lo > 0 else 1e-12 * lam_max
         hi2 = hi - max(_pole_margin(hi, t_char), 1e-12 * hi)
@@ -264,7 +255,7 @@ def peak_height_ratio(mode: np.ndarray, coords: np.ndarray, params: TwoWellParam
     m1 = u[in1].max()
     m2 = u[in2].max()
     if m1 == 0.0 and m2 == 0.0:
-        raise DomainError("mode vanishes on both wells")
+        raise ParameterError("mode vanishes on both wells")
     return float(m1 / (m1 + m2))
 
 
@@ -292,7 +283,7 @@ def critical_coupling_sweep(params: TwoWellParams, K_grid=None,
     ratios = np.array([_ratio_at(params, K, nodes_per_unit) for K in K_grid])
     cross = np.flatnonzero((ratios[:-1] < 0.5) & (ratios[1:] >= 0.5))
     if len(cross) == 0:
-        raise CrossingNotBracketedError("peak-height ratio does not cross 1/2 on the grid")
+        raise LocscapeError("peak-height ratio does not cross 1/2 on the grid")
     i = cross[0]
     a, b = K_grid[i], K_grid[i + 1]
     fa, fb = ratios[i], ratios[i + 1]
@@ -321,7 +312,7 @@ class ShapeRatios:
         for name in ("P1", "P2", "P3"):
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
-                raise DomainError(f"{name} must lie in (0,1), got {v}")
+                raise ParameterError(f"{name} must lie in (0,1), got {v}")
 
 
 BASE_RATIOS = ShapeRatios(0.25, 0.4, 0.1)
@@ -365,7 +356,7 @@ def scaling_study(axis: str, n_points: int = 30, seed: int = 0,
     transcendental crossover solve.
     """
     if axis not in AXIS_WINDOWS:
-        raise DomainError(f"axis must be one of {tuple(AXIS_WINDOWS)}")
+        raise ParameterError(f"axis must be one of {tuple(AXIS_WINDOWS)}")
     scale, (lo, hi) = AXIS_WINDOWS[axis]
     rng = stream(seed)
     draws = rng.uniform(lo, hi, n_points)
@@ -381,7 +372,7 @@ def scaling_study(axis: str, n_points: int = 30, seed: int = 0,
             continue
         samples.append((float(P), cp.K_c))
     if len(samples) < 2:
-        raise UnsupportedSizeError(
+        raise LocscapeError(
             f"only {len(samples)} of {n_points} {axis} points have a crossover; a fit needs 2")
     P_arr = np.array([s[0] for s in samples])
     K_arr = np.array([s[1] for s in samples])

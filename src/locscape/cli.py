@@ -6,7 +6,9 @@ deterministic for a fixed config+seed; timestamps only ever appear in the
 manifest.  Value precedence: command-line flags > config file > LOCSCAPE_*
 environment variables > built-in defaults.
 
-Exit codes: 0 ok, 2 configuration error, 3 numerical failure.
+Exit codes: 0 ok, 2 for a `ParameterError` (invalid arguments; a run that wrote nothing
+leaves no output directory), 3 for any other `LocscapeError` (a computation that failed on
+valid arguments).
 """
 
 import argparse
@@ -123,24 +125,20 @@ def _load_config(command, path, overrides):
     return merged
 
 
-# key -> (test, description) for values that a key's type does not constrain enough
+# key -> (test, description) for values that no library check rejects before output is written
 _LIMITS = {
     "nodes_per_unit": (lambda v: v >= 1, ">= 1"),
     "n_points": (lambda v: v >= 2, ">= 2 for a fit"),
     "axes": (lambda v: set(v) <= set(bifurcation.AXIS_WINDOWS),
              f"among {tuple(bifurcation.AXIS_WINDOWS)}"),
-    **{name: (lambda v: 0.0 < v < 1.0, "in (0, 1)") for name in ("P1", "P2", "P3")},
-    "predicate": (lambda v: v in experiments.PREDICATES, f"among {experiments.PREDICATES}"),
 }
 
 
 def _check_values(cfg):
-    """Value checks made before a run starts: `_LIMITS`, corner's dim, the distribution's arity."""
+    """Value checks made before a run starts: `_LIMITS` and the distribution's arity."""
     for key, (ok, what) in _LIMITS.items():
         if key in cfg and not ok(cfg[key]):
             raise ParameterError(f"{key} must be {what}, got {cfg[key]!r}")
-    if cfg.get("predicate") == "corner" and cfg["dim"] != 2:
-        raise ParameterError(f"predicate 'corner' needs dim 2, got dim {cfg['dim']}")
     if "dist" in cfg:
         if cfg["dist"] not in _DIST_MAKERS:
             raise ParameterError(f"unknown distribution {cfg['dist']!r}")
@@ -250,17 +248,20 @@ def _ensemble_cmd(cfg, seed, trials, threads, out, predicate):
     bc = _bc(cfg)
     spec = experiments.ExperimentSpec(grid, dist, cfg["K"], bc, trials, seed, predicate)
     spec_hash = hashlib.sha256(repr(spec).encode()).hexdigest()[:16]
+    analytic = float("nan")
+    if grid.dim == 1 and dist.kind == "bernoulli":
+        try:
+            model = runstats.RunModel(dist.params[0], grid.cells_per_side)
+            if predicate == "boundary":
+                analytic = runstats.boundary_localization_prob(model)
+            else:
+                analytic = (runstats.multimodal_prob_dirichlet(model) if bc.kind == "dirichlet"
+                            else runstats.multimodal_prob_neumann(model))
+        except ParameterError:
+            pass   # the run model is undefined: p in {0, 1}, or too few zero runs for the series
     est, records = experiments.run_ensemble(spec, workers=threads)
     _write_csv(out / "trials.csv", ["trial", "seed", "eigenvalue", "hit", "failed"],
                [(r.trial, r.seed, r.eigenvalue, int(r.hit), int(r.failed)) for r in records])
-    analytic = float("nan")
-    if grid.dim == 1 and dist.kind == "bernoulli":
-        model = runstats.RunModel(dist.params[0], grid.cells_per_side)
-        if predicate == "boundary":
-            analytic = runstats.boundary_localization_prob(model)
-        elif predicate == "multimodal":
-            analytic = (runstats.multimodal_prob_dirichlet(model) if bc.kind == "dirichlet"
-                        else runstats.multimodal_prob_neumann(model))
     _write_csv(out / "summary.csv",
                ["spec_hash", "predicate", "p_hat", "ci_low", "ci_high",
                 "n_trials", "n_hits", "n_failures", "analytic"],
@@ -390,12 +391,17 @@ def main(argv=None) -> int:
     except ParameterError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    created = [d for d in (out, *out.parents) if not d.exists()]   # deepest first
     try:
         out.mkdir(parents=True, exist_ok=True)
         _COMMANDS[args.command](cfg, seed, trials, threads, out)
         _manifest(out, args.command, cfg, seed, trials, threads)
     except ParameterError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        for d in created:   # a run that wrote nothing leaves no directory behind
+            if any(d.iterdir()):
+                break
+            d.rmdir()
         return 2
     except LocscapeError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

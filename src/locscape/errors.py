@@ -1,60 +1,17 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+One rule decides the kind: a `ParameterError` means the caller's arguments are
+invalid, and any other `LocscapeError` means the computation failed on valid
+arguments.  The command line maps the first to exit code 2 and the second to 3.
+"""
 
 
 class LocscapeError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors: a computation that failed on valid arguments."""
 
 
 class ParameterError(LocscapeError, ValueError):
-    """Invalid distribution, grid, or configuration parameters."""
-
-
-class UnsupportedError(LocscapeError):
-    """Operation not available for the given input (dimension, field type, ...)."""
-
-
-class UnsupportedSizeError(UnsupportedError):
-    """Model too small for the requested formula (e.g. too few runs)."""
-
-
-class DegenerateParameterError(ParameterError):
-    """Parameter value at which a formula degenerates (e.g. p in {0, 1})."""
-
-
-class DomainError(LocscapeError, ValueError):
-    """Argument outside the mathematical domain of the operation."""
-
-
-class UsageError(LocscapeError):
-    """Mismatched or inconsistent arguments (wrong provenance, empty input)."""
-
-
-class SingularOperatorError(LocscapeError):
-    """Linear solve requested on a singular operator."""
-
-
-class ConvergenceError(LocscapeError):
-    """Iterative solver failed to converge; carries the best residual seen."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
-
-class PoleProximityError(DomainError):
-    """Transcendental expression evaluated too close to a tan/cot pole."""
-
-
-class NoRootError(LocscapeError):
-    """No root of a characteristic equation below the requested bound."""
-
-
-class NoBifurcationError(LocscapeError):
-    """Subsystem ground energies never cross on the searched interval."""
-
-
-class CrossingNotBracketedError(LocscapeError):
-    """Sweep grid does not bracket the requested crossing."""
+    """Invalid arguments: a value, a combination of values, or a size the operation rejects."""
 
 
 class ConstraintError(ParameterError):
@@ -65,5 +22,21 @@ class ConstraintError(ParameterError):
         self.name = name
 
 
-class ExperimentError(LocscapeError):
-    """Ensemble aborted (e.g. too many per-trial solver failures)."""
+class ConvergenceError(LocscapeError):
+    """Iterative solver failed to converge; carries the best residual seen."""
+
+    def __init__(self, message, residual=None):
+        super().__init__(message)
+        self.residual = residual
+
+
+class SingularOperatorError(LocscapeError):
+    """Linear solve requested on a singular operator."""
+
+
+class NoRootError(LocscapeError):
+    """No root of a characteristic equation below the requested bound."""
+
+
+class NoBifurcationError(LocscapeError):
+    """Subsystem ground energies never cross on the searched interval."""

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, ExperimentError, UnsupportedError, UsageError
+from .errors import ConvergenceError, LocscapeError, ParameterError
 from .landscape import landscape_from_operator, valley_partition
 from .operator import BoundaryCondition, assemble
 from .potential import DistributionSpec, GridSpec, sample_potential
@@ -35,9 +35,11 @@ class ExperimentSpec:
 
     def __post_init__(self):
         if self.n_trials < 1:
-            raise UsageError("n_trials must be >= 1")
+            raise ParameterError("n_trials must be >= 1")
         if self.predicate not in PREDICATES:
-            raise UsageError(f"predicate must be one of {PREDICATES}")
+            raise ParameterError(f"predicate must be one of {PREDICATES}")
+        if self.predicate == "corner" and self.grid.dim != 2:
+            raise ParameterError(f"predicate 'corner' needs dim 2, got dim {self.grid.dim}")
 
 
 @dataclass(frozen=True)
@@ -87,7 +89,7 @@ def is_boundary_localized(mode_full: np.ndarray, dim: int) -> bool:
 def is_corner_localized(mode_full: np.ndarray) -> bool:
     u = np.abs(np.asarray(mode_full))
     if u.ndim != 2:
-        raise UnsupportedError("corner localization is a 2D notion")
+        raise ParameterError("corner localization is a 2D notion")
     return bool(max(u[0, 0], u[0, -1], u[-1, 0], u[-1, -1]) > THRESHOLD)
 
 
@@ -98,7 +100,7 @@ def is_multimodal(envelope: np.ndarray, partition: SubregionPartition) -> bool:
     cluster (degenerate modes mix arbitrarily, the envelope does not).
     """
     if partition.n_regions == 0:
-        raise UsageError("empty partition")
+        raise ParameterError("empty partition")
     labels = partition.labels.ravel()
     hot = np.unique(labels[np.abs(np.asarray(envelope)).ravel() > THRESHOLD])
     return int((hot >= 0).sum()) >= 2
@@ -138,7 +140,7 @@ def run_ensemble(spec: ExperimentSpec, workers: int = 1) -> tuple[ProbabilityEst
         records = [run_trial(spec, t) for t in trials]
     n_failed = sum(r.failed for r in records)
     if n_failed > 0.01 * spec.n_trials:
-        raise ExperimentError(
+        raise LocscapeError(
             f"{n_failed}/{spec.n_trials} trials failed to converge; "
             f"first failures: {[r.trial for r in records if r.failed][:5]}")
     ok = [r for r in records if not r.failed]
@@ -186,7 +188,7 @@ def feasible_distribution(kind: str, sigma: float) -> DistributionSpec | None:
         return DistributionSpec.normal(mu, sigma)
     if kind == "gamma":
         return DistributionSpec.gamma(mu, sigma)
-    raise UsageError(f"unknown family {kind}")
+    raise ParameterError(f"unknown family {kind}")
 
 
 def distribution_study(h_list, dims=(1, 2), kinds=("bernoulli", "normal", "gamma", "uniform"),
@@ -194,8 +196,10 @@ def distribution_study(h_list, dims=(1, 2), kinds=("bernoulli", "normal", "gamma
                        workers: int = 1) -> list[StudyRow]:
     """Boundary (and 2D corner) probabilities across potential families.
 
-    Grids follow the desk-scale defaults: N=50 in 1D, N=15 in 2D.
+    Grids follow the desk-scale defaults: N=50 in 1D, N=15 in 2D.  Each h gives
+    Robin walls, h = 0 Neumann; a negative h is rejected before any trial runs.
     """
+    bcs = [BoundaryCondition.robin(h) if h != 0 else BoundaryCondition.neumann() for h in h_list]
     rows = []
     for dim in dims:
         grid = GridSpec(dim, 50 if dim == 1 else 15, 8 if dim == 1 else 4)
@@ -204,8 +208,7 @@ def distribution_study(h_list, dims=(1, 2), kinds=("bernoulli", "normal", "gamma
                 dist = feasible_distribution(kind, sigma)
                 if dist is None:
                     continue
-                for h in h_list:
-                    bc = BoundaryCondition.robin(h) if h > 0 else BoundaryCondition.neumann()
+                for h, bc in zip(h_list, bcs):
                     spec = ExperimentSpec(grid, dist, K, bc, n_trials, seed, "boundary")
                     boundary = estimate_probability(spec, workers)
                     corner = None

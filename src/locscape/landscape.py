@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import LocscapeError, ParameterError
 from .operator import BoundaryCondition, DiscreteOperator, assemble
 from .potential import GridSpec, PotentialField, _runs
 from .regions import _partition
@@ -37,7 +37,7 @@ class Landscape:
 def landscape_from_operator(op: DiscreteOperator, tol: float = 1e-10) -> Landscape:
     w = solve_linear(op, 1.0, tol=tol)
     if w.min() < -tol:
-        raise UsageError(f"landscape came out negative ({w.min():.3e}); operator not inverse-positive?")
+        raise LocscapeError(f"landscape came out negative ({w.min():.3e}); operator not inverse-positive?")
     return Landscape(w, op)
 
 
@@ -49,7 +49,7 @@ def compute_landscape(grid: GridSpec, fieldv: PotentialField, K: float,
 def landscape_bound_violation(pair: EigenPair, ls: Landscape) -> float:
     """Signed maximum of |u| - |lambda| w over nodes; <= ~0 when the bound holds."""
     if pair.mode.shape != ls.w.shape:
-        raise UsageError("eigenpair and landscape live on different node sets")
+        raise ParameterError("eigenpair and landscape live on different node sets")
     return float(np.max(np.abs(pair.mode) - abs(pair.eigenvalue) * ls.w))
 
 

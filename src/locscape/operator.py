@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ParameterError, UnsupportedError
+from .errors import ParameterError
 from .potential import GridSpec, PotentialField
 
 _END_KINDS = ("dirichlet", "neumann", "robin")
@@ -76,7 +76,7 @@ class BoundaryCondition:
         if self.kind == "mixed":
             return self.ends
         if self.kind == "periodic":
-            raise UnsupportedError("periodic condition has no per-end form")
+            raise ParameterError("periodic condition has no per-end form")
         return ((self.kind, self.h), (self.kind, self.h))
 
 
@@ -175,9 +175,9 @@ def assemble(grid: GridSpec, fieldv: PotentialField, K: float,
         raise ParameterError("field was sampled on a different grid")
     periodic = bc.kind == "periodic"
     if periodic and grid.dim != 1:
-        raise UnsupportedError("periodic conditions are implemented in 1D only")
+        raise ParameterError("periodic conditions are implemented in 1D only")
     if bc.kind == "mixed" and grid.dim != 1:
-        raise UnsupportedError("mixed per-end conditions are 1D only")
+        raise ParameterError("mixed per-end conditions are 1D only")
 
     r = grid.nodes_per_cell
     n = grid.nodes_per_axis

@@ -4,7 +4,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError, UnsupportedError
+from .errors import ParameterError
 from .rng import stream
 
 
@@ -153,9 +153,9 @@ def run_decomposition(fieldv: PotentialField) -> list[tuple[int, int]]:
     Runs alternate in value and their lengths sum to N.
     """
     if fieldv.grid.dim != 1:
-        raise UnsupportedError("run decomposition is defined for 1D fields")
+        raise ParameterError("run decomposition is defined for 1D fields")
     if not fieldv.is_binary:
-        raise UnsupportedError("run decomposition needs a {0,1}-valued field")
+        raise ParameterError("run decomposition needs a {0,1}-valued field")
     cells = fieldv.cell_values.astype(int)
     first, last = _runs(cells)
     return [(int(cells[a]), int(b - a + 1)) for a, b in zip(first, last)]

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .errors import UnsupportedError
+from .errors import ParameterError
 from .operator import BoundaryCondition
 from .potential import PotentialField
 
@@ -79,7 +79,7 @@ def zero_components(fieldv: PotentialField) -> SubregionPartition:
     only a corner are separate, matching the large-disorder valley geometry).
     """
     if not fieldv.is_binary:
-        raise UnsupportedError("zero components are defined for {0,1}-valued fields")
+        raise ParameterError("zero components are defined for {0,1}-valued fields")
     cell_measure = (1.0 / fieldv.grid.cells_per_side) ** fieldv.grid.dim
     labels, _ = ndimage.label(fieldv.cell_values == 0)   # default structure = 4-connectivity
     return _partition(labels.astype(int) - 1, "cell", cell_measure)   # background -> -1

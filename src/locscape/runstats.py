@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateParameterError, UnsupportedSizeError
+from .errors import ParameterError
 from .rng import stream
 
 _TRUNC = 1e-14      # series truncated once q^n < _TRUNC
@@ -35,9 +35,9 @@ class RunModel:
 
     def __post_init__(self):
         if not 0.0 < self.p < 1.0:
-            raise DegenerateParameterError(f"run model needs p in (0,1), got {self.p}")
+            raise ParameterError(f"run model needs p in (0,1), got {self.p}")
         if self.M < 1:
-            raise UnsupportedSizeError(f"N={self.N}, p={self.p} give M={self.M} < 1")
+            raise ParameterError(f"N={self.N}, p={self.p} give M={self.M} < 1")
 
     @property
     def q(self) -> float:
@@ -56,7 +56,7 @@ def _check_tail(q, n_max):
     # geometric tail of the summands: sum_{n > n_max} q^(n-1) <= q^n_max / (1-q)
     tail = q ** n_max / (1.0 - q)
     if not tail < _TAIL_BOUND:
-        raise UnsupportedSizeError(f"series tail bound {tail:.2e} above {_TAIL_BOUND}")
+        raise ParameterError(f"series tail bound {tail:.2e} above {_TAIL_BOUND}")
 
 
 def boundary_localization_prob(model: RunModel) -> float:
@@ -68,7 +68,7 @@ def boundary_localization_prob(model: RunModel) -> float:
     """
     p, q, M = model.p, model.q, model.M
     if M < 2:
-        raise UnsupportedSizeError("boundary probability needs at least 2 runs")
+        raise ParameterError("boundary probability needs at least 2 runs")
     n_max = model.n_max
     _check_tail(q, n_max)
     n = np.arange(1, n_max + 1)
@@ -101,7 +101,7 @@ def multimodal_prob_neumann(model: RunModel) -> float:
     """
     p, q, M = model.p, model.q, model.M
     if M < 3:
-        raise UnsupportedSizeError("the reflective-wall series needs M >= 3")
+        raise ParameterError("the reflective-wall series needs M >= 3")
     n_max = model.n_max
     _check_tail(q, n_max)
     n = np.arange(1, n_max + 1)

@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, UnsupportedError
+from .errors import ParameterError
 from .operator import BoundaryCondition
 from .potential import PotentialField
 from .rng import TAG_WALK, stream
@@ -71,7 +71,7 @@ class PathConfig:
 
     def __post_init__(self):
         if self.dt <= 0 or self.t_max <= 0 or self.n_paths < 1:
-            raise DomainError("dt, t_max must be positive and n_paths >= 1")
+            raise ParameterError("dt, t_max must be positive and n_paths >= 1")
 
 
 @dataclass(frozen=True)
@@ -147,11 +147,11 @@ def estimate_landscape_mc(x, fieldv: PotentialField, K: float,
                           bc: BoundaryCondition, cfg: PathConfig) -> FeynmanKacEstimate:
     """Monte Carlo estimate of the landscape at a point."""
     if bc.kind not in ("neumann", "robin", "dirichlet"):
-        raise UnsupportedError(f"estimator supports neumann/robin/dirichlet, not {bc.kind}")
+        raise ParameterError(f"estimator supports neumann/robin/dirichlet, not {bc.kind}")
     d = fieldv.grid.dim
     x0 = np.broadcast_to(np.asarray(x, float), (d,)).copy()
     if np.any(x0 < 0) or np.any(x0 > 1):
-        raise DomainError(f"probe {x0} outside the closed unit domain")
+        raise ParameterError(f"probe {x0} outside the closed unit domain")
 
     walk = _Walk(fieldv.cell_values, K, cfg.dt, bc.h if bc.kind == "robin" else 0.0,
                  bc.kind == "dirichlet")
@@ -185,7 +185,7 @@ def probe_points_for(fieldv: PotentialField, n_probes: int = 5) -> np.ndarray:
     """Probe locations the estimator can resolve: centers of the widest zero
     runs, padded with the barrier cell farthest from any zero cell."""
     if fieldv.grid.dim != 1:
-        raise UnsupportedError("automatic probe choice is 1D only")
+        raise ParameterError("automatic probe choice is 1D only")
     from .potential import runs_of_zeros
 
     N = fieldv.grid.cells_per_side

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from locscape import BoundaryCondition, DistributionSpec, DomainError, grid_1d, sample_potential
+from locscape import BoundaryCondition, DistributionSpec, ParameterError, grid_1d, sample_potential
 
 
 def dense_eigenpairs(op, k):
@@ -21,7 +21,7 @@ def rayleigh_quotient(u, op) -> float:
     u = np.asarray(u, float)
     denom = float(u @ (op.mass * u))
     if denom == 0.0:
-        raise DomainError("Rayleigh quotient of the zero vector")
+        raise ParameterError("Rayleigh quotient of the zero vector")
     return float(u @ (op.matrix @ u)) / denom
 
 

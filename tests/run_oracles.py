@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from locscape import BoundaryCondition, PotentialField, RunModel, UnsupportedError
+from locscape import BoundaryCondition, PotentialField, ParameterError, RunModel
 from locscape.potential import runs_of_zeros
 from locscape.rng import stream
 from locscape.runstats import _batch_flags
@@ -47,7 +47,7 @@ def longest_extended_run_on_boundary(fieldv: PotentialField, bc: BoundaryConditi
     """Pure lattice statistic mirroring the boundary predicate: the longest
     (wall-doubled under reflective bc) zero run sits strictly at a wall."""
     if fieldv.grid.dim != 1:
-        raise UnsupportedError("run statistic is 1D")
+        raise ParameterError("run statistic is 1D")
     N = fieldv.grid.cells_per_side
     starts, lengths = runs_of_zeros(fieldv.cell_values)
     if len(lengths) == 0:

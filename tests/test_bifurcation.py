@@ -3,8 +3,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from locscape import (REFERENCE_PARAMS, ConstraintError, DomainError, NoBifurcationError,
-                      ShapeRatios, TwoWellParams, UnsupportedSizeError, bifurcation,
+from locscape import (REFERENCE_PARAMS, ConstraintError, LocscapeError, NoBifurcationError,
+                      ParameterError, ShapeRatios, TwoWellParams, bifurcation,
                       characteristic_left, characteristic_right, critical_coupling_sweep,
                       critical_point, peak_height_ratio, piecewise_potential,
                       ratios_to_lengths, scaling_study, smallest_eigenpairs,
@@ -57,9 +57,9 @@ def test_left_condition_limits_and_bracketing():
 
 
 def test_lambda_domain_enforced():
-    with pytest.raises(DomainError):
+    with pytest.raises(ParameterError, match="need 0 < lambda < K"):
         characteristic_left(100.0, 150.0, REFERENCE_PARAMS)
-    with pytest.raises(DomainError):
+    with pytest.raises(ParameterError, match="need 0 < lambda < K"):
         characteristic_right(100.0, -1.0, REFERENCE_PARAMS)
 
 
@@ -91,7 +91,8 @@ def test_stable_right_condition_finite_at_huge_coupling():
     for lam in np.linspace(1.0, K - 1.0, 50):
         try:
             v = characteristic_right(K, lam, REFERENCE_PARAMS)
-        except DomainError:
+        except ParameterError as exc:
+            assert str(exc).startswith("cot pole at alpha*L3")
             continue
         assert np.isfinite(v)
 
@@ -159,7 +160,7 @@ def test_peak_height_ratio_hand_cases():
     assert peak_height_ratio(u, coords, REFERENCE_PARAMS) == 1.0
     u[(coords >= w2a) & (coords <= w2b)] = 1.0
     assert peak_height_ratio(u, coords, REFERENCE_PARAMS) == 0.5
-    with pytest.raises(DomainError):
+    with pytest.raises(ParameterError, match="mode vanishes on both wells"):
         peak_height_ratio(np.zeros_like(coords), coords, REFERENCE_PARAMS)
 
 
@@ -237,15 +238,15 @@ def test_scaling_study_runs_and_reports():
     assert len(fit.samples) == 6
     assert fit.slope == pytest.approx(-2.0, abs=0.1)
     assert fit.r2 > 0.99
-    with pytest.raises(DomainError):
+    with pytest.raises(ParameterError, match="axis must be one of"):
         scaling_study("P9", n_points=3)
 
 
 def test_scaling_study_needs_two_fitted_points():
-    with pytest.raises(UnsupportedSizeError):
+    with pytest.raises(LocscapeError, match="only 1 of 1 P1 points have a crossover"):
         scaling_study("P1", n_points=1, seed=3)
     # L1 >= 2 L3 at every P1: each point violates constraint (ii) and is skipped
-    with pytest.raises(UnsupportedSizeError):
+    with pytest.raises(LocscapeError, match="only 0 of 3 P1 points have a crossover"):
         scaling_study("P1", n_points=3, seed=3, base=ShapeRatios(0.25, 0.9, 0.1))
 
 

@@ -68,6 +68,21 @@ def test_bad_predicate_is_a_config_error(tmp_path, settings):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,settings", [
+    ("fk-check", ["n_cells=10", "dt=-1"]),
+    ("fk-check", ["n_cells=10", "n_paths=0"]),
+    ("fk-check", ["n_cells=10", "probes=[1.5]"]),
+    ("fk-check", ["n_cells=10", 'bc="periodic"']),
+    ("solve", ["n_cells=10", 'bc="periodic"', "dim=2"]),
+    ("dist-study", ["h_list=[-1]"]),
+])
+def test_argument_the_library_rejects_exits_2_without_outputs(tmp_path, command, settings):
+    out = tmp_path / "o"
+    args = [a for s in settings for a in ("--set", s)]
+    assert run_cli(command, *args, "--trials", "2", "--out", str(out)) == 2
+    assert not out.exists()
+
+
 def test_bad_env_value_exits_2(tmp_path, monkeypatch):
     monkeypatch.setenv("LOCSCAPE_SEED", "abc")
     out = tmp_path / "o"
@@ -177,6 +192,17 @@ def test_ensemble_fresh_process_reruns_are_byte_identical(tmp_path):
                         "--out", str(out)], env=env, check=True, timeout=600)
         bodies.append((out / "trials.csv").read_bytes())
     assert bodies[0] == bodies[1]
+
+
+@pytest.mark.parametrize("command,setting", [
+    ("boundary-prob", "dist_params=[0.0]"),      # p = 0: no run model
+    ("multimodal-prob", "n_cells=8"),            # M = 2: the reflective-wall series needs 3
+])
+def test_ensemble_without_run_model_reports_nan_analytic(tmp_path, command, setting):
+    out = tmp_path / "o"
+    assert run_cli(command, "--set", setting, "--set", "K=100.0", "--trials", "4",
+                   "--threads", "1", "--out", str(out)) == 0
+    assert np.isnan(float((out / "summary.csv").read_text().splitlines()[1].split(",")[-1]))
 
 
 def test_multimodal_summary_carries_series_value(tmp_path):

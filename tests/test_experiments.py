@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from locscape import (BoundaryCondition, DistributionSpec, ExperimentSpec, RunModel, UsageError,
+from locscape import (BoundaryCondition, DistributionSpec, ExperimentSpec, ParameterError, RunModel,
                       boundary_localization_prob, distribution_study, estimate_probability,
                       grid_1d, is_boundary_localized, is_corner_localized, is_multimodal,
                       run_ensemble, sample_potential, wilson_interval)
@@ -59,7 +59,7 @@ def test_multimodal_predicate():
     double[3] = 1.0
     double[15] = 0.9
     assert is_multimodal(double, part)
-    with pytest.raises(UsageError):
+    with pytest.raises(ParameterError, match="empty partition"):
         is_multimodal(double, SubregionPartition(np.full(20, -1), "node", ()))
 
 

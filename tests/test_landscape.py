@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from locscape import (BoundaryCondition, DistributionSpec, Landscape, UsageError, assemble,
+from locscape import (BoundaryCondition, DistributionSpec, Landscape, ParameterError, assemble,
                       assemble_line, compute_landscape, disorder_sweep, landscape_bound_violation, grid_1d,
                       grid_2d, landscape_from_operator, local_maxima_1d, sample_potential,
                       save_grid, smallest_eigenpairs, valley_partition, zero_components)
@@ -74,7 +74,7 @@ def test_fm_checks_shapes():
     other = assemble(grid_1d(12), sample_potential(grid_1d(12), DistributionSpec.bernoulli(1.0), 0),
                      10.0, BoundaryCondition.neumann())
     pair = smallest_eigenpairs(other, 1)[0]
-    with pytest.raises(UsageError):
+    with pytest.raises(ParameterError, match="eigenpair and landscape live on different node sets"):
         landscape_bound_violation(pair, ls)
 
 

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from locscape import (BoundaryCondition, DistributionSpec, GridSpec, ParameterError,
-                      UnsupportedError, assemble, assemble_line, assemble_ring, grid_1d,
-                      grid_2d, sample_potential, smallest_eigenpairs)
+                      assemble, assemble_line, assemble_ring, grid_1d, grid_2d,
+                      sample_potential, smallest_eigenpairs)
 from conftest import dense_eigenpairs
 
 
@@ -97,7 +97,7 @@ def test_interface_nodes_average_adjacent_cells():
 def test_periodic_2d_rejected_and_bad_K():
     grid = grid_2d(4)
     fieldv = _one_field(grid)
-    with pytest.raises(UnsupportedError):
+    with pytest.raises(ParameterError, match="periodic conditions are implemented in 1D only"):
         assemble(grid, fieldv, 1.0, BoundaryCondition.periodic())
     with pytest.raises(ParameterError):
         assemble(grid, fieldv, -1.0, BoundaryCondition.neumann())

@@ -3,8 +3,8 @@ import pytest
 from scipy.stats import chi2
 
 from locscape import (DistributionSpec, GridSpec, ParameterError, PotentialField,
-                      UnsupportedError, grid_1d, grid_2d, load_potential, run_decomposition,
-                      sample_potential, save_potential)
+                      grid_1d, grid_2d, load_potential, run_decomposition, sample_potential,
+                      save_potential)
 from locscape.potential import runs_of_zeros
 from locscape.rng import stream
 
@@ -83,9 +83,9 @@ def test_run_decomposition_roundtrip_and_alternation():
 
 def test_run_decomposition_rejects_non_binary():
     fieldv = sample_potential(grid_1d(10), DistributionSpec.uniform(0.0, 1.0), 1)
-    with pytest.raises(UnsupportedError):
+    with pytest.raises(ParameterError, match=r"needs a \{0,1\}-valued field"):
         run_decomposition(fieldv)
-    with pytest.raises(UnsupportedError):
+    with pytest.raises(ParameterError, match="defined for 1D fields"):
         run_decomposition(sample_potential(grid_2d(4), DistributionSpec.bernoulli(0.5), 1))
 
 

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from locscape import (BoundaryCondition, DistributionSpec, GridSpec, PotentialField,
-                      UnsupportedError, extended_subregion, grid_2d, sample_potential,
+from locscape import (BoundaryCondition, DistributionSpec, GridSpec, ParameterError,
+                      PotentialField, extended_subregion, grid_2d, sample_potential,
                       zero_components)
 
 
@@ -44,7 +44,7 @@ def test_components_cover_exactly_the_zero_set():
 
 def test_non_binary_field_rejected():
     fieldv = sample_potential(grid_2d(5), DistributionSpec.uniform(0.0, 1.0), 1)
-    with pytest.raises(UnsupportedError):
+    with pytest.raises(ParameterError, match=r"defined for \{0,1\}-valued fields"):
         zero_components(fieldv)
 
 

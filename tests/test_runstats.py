@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from locscape import (DegenerateParameterError, RunModel, UnsupportedSizeError,
+from locscape import (ParameterError, RunModel,
                       boundary_localization_prob, multimodal_prob_dirichlet,
                       multimodal_prob_neumann, oracle_probabilities)
 from run_oracles import RunConfig, config_flags, sample_run_config
@@ -11,11 +11,11 @@ def test_model_size_and_parameter_guards():
     model = RunModel(0.5, 50)
     assert model.M == 12
     assert model.q == 0.5
-    with pytest.raises(DegenerateParameterError):
+    with pytest.raises(ParameterError, match=r"run model needs p in \(0,1\), got 0.0"):
         RunModel(0.0, 50)
-    with pytest.raises(DegenerateParameterError):
+    with pytest.raises(ParameterError, match=r"run model needs p in \(0,1\), got 1.0"):
         RunModel(1.0, 50)
-    with pytest.raises(UnsupportedSizeError):
+    with pytest.raises(ParameterError, match="give M=0 < 1"):
         RunModel(0.01, 20)          # M = round(20 * .01 * .99) = 0
 
 
@@ -39,7 +39,7 @@ def test_single_run_cannot_be_multimodal():
 
 
 def test_neumann_series_needs_three_runs():
-    with pytest.raises(UnsupportedSizeError):
+    with pytest.raises(ParameterError, match="the reflective-wall series needs M >= 3"):
         multimodal_prob_neumann(RunModel(0.5, 8))      # M = 2
 
 

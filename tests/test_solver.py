@@ -3,7 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from locscape import (BoundaryCondition, ConvergenceError, DistributionSpec, DomainError,
+from locscape import (BoundaryCondition, ConvergenceError, DistributionSpec,
                       ParameterError, SingularOperatorError, assemble, assemble_line,
                       grid_1d, grid_2d, sample_potential, smallest_eigenpairs, solve_linear,
                       solver)
@@ -108,7 +108,7 @@ def test_rayleigh_quotient_properties(strong_disorder_1d):
     for _ in range(5):
         u = rng.standard_normal(op.size)
         assert rayleigh_quotient(u, op) >= pair.eigenvalue - 1e-8
-    with pytest.raises(DomainError):
+    with pytest.raises(ParameterError, match="Rayleigh quotient of the zero vector"):
         rayleigh_quotient(np.zeros(op.size), op)
 
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from locscape import (BoundaryCondition, DistributionSpec, DomainError, PathConfig, assemble,
+from locscape import (BoundaryCondition, DistributionSpec, ParameterError, PathConfig, assemble,
                       estimate_landscape_mc, grid_1d, grid_2d, landscape_from_operator,
                       probe_points_for, sample_potential, smallest_eigenpairs)
 from locscape import stochastic
@@ -40,10 +40,10 @@ def test_mean_displacement_vanishes_by_symmetry():
 
 
 def test_start_point_must_lie_in_domain():
-    with pytest.raises(DomainError):
+    with pytest.raises(ParameterError, match="start point .* outside the closed unit domain"):
         simulate_reflecting_path(1, 1.5, PathConfig(), 10)
     fieldv = sample_potential(grid_1d(10), DistributionSpec.bernoulli(1.0), 0)
-    with pytest.raises(DomainError):
+    with pytest.raises(ParameterError, match="probe .* outside the closed unit domain"):
         estimate_landscape_mc(-0.1, fieldv, 10.0, BoundaryCondition.neumann(), PathConfig())
 
 

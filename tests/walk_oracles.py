@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from locscape import DomainError, PathConfig, stochastic
+from locscape import ParameterError, PathConfig, stochastic
 from locscape.rng import stream
 
 
@@ -16,7 +16,7 @@ def simulate_reflecting_path(dim: int, x0, cfg: PathConfig, n_steps: int):
     """One reflected path: positions (n_steps+1, dim) and local-time increments."""
     x0 = np.broadcast_to(np.asarray(x0, float), (dim,)).copy()
     if np.any(x0 < 0) or np.any(x0 > 1):
-        raise DomainError(f"start point {x0} outside the closed unit domain")
+        raise ParameterError(f"start point {x0} outside the closed unit domain")
     rng = stream(cfg.seed)
     sdt = np.sqrt(2.0 * cfg.dt)
     pos = np.empty((n_steps + 1, dim))
