@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.stats import linregress
 
 from .errors import ConstraintError, LocscapeError, NoBifurcationError, NoRootError, ParameterError
 from .operator import DiscreteOperator, assemble_ring
@@ -377,10 +376,12 @@ def scaling_study(axis: str, n_points: int = 30, seed: int = 0,
     P_arr = np.array([s[0] for s in samples])
     K_arr = np.array([s[1] for s in samples])
     if axis == "P2":
-        fit = linregress(P_arr, np.log(K_arr))
-        model = "exponential"
+        x, y, model = P_arr, np.log(K_arr), "exponential"
     else:
-        fit = linregress(np.log10(P_arr), np.log10(K_arr))
-        model = "power"
-    return ScalingFit(axis, model, float(fit.slope), float(fit.intercept),
-                      float(fit.rvalue ** 2), tuple(samples), tuple(skipped))
+        x, y, model = np.log10(P_arr), np.log10(K_arr), "power"
+    # scipy's linregress formulas; the clip keeps round-off from pushing r2 past 1
+    ssxm, ssxym, _, ssym = np.cov(x, y, bias=True).flat
+    slope = ssxym / ssxm
+    r = np.clip(ssxym / np.sqrt(ssxm * ssym), -1.0, 1.0)
+    return ScalingFit(axis, model, float(slope), float(np.mean(y) - slope * np.mean(x)),
+                      float(r ** 2), tuple(samples), tuple(skipped))

@@ -31,7 +31,7 @@ from .operator import BoundaryCondition, assemble
 from .potential import DistributionSpec, GridSpec, sample_potential, save_potential
 from .regions import zero_components
 from .solver import smallest_eigenpairs
-from .stochastic import PathConfig, estimate_landscape_mc, probe_points_for
+from .stochastic import PathConfig, _start, estimate_landscape_mc, probe_points_for
 
 
 # schema: key -> (type, default); None default means required has a computed fallback;
@@ -294,11 +294,13 @@ def _cmd_dist_study(cfg, seed, trials, threads, out):
 def _cmd_fk_check(cfg, seed, trials, threads, out):
     grid, dist = _grid_dist(cfg)
     bc = _bc(cfg)
+    pcfg = PathConfig(dt=cfg["dt"], n_paths=cfg["n_paths"], seed=seed)
+    for x in cfg["probes"] or [0.5]:        # the walls are checked with no probe given, too
+        _start(x, grid.dim, bc)
     fieldv = sample_potential(grid, dist, seed)
     op = assemble(grid, fieldv, cfg["K"], bc)
     w = landscape.landscape_from_operator(op).w
     probes = np.asarray(cfg["probes"]) if cfg["probes"] else probe_points_for(fieldv)
-    pcfg = PathConfig(dt=cfg["dt"], n_paths=cfg["n_paths"], seed=seed)
     rows = []
     for x in probes:
         est = estimate_landscape_mc(x, fieldv, cfg["K"], bc, pcfg)

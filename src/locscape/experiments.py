@@ -197,12 +197,13 @@ def distribution_study(h_list, dims=(1, 2), kinds=("bernoulli", "normal", "gamma
     """Boundary (and 2D corner) probabilities across potential families.
 
     Grids follow the desk-scale defaults: N=50 in 1D, N=15 in 2D.  Each h gives
-    Robin walls, h = 0 Neumann; a negative h is rejected before any trial runs.
+    Robin walls, h = 0 Neumann; a negative h or a dimension other than 1 and 2 is
+    rejected before any trial runs.
     """
     bcs = [BoundaryCondition.robin(h) if h != 0 else BoundaryCondition.neumann() for h in h_list]
+    grids = [GridSpec(dim, 50 if dim == 1 else 15, 8 if dim == 1 else 4) for dim in dims]
     rows = []
-    for dim in dims:
-        grid = GridSpec(dim, 50 if dim == 1 else 15, 8 if dim == 1 else 4)
+    for grid in grids:
         for kind in kinds:
             for sigma in STUDY_SIGMAS:
                 dist = feasible_distribution(kind, sigma)
@@ -212,8 +213,8 @@ def distribution_study(h_list, dims=(1, 2), kinds=("bernoulli", "normal", "gamma
                     spec = ExperimentSpec(grid, dist, K, bc, n_trials, seed, "boundary")
                     boundary = estimate_probability(spec, workers)
                     corner = None
-                    if dim == 2:
+                    if grid.dim == 2:
                         cspec = ExperimentSpec(grid, dist, K, bc, n_trials, seed, "corner")
                         corner = estimate_probability(cspec, workers)
-                    rows.append(StudyRow(dim, kind, float(sigma), float(h), boundary, corner))
+                    rows.append(StudyRow(grid.dim, kind, float(sigma), float(h), boundary, corner))
     return rows

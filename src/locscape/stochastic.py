@@ -143,16 +143,22 @@ def _scan(walk: _Walk, x0, Y0, dW, U=None):
     return occupation, Y[-1], x[-1], died
 
 
-def estimate_landscape_mc(x, fieldv: PotentialField, K: float,
-                          bc: BoundaryCondition, cfg: PathConfig) -> FeynmanKacEstimate:
-    """Monte Carlo estimate of the landscape at a point."""
+def _start(x, d: int, bc: BoundaryCondition) -> np.ndarray:
+    """The start point of a walk from `x` (a scalar is broadcast over the d axes) under `bc`;
+    walls the walk cannot take, or a point outside the closed unit domain, are rejected."""
     if bc.kind not in ("neumann", "robin", "dirichlet"):
         raise ParameterError(f"estimator supports neumann/robin/dirichlet, not {bc.kind}")
-    d = fieldv.grid.dim
     x0 = np.broadcast_to(np.asarray(x, float), (d,)).copy()
     if np.any(x0 < 0) or np.any(x0 > 1):
         raise ParameterError(f"probe {x0} outside the closed unit domain")
+    return x0
 
+
+def estimate_landscape_mc(x, fieldv: PotentialField, K: float,
+                          bc: BoundaryCondition, cfg: PathConfig) -> FeynmanKacEstimate:
+    """Monte Carlo estimate of the landscape at a point."""
+    d = fieldv.grid.dim
+    x0 = _start(x, d, bc)
     walk = _Walk(fieldv.cell_values, K, cfg.dt, bc.h if bc.kind == "robin" else 0.0,
                  bc.kind == "dirichlet")
     sdt = np.sqrt(2.0 * cfg.dt)

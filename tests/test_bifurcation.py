@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.stats import linregress
 
 from locscape import (REFERENCE_PARAMS, ConstraintError, LocscapeError, NoBifurcationError,
                       ParameterError, ShapeRatios, TwoWellParams, bifurcation,
@@ -240,6 +241,17 @@ def test_scaling_study_runs_and_reports():
     assert fit.r2 > 0.99
     with pytest.raises(ParameterError, match="axis must be one of"):
         scaling_study("P9", n_points=3)
+
+
+@pytest.mark.parametrize("axis", ["P1", "P2", "P3"])
+def test_scaling_fit_equals_linregress(axis):
+    # the fit is linregress written out; at P1, seed 0 only the clip of r keeps r2 at 1.0
+    fit = scaling_study(axis, n_points=12, seed=0)
+    P, K = np.array(fit.samples).T
+    ref = linregress(P, np.log(K)) if axis == "P2" else linregress(np.log10(P), np.log10(K))
+    assert (fit.slope, fit.intercept, fit.r2) == (ref.slope, ref.intercept, ref.rvalue ** 2)
+    if axis == "P1":
+        assert fit.r2 == 1.0
 
 
 def test_scaling_study_needs_two_fitted_points():

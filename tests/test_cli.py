@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy
 
-from locscape import load_potential
+from locscape import experiments, landscape, load_potential
 from locscape.cli import main
 
 
@@ -75,12 +75,36 @@ def test_bad_predicate_is_a_config_error(tmp_path, settings):
     ("fk-check", ["n_cells=10", 'bc="periodic"']),
     ("solve", ["n_cells=10", 'bc="periodic"', "dim=2"]),
     ("dist-study", ["h_list=[-1]"]),
+    ("dist-study", ["dims=[1,3]"]),
 ])
-def test_argument_the_library_rejects_exits_2_without_outputs(tmp_path, command, settings):
+def test_argument_the_library_rejects_exits_2_without_outputs(tmp_path, monkeypatch, command,
+                                                              settings):
+    # rejected before any landscape solve or ensemble trial is paid for
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module, name in [(landscape, "landscape_from_operator"),
+                         (experiments, "estimate_probability")]:
+        monkeypatch.setattr(module, name, counted(getattr(module, name)))
     out = tmp_path / "o"
     args = [a for s in settings for a in ("--set", s)]
     assert run_cli(command, *args, "--trials", "2", "--out", str(out)) == 2
     assert not out.exists()
+    assert calls == []
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats alone took about 0.5 s of every command's start-up; no locscape code needs it
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    code = "import locscape.cli, sys; print('scipy.stats' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert run.stdout.strip() == "False"
 
 
 def test_bad_env_value_exits_2(tmp_path, monkeypatch):

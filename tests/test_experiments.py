@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from locscape import (BoundaryCondition, DistributionSpec, ExperimentSpec, ParameterError, RunModel,
                       boundary_localization_prob, distribution_study, estimate_probability,
-                      grid_1d, is_boundary_localized, is_corner_localized, is_multimodal,
-                      run_ensemble, sample_potential, wilson_interval)
+                      experiments, grid_1d, is_boundary_localized, is_corner_localized,
+                      is_multimodal, run_ensemble, sample_potential, wilson_interval)
 from locscape.regions import Region, SubregionPartition
 from run_oracles import longest_extended_run_on_boundary
 
@@ -156,6 +156,14 @@ def test_distribution_study_reproduces_family_effects():
     assert set(small_h) == {"bernoulli", "normal", "gamma", "uniform"}
     for kind, entries in small_h.items():
         assert all(r.boundary.p_hat > 0.05 for r in entries)
+
+
+def test_distribution_study_rejects_a_bad_dim_before_any_trial(monkeypatch):
+    calls = []
+    monkeypatch.setattr(experiments, "estimate_probability", lambda *args: calls.append(args))
+    with pytest.raises(ParameterError, match="dim must be 1 or 2, got 3"):
+        distribution_study(h_list=[0.01], dims=(1, 3), n_trials=5)
+    assert calls == []
 
 
 def test_infeasible_family_sigma_pairs_are_skipped():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from locscape import (DistributionSpec, GridSpec, ParameterError, PotentialField,
@@ -135,6 +137,41 @@ def test_serialization_roundtrip(tmp_path, dist):
     assert np.array_equal(back.cell_values, fieldv.cell_values)
     header = path.read_text().splitlines()[0].split()
     assert header[:4] == ["1", "25", "4", "123"]
+
+
+_SIZE = st.floats(1e-3, 1e3)
+_DISTS = st.one_of(
+    st.builds(DistributionSpec.bernoulli, st.floats(0.0, 1.0)),
+    st.builds(lambda a, width: DistributionSpec.uniform(a, a + width), st.floats(0.0, 1e3), _SIZE),
+    st.builds(DistributionSpec.normal, st.floats(-1e3, 1e3), _SIZE),
+    st.builds(DistributionSpec.gamma, _SIZE, _SIZE),
+)
+
+
+@st.composite
+def _fields(draw):
+    """A field on a random 1D or 2D grid: raw values, or sampled from any distribution kind."""
+    grid = GridSpec(draw(st.sampled_from([1, 2])), draw(st.integers(2, 12)),
+                    draw(st.integers(2, 9)))
+    seed = draw(st.integers(-2**63, 2**64 - 1))
+    dist = draw(st.none() | _DISTS)
+    if dist is not None:
+        return sample_potential(grid, dist, seed)
+    n = grid.cells_per_side ** grid.dim
+    values = draw(st.lists(st.floats(0.0, allow_infinity=False), min_size=n, max_size=n))
+    return PotentialField(grid, np.reshape(values, (grid.cells_per_side,) * grid.dim), seed)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fields())
+def test_save_load_roundtrip_property(tmp_path_factory, fieldv):
+    path = tmp_path_factory.mktemp("roundtrip") / "potential.txt"
+    save_potential(fieldv, path)
+    back = load_potential(path)
+    assert back.grid == fieldv.grid
+    assert back.seed == fieldv.seed
+    assert back.dist == fieldv.dist
+    assert back.cell_values.tobytes() == fieldv.cell_values.tobytes()
 
 
 def test_serialization_2d_row_major(tmp_path):
