@@ -14,8 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from locscape import (BoundaryCondition, DistributionSpec, ExperimentSpec, RunModel,
-                      boundary_localization_prob, estimate_probability, grid_1d,
-                      oracle_probabilities)
+                      boundary_localization_prob, grid_1d, oracle_probabilities,
+                      run_ensemble)
 
 OUT = Path(__file__).resolve().parent
 N, K, H, TRIALS = 50, 5e4, 0.01, 300
@@ -27,7 +27,7 @@ for p in (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8):
     mc = oracle_probabilities(model, 200_000, seed=7).p_boundary
     spec = ExperimentSpec(grid_1d(N), DistributionSpec.bernoulli(p), K,
                           BoundaryCondition.robin(H), TRIALS, 11, "boundary")
-    est = estimate_probability(spec)
+    est = run_ensemble(spec)[0]
     rows.append((p, model.M, series, mc, est.p_hat, est.ci_low, est.ci_high))
     print(f"p={p:.1f}  M={model.M:2d}  series={series:.4f}  oracle={mc:.4f}  "
           f"ensemble={est.p_hat:.4f} [{est.ci_low:.3f},{est.ci_high:.3f}]")

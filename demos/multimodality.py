@@ -12,8 +12,8 @@ from pathlib import Path
 import numpy as np
 
 from locscape import (BoundaryCondition, DistributionSpec, ExperimentSpec, RunModel,
-                      assemble, estimate_probability, grid_1d, landscape_from_operator,
-                      multimodal_prob_dirichlet, multimodal_prob_neumann, sample_potential,
+                      assemble, grid_1d, landscape_from_operator, multimodal_prob_dirichlet,
+                      multimodal_prob_neumann, run_ensemble, sample_potential,
                       smallest_eigenpairs, valley_partition)
 from locscape.experiments import THRESHOLD, is_multimodal
 
@@ -50,7 +50,7 @@ for p in (0.35, 0.5, 0.65):
     for bc in ("dirichlet", "neumann"):
         spec = ExperimentSpec(grid, DistributionSpec.bernoulli(p), K,
                               BoundaryCondition(bc), 250, 23, "multimodal")
-        ests[bc] = estimate_probability(spec).p_hat
+        ests[bc] = run_ensemble(spec)[0].p_hat
     rows.append((p, sd, ests["dirichlet"], sn, ests["neumann"]))
     print(f"{p:.2f}   {sd:.4f}    {ests['dirichlet']:.4f}       {sn:.4f}    {ests['neumann']:.4f}")
 

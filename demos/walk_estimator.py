@@ -30,7 +30,7 @@ w = landscape_from_operator(op).w
 cfg = PathConfig(dt=2e-5, n_paths=10_000, seed=3)
 print("\nBernoulli instance, K=8000, reflective walls:")
 print("probe x    walk estimate        assembled w      dev/sigma")
-for x in probe_points_for(fieldv, 5):
+for x in probe_points_for(fieldv):
     est = estimate_landscape_mc(x, fieldv, 8000.0, BoundaryCondition.neumann(), cfg)
     node = int(np.argmin(np.abs(op.axes[0] - x)))
     print(f"  {x:.3f}   {est.mean:.6e} ({est.std_error:.1e})   {w[node]:.6e}   "

@@ -8,9 +8,9 @@ from .bifurcation import (BASE_RATIOS, REFERENCE_PARAMS, CriticalPoint, ScalingF
 from .errors import (ConstraintError, ConvergenceError, LocscapeError, NoBifurcationError,
                      NoRootError, ParameterError, SingularOperatorError)
 from .experiments import (ExperimentSpec, ProbabilityEstimate, StudyRow, TrialRecord,
-                          distribution_study, estimate_probability, is_boundary_localized,
-                          is_corner_localized, is_multimodal, run_ensemble, wilson_interval)
-from .landscape import (Landscape, compute_landscape, disorder_sweep, landscape_bound_violation,
+                          distribution_study, is_boundary_localized, is_corner_localized,
+                          is_multimodal, run_ensemble, wilson_interval)
+from .landscape import (Landscape, disorder_sweep, landscape_bound_violation,
                         landscape_from_operator, local_maxima_1d, save_grid, valley_partition)
 from .operator import BoundaryCondition, DiscreteOperator, assemble, assemble_line, assemble_ring
 from .potential import (DistributionSpec, GridSpec, PotentialField, grid_1d, grid_2d,

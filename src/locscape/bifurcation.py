@@ -26,6 +26,7 @@ SCAN_INTERVALS = 200
 K_BOUNDS = (10.0, 1e8)   # couplings between which `critical_point` seeks the crossing
 K_RTOL = 1e-10           # relative tolerance of `critical_point` in K
 SWEEP_RTOL = 1e-5        # relative width at which the sweep stops refining its bracket
+SWEEP_K_GRID = np.geomspace(1e2, 1e6, 60)   # couplings the sweep solves before refining
 
 
 @dataclass(frozen=True)
@@ -111,6 +112,8 @@ def _pieces_to_cells(bps, values, nodes_per_unit):
 
 def toy_operator(params: TwoWellParams, K: float, nodes_per_unit: int = 3000) -> DiscreteOperator:
     """Periodic operator on a grid built from the breakpoints, so V is exact on it."""
+    if nodes_per_unit < 1:
+        raise ParameterError(f"nodes_per_unit must be >= 1, got {nodes_per_unit}")
     widths, cells = _pieces_to_cells(*piecewise_potential(params), nodes_per_unit)
     return assemble_ring(widths, cells, K)
 
@@ -271,14 +274,11 @@ class SweepResult:
     ratios: np.ndarray
 
 
-def critical_coupling_sweep(params: TwoWellParams, K_grid=None,
-                            nodes_per_unit: int = 3000) -> SweepResult:
-    """Independent route to the crossover: solve the full ring spectrum per K and
-    find where the peak-height ratio crosses 1/2, refining the bracketing pair
-    and finishing with linear interpolation."""
-    if K_grid is None:
-        K_grid = np.geomspace(1e2, 1e6, 60)
-    K_grid = np.asarray(K_grid, float)
+def critical_coupling_sweep(params: TwoWellParams, nodes_per_unit: int = 3000) -> SweepResult:
+    """Independent route to the crossover: solve the full ring spectrum per K of
+    SWEEP_K_GRID and find where the peak-height ratio crosses 1/2, refining the
+    bracketing pair and finishing with linear interpolation."""
+    K_grid = SWEEP_K_GRID
     ratios = np.array([_ratio_at(params, K, nodes_per_unit) for K in K_grid])
     cross = np.flatnonzero((ratios[:-1] < 0.5) & (ratios[1:] >= 0.5))
     if len(cross) == 0:
@@ -355,7 +355,9 @@ def scaling_study(axis: str, n_points: int = 30, seed: int = 0,
     transcendental crossover solve.
     """
     if axis not in AXIS_WINDOWS:
-        raise ParameterError(f"axis must be one of {tuple(AXIS_WINDOWS)}")
+        raise ParameterError(f"axis must be one of {tuple(AXIS_WINDOWS)}, got {axis!r}")
+    if n_points < 2:
+        raise ParameterError(f"n_points must be >= 2 for a fit, got {n_points}")
     scale, (lo, hi) = AXIS_WINDOWS[axis]
     rng = stream(seed)
     draws = rng.uniform(lo, hi, n_points)

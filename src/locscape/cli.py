@@ -14,7 +14,6 @@ valid arguments).
 import argparse
 import csv
 import hashlib
-import inspect
 import json
 import os
 import sys
@@ -121,53 +120,12 @@ def _load_config(command, path, overrides):
     merged.update(_checked(command, "--set", overrides))
     if merged.get("nodes_per_cell") is None and "dim" in merged:
         merged["nodes_per_cell"] = 8 if merged["dim"] == 1 else 4
-    _check_values(merged)
     return merged
-
-
-# key -> (test, description) for values that no library check rejects before output is written
-_LIMITS = {
-    "nodes_per_unit": (lambda v: v >= 1, ">= 1"),
-    "n_points": (lambda v: v >= 2, ">= 2 for a fit"),
-    "axes": (lambda v: set(v) <= set(bifurcation.AXIS_WINDOWS),
-             f"among {tuple(bifurcation.AXIS_WINDOWS)}"),
-}
-
-
-def _check_values(cfg):
-    """Value checks made before a run starts: `_LIMITS` and the distribution's arity."""
-    for key, (ok, what) in _LIMITS.items():
-        if key in cfg and not ok(cfg[key]):
-            raise ParameterError(f"{key} must be {what}, got {cfg[key]!r}")
-    if "dist" in cfg:
-        if cfg["dist"] not in _DIST_MAKERS:
-            raise ParameterError(f"unknown distribution {cfg['dist']!r}")
-        arity = len(inspect.signature(_DIST_MAKERS[cfg["dist"]]).parameters)
-        if len(cfg["dist_params"]) != arity:
-            raise ParameterError(f"{cfg['dist']} takes {arity} dist_params, "
-                                 f"got {len(cfg['dist_params'])}")
-
-
-_DIST_MAKERS = {
-    "bernoulli": DistributionSpec.bernoulli,
-    "uniform": DistributionSpec.uniform,
-    "normal": DistributionSpec.normal,
-    "gamma": DistributionSpec.gamma,
-}
 
 
 def _grid_dist(cfg):
     grid = GridSpec(cfg["dim"], cfg["n_cells"], cfg["nodes_per_cell"])
-    return grid, _DIST_MAKERS[cfg["dist"]](*cfg["dist_params"])
-
-
-def _bc(cfg):
-    kind = cfg["bc"]
-    if kind == "robin":
-        return BoundaryCondition.robin(cfg["h"])
-    if kind in ("dirichlet", "neumann", "periodic"):
-        return BoundaryCondition(kind)
-    raise ParameterError(f"unknown bc {kind!r}")
+    return grid, DistributionSpec(cfg["dist"], tuple(cfg["dist_params"]))
 
 
 def _write_csv(path, header, rows):
@@ -200,7 +158,7 @@ def _cmd_potential(cfg, seed, trials, threads, out):
 
 def _cmd_solve(cfg, seed, trials, threads, out):
     grid, dist = _grid_dist(cfg)
-    bc = _bc(cfg)
+    bc = BoundaryCondition(cfg["bc"], cfg["h"])
     fieldv = sample_potential(grid, dist, seed)
     op = assemble(grid, fieldv, cfg["K"], bc)
     pairs = smallest_eigenpairs(op, k=cfg["n_modes"])
@@ -225,14 +183,16 @@ def _cmd_solve(cfg, seed, trials, threads, out):
 def _cmd_landscape(cfg, seed, trials, threads, out):
     grid, dist = _grid_dist(cfg)
     fieldv = sample_potential(grid, dist, seed)
-    ls = landscape.compute_landscape(grid, fieldv, cfg["K"], _bc(cfg))
+    ls = landscape.landscape_from_operator(
+        assemble(grid, fieldv, cfg["K"], BoundaryCondition(cfg["bc"], cfg["h"])))
     landscape.save_grid(ls.op.embed(ls.w), out / "landscape.txt")
 
 
 def _cmd_valleys(cfg, seed, trials, threads, out):
     grid, dist = _grid_dist(cfg)
     fieldv = sample_potential(grid, dist, seed)
-    ls = landscape.compute_landscape(grid, fieldv, cfg["K"], _bc(cfg))
+    ls = landscape.landscape_from_operator(
+        assemble(grid, fieldv, cfg["K"], BoundaryCondition(cfg["bc"], cfg["h"])))
     part = landscape.valley_partition(ls)
     landscape.save_grid(part.labels, out / "valley_labels.txt")
     rows = [(r.id, r.size, r.measure, " ".join("1" if t else "0" for t in r.touches),
@@ -245,11 +205,13 @@ def _cmd_valleys(cfg, seed, trials, threads, out):
 
 def _ensemble_cmd(cfg, seed, trials, threads, out, predicate):
     grid, dist = _grid_dist(cfg)
-    bc = _bc(cfg)
+    bc = BoundaryCondition(cfg["bc"], cfg["h"])
     spec = experiments.ExperimentSpec(grid, dist, cfg["K"], bc, trials, seed, predicate)
     spec_hash = hashlib.sha256(repr(spec).encode()).hexdigest()[:16]
     analytic = float("nan")
-    if grid.dim == 1 and dist.kind == "bernoulli":
+    # the boundary series model reflective walls; the multimodal ones absorbing or reflective walls
+    walls = ("neumann", "robin") if predicate == "boundary" else ("dirichlet", "neumann", "robin")
+    if grid.dim == 1 and dist.kind == "bernoulli" and bc.kind in walls:
         try:
             model = runstats.RunModel(dist.params[0], grid.cells_per_side)
             if predicate == "boundary":
@@ -293,18 +255,19 @@ def _cmd_dist_study(cfg, seed, trials, threads, out):
 
 def _cmd_fk_check(cfg, seed, trials, threads, out):
     grid, dist = _grid_dist(cfg)
-    bc = _bc(cfg)
+    bc = BoundaryCondition(cfg["bc"], cfg["h"])
     pcfg = PathConfig(dt=cfg["dt"], n_paths=cfg["n_paths"], seed=seed)
-    for x in cfg["probes"] or [0.5]:        # the walls are checked with no probe given, too
-        _start(x, grid.dim, bc)
     fieldv = sample_potential(grid, dist, seed)
+    probes = np.asarray(cfg["probes"]) if cfg["probes"] else probe_points_for(fieldv)
+    for x in probes:                        # probes and walls are checked before the solve
+        _start(x, grid.dim, bc)
     op = assemble(grid, fieldv, cfg["K"], bc)
     w = landscape.landscape_from_operator(op).w
-    probes = np.asarray(cfg["probes"]) if cfg["probes"] else probe_points_for(fieldv)
+    # a probe x starts the walk at (x, ..., x): read w at that node
+    nodes = landscape._nearest_nodes(op, np.repeat(probes[:, None], grid.dim, axis=1))
     rows = []
-    for x in probes:
+    for x, node in zip(probes, nodes):
         est = estimate_landscape_mc(x, fieldv, cfg["K"], bc, pcfg)
-        node = int(np.argmin(np.abs(op.axes[0] - x)))
         rows.append((x, est.mean, est.std_error, w[node],
                      (est.mean - w[node]) / est.std_error if est.std_error else 0.0,
                      est.n_truncated))
@@ -330,11 +293,13 @@ def _cmd_bifurcation(cfg, seed, trials, threads, out):
 
 def _cmd_scaling(cfg, seed, trials, threads, out):
     base = bifurcation.ShapeRatios(cfg["P1"], cfg["P2"], cfg["P3"])
+    # every axis is fitted before any file is written, so a rejected axis leaves no output
+    fits = [bifurcation.scaling_study(axis, n_points=cfg["n_points"], seed=seed, base=base)
+            for axis in cfg["axes"]]
     summary = []
-    for axis in cfg["axes"]:
-        fit = bifurcation.scaling_study(axis, n_points=cfg["n_points"], seed=seed, base=base)
-        _write_csv(out / f"scaling_{axis}.csv", ["P", "K_c"], list(fit.samples))
-        summary.append((axis, fit.model, fit.slope, fit.intercept, fit.r2,
+    for fit in fits:
+        _write_csv(out / f"scaling_{fit.axis}.csv", ["P", "K_c"], list(fit.samples))
+        summary.append((fit.axis, fit.model, fit.slope, fit.intercept, fit.r2,
                         len(fit.samples), len(fit.skipped)))
     _write_csv(out / "regression_summary.csv",
                ["axis", "model", "slope", "intercept", "r2", "n_fit", "n_skipped"], summary)

@@ -21,6 +21,7 @@ from .solver import smallest_eigenpairs
 
 THRESHOLD = 0.5   # localization detectors compare sup-normalized amplitudes to this
 PREDICATES = ("boundary", "corner", "multimodal")
+WILSON_Z = 1.959963984540054   # two-sided 95% normal quantile
 
 
 @dataclass(frozen=True)
@@ -61,11 +62,12 @@ class TrialRecord:
     failed: bool
 
 
-def wilson_interval(hits: int, n: int, z: float = 1.959963984540054) -> tuple[float, float]:
-    """Wilson score interval; its ends are exactly 0 at hits = 0 and 1 at hits = n,
-    where round-off would otherwise leave p_hat outside it."""
+def wilson_interval(hits: int, n: int) -> tuple[float, float]:
+    """Wilson 95% score interval (z = WILSON_Z); its ends are exactly 0 at hits = 0 and 1
+    at hits = n, where round-off would otherwise leave p_hat outside it."""
     if n == 0:
         return (0.0, 1.0)
+    z = WILSON_Z
     ph = hits / n
     denom = 1.0 + z * z / n
     center = (ph + z * z / (2 * n)) / denom
@@ -150,12 +152,9 @@ def run_ensemble(spec: ExperimentSpec, workers: int = 1) -> tuple[ProbabilityEst
     return est, records
 
 
-def estimate_probability(spec: ExperimentSpec, workers: int = 1) -> ProbabilityEstimate:
-    return run_ensemble(spec, workers)[0]
-
-
 # --- distribution study -----------------------------------------------------------
 
+STUDY_KINDS = ("bernoulli", "normal", "gamma", "uniform")
 STUDY_SIGMAS = (0.5, 0.5 / np.sqrt(3.0), 0.5 / 3.0)   # mean is fixed at 1/2
 
 
@@ -184,15 +183,10 @@ def feasible_distribution(kind: str, sigma: float) -> DistributionSpec | None:
         if a < -1e-12:
             return None
         return DistributionSpec.uniform(max(a, 0.0), mu + sigma * np.sqrt(3.0))
-    if kind == "normal":
-        return DistributionSpec.normal(mu, sigma)
-    if kind == "gamma":
-        return DistributionSpec.gamma(mu, sigma)
-    raise ParameterError(f"unknown family {kind}")
+    return DistributionSpec(kind, (mu, sigma))      # normal and gamma
 
 
-def distribution_study(h_list, dims=(1, 2), kinds=("bernoulli", "normal", "gamma", "uniform"),
-                       K: float = 1e4, n_trials: int = 200, seed: int = 0,
+def distribution_study(h_list, dims=(1, 2), K: float = 1e4, n_trials: int = 200, seed: int = 0,
                        workers: int = 1) -> list[StudyRow]:
     """Boundary (and 2D corner) probabilities across potential families.
 
@@ -204,17 +198,17 @@ def distribution_study(h_list, dims=(1, 2), kinds=("bernoulli", "normal", "gamma
     grids = [GridSpec(dim, 50 if dim == 1 else 15, 8 if dim == 1 else 4) for dim in dims]
     rows = []
     for grid in grids:
-        for kind in kinds:
+        for kind in STUDY_KINDS:
             for sigma in STUDY_SIGMAS:
                 dist = feasible_distribution(kind, sigma)
                 if dist is None:
                     continue
                 for h, bc in zip(h_list, bcs):
                     spec = ExperimentSpec(grid, dist, K, bc, n_trials, seed, "boundary")
-                    boundary = estimate_probability(spec, workers)
+                    boundary = run_ensemble(spec, workers)[0]
                     corner = None
                     if grid.dim == 2:
                         cspec = ExperimentSpec(grid, dist, K, bc, n_trials, seed, "corner")
-                        corner = estimate_probability(cspec, workers)
+                        corner = run_ensemble(cspec, workers)[0]
                     rows.append(StudyRow(grid.dim, kind, float(sigma), float(h), boundary, corner))
     return rows

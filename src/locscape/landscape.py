@@ -16,9 +16,9 @@ import numpy as np
 
 from .errors import LocscapeError, ParameterError
 from .operator import BoundaryCondition, DiscreteOperator, assemble
-from .potential import GridSpec, PotentialField, _runs
+from .potential import PotentialField, _runs
 from .regions import _partition
-from .solver import EigenPair, solve_linear
+from .solver import SOLVE_TOL, EigenPair, solve_linear
 
 
 @dataclass(frozen=True)
@@ -34,16 +34,11 @@ class Landscape:
         object.__setattr__(self, "w", w)
 
 
-def landscape_from_operator(op: DiscreteOperator, tol: float = 1e-10) -> Landscape:
-    w = solve_linear(op, 1.0, tol=tol)
-    if w.min() < -tol:
+def landscape_from_operator(op: DiscreteOperator) -> Landscape:
+    w = solve_linear(op, 1.0)
+    if w.min() < -SOLVE_TOL:
         raise LocscapeError(f"landscape came out negative ({w.min():.3e}); operator not inverse-positive?")
     return Landscape(w, op)
-
-
-def compute_landscape(grid: GridSpec, fieldv: PotentialField, K: float,
-                      bc: BoundaryCondition, tol: float = 1e-10) -> Landscape:
-    return landscape_from_operator(assemble(grid, fieldv, K, bc), tol=tol)
 
 
 def landscape_bound_violation(pair: EigenPair, ls: Landscape) -> float:
@@ -163,7 +158,7 @@ def disorder_sweep(fieldv: PotentialField, bc: BoundaryCondition, K_list,
     probe_x = np.atleast_2d(np.asarray(probe_x, float).T).T  # (np, dim)
     out = np.empty((len(K_list), probe_x.shape[0]))
     for row, K in enumerate(K_list):
-        ls = compute_landscape(fieldv.grid, fieldv, K, bc)
+        ls = landscape_from_operator(assemble(fieldv.grid, fieldv, K, bc))
         idx = _nearest_nodes(ls.op, probe_x)
         out[row] = ls.w[idx]
     return out

@@ -30,12 +30,21 @@ from .potential import GridSpec, PotentialField
 _END_KINDS = ("dirichlet", "neumann", "robin")
 
 
+def _check_wall(kind, h, kinds):
+    if kind not in kinds:
+        raise ParameterError(f"unknown boundary kind {kind!r}, expected one of {kinds}")
+    if kind == "robin" and not h >= 0:
+        raise ParameterError(f"robin h must be >= 0, got {h}")
+    if kind != "robin" and h != 0:
+        raise ParameterError(f"h={h} needs robin walls, not {kind}")
+
+
 @dataclass(frozen=True)
 class BoundaryCondition:
     """Boundary condition g du/dn + h u = 0: one kind applied on every side.
 
-    ``mixed`` (1D only) carries one (kind, h) spec per end, used for the local
-    eigenvalue problems on subintervals.
+    ``h`` is nonzero on Robin walls only.  ``mixed`` (1D only) carries one
+    (kind, h) spec per end, used for the local eigenvalue problems on subintervals.
     """
 
     kind: str
@@ -43,10 +52,14 @@ class BoundaryCondition:
     ends: tuple | None = None  # mixed 1D: ((kind, h), (kind, h))
 
     def __post_init__(self):
-        if self.kind not in ("dirichlet", "neumann", "robin", "periodic", "mixed"):
-            raise ParameterError(f"unknown boundary kind {self.kind!r}")
-        if self.kind == "robin" and self.h < 0:
-            raise ParameterError("robin h must be >= 0")
+        _check_wall(self.kind, self.h, (*_END_KINDS, "periodic", "mixed"))
+        if self.kind == "mixed":
+            if self.ends is None or len(self.ends) != 2:
+                raise ParameterError("mixed needs one (kind, h) spec per end")
+            for kind, h in self.ends:
+                _check_wall(kind, h, _END_KINDS)
+        elif self.ends is not None:
+            raise ParameterError(f"per-end specs need kind 'mixed', not {self.kind!r}")
 
     @staticmethod
     def dirichlet() -> "BoundaryCondition":
@@ -66,9 +79,6 @@ class BoundaryCondition:
 
     @staticmethod
     def mixed(left: str, right: str, h_left: float = 0.0, h_right: float = 0.0) -> "BoundaryCondition":
-        for kind in (left, right):
-            if kind not in _END_KINDS:
-                raise ParameterError(f"mixed end kind {kind!r} not in {_END_KINDS}")
         return BoundaryCondition("mixed", ends=((left, h_left), (right, h_right)))
 
     def end_specs(self) -> tuple:

@@ -35,10 +35,6 @@ class GridSpec:
     def spacing(self) -> float:
         return 1.0 / (self.cells_per_side * self.nodes_per_cell)
 
-    @property
-    def n_cells(self) -> int:
-        return self.cells_per_side ** self.dim
-
 
 def grid_1d(n_cells: int, nodes_per_cell: int = 8) -> GridSpec:
     return GridSpec(1, n_cells, nodes_per_cell)
@@ -46,6 +42,15 @@ def grid_1d(n_cells: int, nodes_per_cell: int = 8) -> GridSpec:
 
 def grid_2d(n_cells: int, nodes_per_cell: int = 4) -> GridSpec:
     return GridSpec(2, n_cells, nodes_per_cell)
+
+
+# kind -> (parameter count, test of the parameters, what the test demands)
+_KINDS = {
+    "bernoulli": (1, lambda p: 0.0 <= p <= 1.0, "p in [0, 1]"),
+    "uniform": (2, lambda a, b: 0.0 <= a < b, "0 <= a < b"),
+    "normal": (2, lambda mu, sigma: sigma > 0, "sigma > 0"),
+    "gamma": (2, lambda mu, sigma: mu > 0 and sigma > 0, "mu > 0 and sigma > 0"),
+}
 
 
 @dataclass(frozen=True)
@@ -61,29 +66,32 @@ class DistributionSpec:
     kind: str
     params: tuple
 
+    def __post_init__(self):
+        if self.kind not in _KINDS:
+            raise ParameterError(f"unknown distribution {self.kind!r}")
+        arity, ok, need = _KINDS[self.kind]
+        params = tuple(float(p) for p in self.params)
+        if len(params) != arity:
+            raise ParameterError(f"{self.kind} takes {arity} parameter(s), got {len(params)}")
+        if not ok(*params):
+            raise ParameterError(f"{self.kind} needs {need}, got {params}")
+        object.__setattr__(self, "params", params)
+
     @staticmethod
     def bernoulli(p: float) -> "DistributionSpec":
-        if not 0.0 <= p <= 1.0:
-            raise ParameterError(f"bernoulli p must be in [0,1], got {p}")
-        return DistributionSpec("bernoulli", (float(p),))
+        return DistributionSpec("bernoulli", (p,))
 
     @staticmethod
     def uniform(a: float, b: float) -> "DistributionSpec":
-        if not 0.0 <= a < b:
-            raise ParameterError(f"uniform needs 0 <= a < b, got ({a}, {b})")
-        return DistributionSpec("uniform", (float(a), float(b)))
+        return DistributionSpec("uniform", (a, b))
 
     @staticmethod
     def normal(mu: float, sigma: float) -> "DistributionSpec":
-        if sigma <= 0:
-            raise ParameterError("normal sigma must be > 0")
-        return DistributionSpec("normal", (float(mu), float(sigma)))
+        return DistributionSpec("normal", (mu, sigma))
 
     @staticmethod
     def gamma(mu: float, sigma: float) -> "DistributionSpec":
-        if sigma <= 0 or mu <= 0:
-            raise ParameterError("gamma needs mu > 0 and sigma > 0")
-        return DistributionSpec("gamma", (float(mu), float(sigma)))
+        return DistributionSpec("gamma", (mu, sigma))
 
     def sample(self, rng: np.random.Generator, size) -> np.ndarray:
         if self.kind == "bernoulli":
@@ -95,12 +103,8 @@ class DistributionSpec:
         if self.kind == "normal":
             mu, sigma = self.params
             return np.maximum(rng.normal(mu, sigma, size), 0.0)
-        if self.kind == "gamma":
-            mu, sigma = self.params
-            shape = mu * mu / (sigma * sigma)
-            scale = sigma * sigma / mu
-            return rng.gamma(shape, scale, size)
-        raise ParameterError(f"unknown distribution kind {self.kind!r}")
+        mu, sigma = self.params             # gamma
+        return rng.gamma(mu * mu / (sigma * sigma), sigma * sigma / mu, size)
 
 
 @dataclass(frozen=True)
@@ -186,9 +190,13 @@ def load_potential(path) -> PotentialField:
     with open(path) as fh:
         header = fh.readline().split()
         values = np.array([float(line) for line in fh if line.strip()])
-    dim, n, r, seed = int(header[0]), int(header[1]), int(header[2]), int(header[3])
+    if len(header) < 5:
+        raise ParameterError(f"{path}: header needs 'dim N r seed dist...', got {header}")
+    dim, n, r, seed = (int(t) for t in header[:4])
     dist = None
     if header[4] != "raw":
         dist = DistributionSpec(header[4], tuple(float(t) for t in header[5:]))
     grid = GridSpec(dim, n, r)
+    if values.size != n ** dim:
+        raise ParameterError(f"{path}: {values.size} cell values for {n}^{dim} cells")
     return PotentialField(grid, values.reshape((n,) * dim), seed, dist)

@@ -24,6 +24,7 @@ from .rng import stream
 
 _TRUNC = 1e-14      # series truncated once q^n < _TRUNC
 _TAIL_BOUND = 1e-10
+ORACLE_BATCH = 200_000   # draws per vectorized batch of the sampling oracle
 
 
 @dataclass(frozen=True)
@@ -147,14 +148,13 @@ class OracleEstimate:
     n_samples: int
 
 
-def oracle_probabilities(model: RunModel, n_samples: int, seed: int,
-                         batch: int = 200_000) -> OracleEstimate:
+def oracle_probabilities(model: RunModel, n_samples: int, seed: int) -> OracleEstimate:
     """Empirical counterparts of the three closed forms, vectorized in batches."""
     hits = np.zeros(3, dtype=np.int64)
     done = 0
     idx = 0
     while done < n_samples:
-        nb = min(batch, n_samples - done)
+        nb = min(ORACLE_BATCH, n_samples - done)
         rng = stream(seed, idx)
         X = rng.geometric(model.p, size=(nb, model.M))
         left_zero = rng.random(nb) < model.q

@@ -11,7 +11,8 @@ from .errors import ConvergenceError, ParameterError, SingularOperatorError
 from .operator import DiscreteOperator
 from .rng import stream
 
-DEFAULT_TOL = 1e-8
+EIG_TOL = 1e-8        # eigenpair residual bound, relative to max(1, |lambda|)
+SOLVE_TOL = 1e-10     # linear-solve residual bound, relative to ||M rhs||_inf
 MAX_ITER = 10_000
 DEGENERACY_RTOL = 1e-6
 
@@ -40,7 +41,7 @@ def _assign_clusters(values):
     return cluster
 
 
-def smallest_eigenpairs(op: DiscreteOperator, k: int, tol: float = DEFAULT_TOL) -> list[EigenPair]:
+def smallest_eigenpairs(op: DiscreteOperator, k: int) -> list[EigenPair]:
     """The k smallest eigenpairs of A u = lambda M u, eigenvalues non-decreasing.
 
     Non-periodic 1D pencils are tridiagonal with diagonal M, so they are solved
@@ -84,19 +85,19 @@ def smallest_eigenpairs(op: DiscreteOperator, k: int, tol: float = DEFAULT_TOL) 
         u = u / u[peak]                     # sign fix and ||u||_inf = 1 in one step
         r = op.matrix @ u - vals[j] * (op.mass * u)
         res = float(np.max(np.abs(r / op.mass)))
-        if not res <= tol * max(1.0, abs(vals[j])):
+        if not res <= EIG_TOL * max(1.0, abs(vals[j])):
             raise ConvergenceError(
                 f"eigenpair {j} residual {res:.3e} exceeds tolerance", residual=res)
         pairs.append(EigenPair(float(vals[j]), u, res, int(clusters[j])))
     return pairs
 
 
-def solve_linear(op: DiscreteOperator, rhs, tol: float = 1e-10) -> np.ndarray:
+def solve_linear(op: DiscreteOperator, rhs) -> np.ndarray:
     """Solve A w = M rhs, i.e. the discrete form of (-Lap + K V) w = rhs.
 
     ``rhs`` is the source sampled at active nodes (scalar broadcasts).  The
     residual is checked in the mass-weighted form ||A w - M rhs||_inf <=
-    tol * ||M rhs||_inf, with a few steps of iterative refinement if needed.
+    SOLVE_TOL * ||M rhs||_inf, with a few steps of iterative refinement if needed.
     """
     n = op.size
     b_raw = np.broadcast_to(np.asarray(rhs, float), (n,)).copy()
@@ -111,11 +112,11 @@ def solve_linear(op: DiscreteOperator, rhs, tol: float = 1e-10) -> np.ndarray:
     scale = np.max(np.abs(b))
     for _ in range(5):
         r = b - op.matrix @ w
-        if np.max(np.abs(r)) <= tol * scale:
+        if np.max(np.abs(r)) <= SOLVE_TOL * scale:
             return w
         w = w + lu.solve(r)
     res = np.max(np.abs(b - op.matrix @ w))
-    if res > tol * scale:
-        raise ConvergenceError(f"linear solve residual {res:.3e} above {tol * scale:.3e}",
+    if res > SOLVE_TOL * scale:
+        raise ConvergenceError(f"linear solve residual {res:.3e} above {SOLVE_TOL * scale:.3e}",
                                residual=float(res))
     return w

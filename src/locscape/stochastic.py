@@ -54,12 +54,13 @@ import numpy as np
 
 from .errors import ParameterError
 from .operator import BoundaryCondition
-from .potential import PotentialField
+from .potential import PotentialField, runs_of_zeros
 from .rng import TAG_WALK, stream
 
 LANE = 1024             # paths per random stream
 BLOCK = 32              # steps advanced per block scan
 WEIGHT_CUTOFF = 1e-10   # horizon: a path stops once its weight is below this
+N_PROBES = 5            # probes `probe_points_for` picks
 
 
 @dataclass(frozen=True)
@@ -159,8 +160,7 @@ def estimate_landscape_mc(x, fieldv: PotentialField, K: float,
     """Monte Carlo estimate of the landscape at a point."""
     d = fieldv.grid.dim
     x0 = _start(x, d, bc)
-    walk = _Walk(fieldv.cell_values, K, cfg.dt, bc.h if bc.kind == "robin" else 0.0,
-                 bc.kind == "dirichlet")
+    walk = _Walk(fieldv.cell_values, K, cfg.dt, bc.h, bc.kind == "dirichlet")
     sdt = np.sqrt(2.0 * cfg.dt)
     max_steps = int(np.ceil(cfg.t_max / cfg.dt))
 
@@ -187,21 +187,19 @@ def estimate_landscape_mc(x, fieldv: PotentialField, K: float,
     return FeynmanKacEstimate(mean, se, cfg.n_paths, n_truncated, max_truncated_weight)
 
 
-def probe_points_for(fieldv: PotentialField, n_probes: int = 5) -> np.ndarray:
-    """Probe locations the estimator can resolve: centers of the widest zero
-    runs, padded with the barrier cell farthest from any zero cell."""
+def probe_points_for(fieldv: PotentialField) -> np.ndarray:
+    """Up to N_PROBES locations the estimator can resolve: centers of the widest
+    zero runs, padded with the barrier cell farthest from any zero cell."""
     if fieldv.grid.dim != 1:
         raise ParameterError("automatic probe choice is 1D only")
-    from .potential import runs_of_zeros
-
     N = fieldv.grid.cells_per_side
     starts, lengths = runs_of_zeros(fieldv.cell_values)
     order = np.argsort(-lengths, kind="stable")
-    probes = [(starts[i] + lengths[i] / 2.0) / N for i in order[: n_probes - 1]]
+    probes = [(starts[i] + lengths[i] / 2.0) / N for i in order[: N_PROBES - 1]]
     zero_idx = np.flatnonzero(fieldv.cell_values == 0)
     ones_idx = np.flatnonzero(fieldv.cell_values > 0)
     if len(ones_idx):
         dist = np.abs(ones_idx[:, None] - zero_idx[None, :]).min(axis=1) if len(zero_idx) else ones_idx
         far = ones_idx[np.argmax(dist)]
         probes.append((far + 0.5) / N)
-    return np.array(probes[:n_probes])
+    return np.array(probes[:N_PROBES])

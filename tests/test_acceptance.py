@@ -12,11 +12,11 @@ import pytest
 from locscape import (REFERENCE_PARAMS, BoundaryCondition, DistributionSpec, ExperimentSpec,
                       PathConfig, RunModel, assemble, boundary_localization_prob,
                       characteristic_left, characteristic_right,
-                      compute_landscape, critical_coupling_sweep, critical_point,
-                      estimate_landscape_mc, estimate_probability, landscape_bound_violation, grid_1d,
-                      grid_2d, landscape_from_operator, multimodal_prob_dirichlet,
-                      multimodal_prob_neumann, oracle_probabilities, peak_height_ratio,
-                      probe_points_for, run_decomposition, sample_potential, scaling_study,
+                      critical_coupling_sweep, critical_point, estimate_landscape_mc,
+                      landscape_bound_violation, grid_1d, grid_2d, landscape_from_operator,
+                      multimodal_prob_dirichlet, multimodal_prob_neumann, oracle_probabilities,
+                      peak_height_ratio, probe_points_for, run_decomposition, run_ensemble,
+                      sample_potential, scaling_study,
                       smallest_eigenpairs, solve_linear, subsystem_ground_energy,
                       toy_operator, valley_partition)
 from locscape.bifurcation import piecewise_potential
@@ -70,11 +70,11 @@ def test_criterion_2_landscape_exactness():
     gate = Gate(2, "landscape closed forms", 30.0)
     grid = grid_1d(25)
     ones = sample_potential(grid, DistributionSpec.bernoulli(1.0), 0)
-    ls = compute_landscape(grid, ones, 64.0, BoundaryCondition.neumann())
+    ls = landscape_from_operator(assemble(grid, ones, 64.0, BoundaryCondition.neumann()))
     dev_const = np.max(np.abs(ls.w - 1 / 64.0))
     assert dev_const <= 1e-10
-    lsd = compute_landscape(grid_1d(25), _zero_field(grid_1d(25)), 0.0,
-                            BoundaryCondition.dirichlet())
+    lsd = landscape_from_operator(assemble(grid_1d(25), _zero_field(grid_1d(25)), 0.0,
+                                           BoundaryCondition.dirichlet()))
     x = lsd.op.axes[0]
     dev_quad = np.max(np.abs(lsd.w - x * (1 - x) / 2))
     assert dev_quad <= 1e-4
@@ -119,7 +119,7 @@ def test_criterion_4_walk_estimator():
                   8000.0, BoundaryCondition.neumann())
     w = landscape_from_operator(op).w
     devs = []
-    for x in probe_points_for(fieldv, 5):
+    for x in probe_points_for(fieldv):
         e = estimate_landscape_mc(x, fieldv, 8000.0, BoundaryCondition.neumann(),
                                   PathConfig(dt=2e-5, n_paths=10_000, seed=43))
         node = int(np.argmin(np.abs(op.axes[0] - x)))
@@ -140,7 +140,7 @@ def test_criterion_5_boundary_probability():
     assert abs(pb - oracle.p_boundary) < 0.01
     spec = ExperimentSpec(grid_1d(50), DistributionSpec.bernoulli(0.5), 5e4,
                           BoundaryCondition.robin(0.01), 1000, 314, "boundary")
-    est = estimate_probability(spec)
+    est = run_ensemble(spec)[0]
     assert est.ci_low <= pb <= est.ci_high
     gate.done(f"series {pb:.4f}, oracle {oracle.p_boundary:.4f}, "
               f"ensemble {est.p_hat:.4f} CI [{est.ci_low:.4f},{est.ci_high:.4f}]")
@@ -160,7 +160,7 @@ def test_criterion_6_multimodal_probability():
     for bc, ref in (("dirichlet", pd), ("neumann", pn)):
         spec = ExperimentSpec(grid_1d(50), DistributionSpec.bernoulli(0.5), 3e6,
                               BoundaryCondition(bc), 500, 2718, "multimodal")
-        est = estimate_probability(spec)
+        est = run_ensemble(spec)[0]
         assert abs(est.p_hat - ref) <= 0.05
         results[bc] = est.p_hat
     gate.done(f"series ({pd:.4f}, {pn:.4f}), ensembles {results}")
@@ -230,7 +230,7 @@ def test_criterion_9_structural_properties():
     # watershed determinism
     g2 = grid_2d(10)
     f2 = sample_potential(g2, DistributionSpec.bernoulli(0.7), 2)
-    ls = compute_landscape(g2, f2, 1e5, BoundaryCondition.neumann())
+    ls = landscape_from_operator(assemble(g2, f2, 1e5, BoundaryCondition.neumann()))
     assert np.array_equal(valley_partition(ls).labels, valley_partition(ls).labels)
     # run-decomposition round trip
     f1 = sample_potential(grid_1d(40, 2), DistributionSpec.bernoulli(0.4), 3)

@@ -190,9 +190,9 @@ def test_mode_peak_flips_wells_across_the_critical_coupling():
         assert well[0] <= x_peak <= well[1]
 
 
-def test_sweep_brackets_and_interpolates():
-    sw = critical_coupling_sweep(REFERENCE_PARAMS, K_grid=np.geomspace(1e2, 1e5, 16),
-                                 nodes_per_unit=1500)
+def test_sweep_brackets_and_interpolates(monkeypatch):
+    monkeypatch.setattr(bifurcation, "SWEEP_K_GRID", np.geomspace(1e2, 1e5, 16))
+    sw = critical_coupling_sweep(REFERENCE_PARAMS, nodes_per_unit=1500)
     assert sw.ratios[0] < 0.5
     assert sw.ratios[-1] > 0.5
     assert 1e2 < sw.K_c < 1e5
@@ -255,8 +255,11 @@ def test_scaling_fit_equals_linregress(axis):
 
 
 def test_scaling_study_needs_two_fitted_points():
-    with pytest.raises(LocscapeError, match="only 1 of 1 P1 points have a crossover"):
-        scaling_study("P1", n_points=1, seed=3)
+    with pytest.raises(ParameterError, match="n_points must be >= 2 for a fit, got 1"):
+        scaling_study("P1", n_points=1, seed=3)      # rejected before any draw
+    # P2 = 0.472 keeps L1 < 2 L3 only for P3 below 0.106: one of these two points is skipped
+    with pytest.raises(LocscapeError, match="only 1 of 2 P3 points have a crossover"):
+        scaling_study("P3", n_points=2, seed=1, base=ShapeRatios(0.25, 0.472, 0.1))
     # L1 >= 2 L3 at every P1: each point violates constraint (ii) and is skipped
     with pytest.raises(LocscapeError, match="only 0 of 3 P1 points have a crossover"):
         scaling_study("P1", n_points=3, seed=3, base=ShapeRatios(0.25, 0.9, 0.1))

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 import scipy
 
-from locscape import experiments, landscape, load_potential
+from locscape import (BoundaryCondition, DistributionSpec, GridSpec, assemble, experiments,
+                      landscape, landscape_from_operator, load_potential, sample_potential)
 from locscape.cli import main
 
 
@@ -76,6 +77,7 @@ def test_bad_predicate_is_a_config_error(tmp_path, settings):
     ("solve", ["n_cells=10", 'bc="periodic"', "dim=2"]),
     ("dist-study", ["h_list=[-1]"]),
     ("dist-study", ["dims=[1,3]"]),
+    ("fk-check", ["n_cells=6", "dim=2"]),       # automatic probes are 1D only
 ])
 def test_argument_the_library_rejects_exits_2_without_outputs(tmp_path, monkeypatch, command,
                                                               settings):
@@ -89,7 +91,7 @@ def test_argument_the_library_rejects_exits_2_without_outputs(tmp_path, monkeypa
         return wrapper
 
     for module, name in [(landscape, "landscape_from_operator"),
-                         (experiments, "estimate_probability")]:
+                         (experiments, "run_ensemble")]:
         monkeypatch.setattr(module, name, counted(getattr(module, name)))
     out = tmp_path / "o"
     args = [a for s in settings for a in ("--set", s)]
@@ -221,6 +223,9 @@ def test_ensemble_fresh_process_reruns_are_byte_identical(tmp_path):
 @pytest.mark.parametrize("command,setting", [
     ("boundary-prob", "dist_params=[0.0]"),      # p = 0: no run model
     ("multimodal-prob", "n_cells=8"),            # M = 2: the reflective-wall series needs 3
+    ("boundary-prob", 'bc="dirichlet"'),         # the series model reflective walls only
+    ("boundary-prob", 'bc="periodic"'),
+    ("multimodal-prob", 'bc="periodic"'),        # the multimodal series model walls, not a ring
 ])
 def test_ensemble_without_run_model_reports_nan_analytic(tmp_path, command, setting):
     out = tmp_path / "o"
@@ -249,6 +254,19 @@ def test_fk_check_table(tmp_path):
     assert all(r.split(",")[-1] == "0" for r in rows[1:])
 
 
+def test_fk_check_2d_reads_the_landscape_at_the_probe_node(tmp_path):
+    # a probe x starts the 2D walk at (x, x), so fd_landscape is w there, not at a wall node
+    out = tmp_path / "o"
+    assert run_cli("fk-check", "--set", "dim=2", "--set", "n_cells=6", "--set", "probes=[0.5]",
+                   "--set", "n_paths=20", "--set", "K=200.0", "--seed", "3",
+                   "--out", str(out)) == 0
+    fd = float((out / "fk_check.csv").read_text().splitlines()[1].split(",")[3])
+    grid = GridSpec(2, 6, 4)
+    fieldv = sample_potential(grid, DistributionSpec.bernoulli(0.5), 3)
+    ls = landscape_from_operator(assemble(grid, fieldv, 200.0, BoundaryCondition.neumann()))
+    assert fd == ls.w.reshape(25, 25)[12, 12]       # node 12 of 25 sits at 0.5 on each axis
+
+
 def test_bifurcation_and_scaling_commands(tmp_path):
     out = tmp_path / "bif"
     assert run_cli("bifurcation", "--set", "sweep=false", "--out", str(out)) == 0
@@ -270,6 +288,7 @@ def test_bifurcation_and_scaling_commands(tmp_path):
     ("scaling", "n_points=1"),
     ("scaling", "n_points=0"),
     ("scaling", 'axes=["P9"]'),
+    ("scaling", 'axes=["P1","P9"]'),
     ("scaling", "P3=1.5"),
     ("bifurcation", "nodes_per_unit=0"),
 ])

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from locscape import (BoundaryCondition, DistributionSpec, ExperimentSpec, ParameterError, RunModel,
-                      boundary_localization_prob, distribution_study, estimate_probability,
+                      boundary_localization_prob, distribution_study,
                       experiments, grid_1d, is_boundary_localized, is_corner_localized,
                       is_multimodal, run_ensemble, sample_potential, wilson_interval)
 from locscape.regions import Region, SubregionPartition
@@ -82,7 +82,7 @@ def test_wilson_interval_contains_p_hat(case):
 def test_dirichlet_boundary_hits_are_impossible():
     spec = ExperimentSpec(grid_1d(20), DistributionSpec.bernoulli(0.5), 1e4,
                           BoundaryCondition.dirichlet(), 40, 5, "boundary")
-    est = estimate_probability(spec)
+    est = run_ensemble(spec)[0]
     assert est.n_hits == 0 and est.p_hat == 0.0
 
 
@@ -120,7 +120,7 @@ def test_boundary_probability_decreases_with_h_and_K():
 
     def pb(K, h):
         bc = BoundaryCondition.robin(h)
-        est = estimate_probability(ExperimentSpec(grid, dist, K, bc, n, 7, "boundary"))
+        est = run_ensemble(ExperimentSpec(grid, dist, K, bc, n, 7, "boundary"))[0]
         return est.p_hat
 
     noise = 2 * np.sqrt(0.25 / n) * np.sqrt(2)
@@ -136,7 +136,7 @@ def test_multimodal_frequency_matches_series_at_strong_disorder():
     from locscape import multimodal_prob_dirichlet
     spec = ExperimentSpec(grid_1d(50), DistributionSpec.bernoulli(0.5), 3e6,
                           BoundaryCondition.dirichlet(), 150, 271828, "multimodal")
-    est = estimate_probability(spec)
+    est = run_ensemble(spec)[0]
     assert abs(est.p_hat - multimodal_prob_dirichlet(RunModel(0.5, 50))) < 0.1
 
 
@@ -160,15 +160,15 @@ def test_distribution_study_reproduces_family_effects():
 
 def test_distribution_study_rejects_a_bad_dim_before_any_trial(monkeypatch):
     calls = []
-    monkeypatch.setattr(experiments, "estimate_probability", lambda *args: calls.append(args))
+    monkeypatch.setattr(experiments, "run_ensemble", lambda *args: calls.append(args))
     with pytest.raises(ParameterError, match="dim must be 1 or 2, got 3"):
         distribution_study(h_list=[0.01], dims=(1, 3), n_trials=5)
     assert calls == []
 
 
-def test_infeasible_family_sigma_pairs_are_skipped():
-    rows = distribution_study(h_list=[0.01], dims=(1,), kinds=("bernoulli", "uniform"),
-                              n_trials=5, seed=1)
+def test_infeasible_family_sigma_pairs_are_skipped(monkeypatch):
+    monkeypatch.setattr(experiments, "STUDY_KINDS", ("bernoulli", "uniform"))
+    rows = distribution_study(h_list=[0.01], dims=(1,), n_trials=5, seed=1)
     combos = {(r.kind, round(r.sigma, 6)) for r in rows}
     assert ("bernoulli", round(0.5 / 3.0, 6)) not in combos
     assert ("uniform", 0.5) not in combos

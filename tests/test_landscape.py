@@ -1,24 +1,27 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from locscape import (BoundaryCondition, DistributionSpec, Landscape, ParameterError, assemble,
-                      assemble_line, compute_landscape, disorder_sweep, landscape_bound_violation, grid_1d,
-                      grid_2d, landscape_from_operator, local_maxima_1d, sample_potential,
-                      save_grid, smallest_eigenpairs, valley_partition, zero_components)
+from locscape import (BoundaryCondition, DistributionSpec, GridSpec, Landscape, ParameterError,
+                      assemble, assemble_line, disorder_sweep, landscape_bound_violation,
+                      grid_1d, grid_2d, landscape_from_operator, local_maxima_1d,
+                      sample_potential, save_grid, smallest_eigenpairs, valley_partition,
+                      zero_components)
 from locscape.potential import runs_of_zeros
 
 
 def test_constant_potential_landscape_exact():
     grid = grid_1d(20)
     ones = sample_potential(grid, DistributionSpec.bernoulli(1.0), 0)
-    ls = compute_landscape(grid, ones, 55.0, BoundaryCondition.neumann())
+    ls = landscape_from_operator(assemble(grid, ones, 55.0, BoundaryCondition.neumann()))
     assert np.max(np.abs(ls.w - 1 / 55.0)) < 1e-10
 
 
 def test_empty_potential_landscape_is_parabola():
     grid = grid_1d(30)
     zeros = sample_potential(grid, DistributionSpec.bernoulli(0.0), 0)
-    ls = compute_landscape(grid, zeros, 0.0, BoundaryCondition.dirichlet())
+    ls = landscape_from_operator(assemble(grid, zeros, 0.0, BoundaryCondition.dirichlet()))
     x = ls.op.axes[0]
     assert np.max(np.abs(ls.w - x * (1 - x) / 2)) < 1e-4
 
@@ -63,6 +66,49 @@ def test_fm_bound_random_sweep():
         op = assemble(grid, fieldv, 8000.0, BoundaryCondition.neumann())
         ls = landscape_from_operator(op)
         pair = smallest_eigenpairs(op, 1)[0]
+        assert landscape_bound_violation(pair, ls) <= 1e-6
+
+
+_FIELD_DISTS = st.one_of(
+    st.builds(DistributionSpec.bernoulli, st.floats(0.0, 1.0)),
+    st.builds(lambda a, width: DistributionSpec.uniform(a, a + width),
+              st.floats(0.0, 2.0), st.floats(1e-3, 2.0)),
+    st.builds(lambda mu, cv: DistributionSpec.gamma(mu, cv * mu),     # shape 1/cv^2 >= 1
+              st.floats(0.1, 2.0), st.floats(0.1, 1.0)),
+)
+
+
+@st.composite
+def _bound_cases(draw):
+    """A random field in 1D or 2D, K in [1, 1e5], and any wall kind the dimension takes.
+
+    The singular case, reflecting walls with K V = 0, is not drawn.  Nor are reflecting
+    or Robin walls with K mean(V) < 1, where `solve_linear` can miss its residual tolerance
+    on a nearly singular operator.
+    """
+    dim = draw(st.sampled_from([1, 2]))
+    if dim == 1:
+        grid = GridSpec(1, draw(st.integers(2, 20)), draw(st.integers(3, 6)))
+    else:
+        grid = GridSpec(2, draw(st.integers(3, 6)), draw(st.integers(2, 4)))
+    fieldv = sample_potential(grid, draw(_FIELD_DISTS), draw(st.integers(0, 2**32)))
+    K = draw(st.floats(1.0, 1e5))
+    kinds = ["dirichlet", "neumann", "robin"] + (["periodic"] if dim == 1 else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind != "dirichlet":
+        assume(K * fieldv.cell_values.mean() >= 1.0)
+    h = draw(st.floats(1e-3, 100.0)) if kind == "robin" else 0.0
+    return fieldv, K, BoundaryCondition(kind, h)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_bound_cases())
+def test_fm_bound_property(case):
+    # |u| <= lambda w holds exactly for the M-matrix pencil; 1e-6 leaves room for solver tolerance
+    fieldv, K, bc = case
+    op = assemble(fieldv.grid, fieldv, K, bc)
+    ls = landscape_from_operator(op)
+    for pair in smallest_eigenpairs(op, 3):
         assert landscape_bound_violation(pair, ls) <= 1e-6
 
 
@@ -141,7 +187,7 @@ def test_watershed_separates_zero_components_at_large_K():
 def test_watershed_deterministic():
     grid = grid_2d(12)
     fieldv = sample_potential(grid, DistributionSpec.bernoulli(0.7), 9)
-    ls = compute_landscape(grid, fieldv, 1e5, BoundaryCondition.neumann())
+    ls = landscape_from_operator(assemble(grid, fieldv, 1e5, BoundaryCondition.neumann()))
     a = valley_partition(ls).labels
     b = valley_partition(ls).labels
     assert np.array_equal(a, b)
@@ -209,7 +255,7 @@ def test_disorder_sweep_suppresses_barrier_landscape_and_modes():
 def test_save_grid_roundtrip(tmp_path):
     grid = grid_1d(5, 2)
     ones = sample_potential(grid, DistributionSpec.bernoulli(1.0), 0)
-    ls = compute_landscape(grid, ones, 3.0, BoundaryCondition.neumann())
+    ls = landscape_from_operator(assemble(grid, ones, 3.0, BoundaryCondition.neumann()))
     path = tmp_path / "w.txt"
     save_grid(ls.w, path)
     back = np.array([float(v) for v in path.read_text().split()])

@@ -103,6 +103,22 @@ def test_periodic_2d_rejected_and_bad_K():
         assemble(grid, fieldv, -1.0, BoundaryCondition.neumann())
 
 
+@pytest.mark.parametrize("make", [
+    lambda: BoundaryCondition("mixed"),
+    lambda: BoundaryCondition("neumann", h=0.3),
+    lambda: BoundaryCondition("dirichlet", h=1.0),
+    lambda: BoundaryCondition("robin", h=-0.1),
+    lambda: BoundaryCondition("frob"),
+    lambda: BoundaryCondition.mixed("periodic", "neumann"),
+    lambda: BoundaryCondition.mixed("neumann", "dirichlet", h_right=2.0),
+    lambda: BoundaryCondition("neumann", ends=(("neumann", 0.0), ("neumann", 0.0))),
+], ids=["mixed-without-ends", "h-on-neumann", "h-on-dirichlet", "negative-robin-h",
+        "unknown-kind", "periodic-end", "h-on-dirichlet-end", "ends-without-mixed"])
+def test_inconsistent_boundary_condition_rejected(make):
+    with pytest.raises(ParameterError):
+        make()
+
+
 def test_dirichlet_rows_diagonally_dominant():
     grid = grid_1d(15)
     fieldv = sample_potential(grid, DistributionSpec.bernoulli(0.5), 2)

@@ -49,6 +49,17 @@ def test_invalid_distribution_parameters(bad):
         bad()
 
 
+@pytest.mark.parametrize("kind,params", [
+    ("bernoulli", (2.0,)),
+    ("frob", (1.0,)),
+    ("uniform", (0.0,)),
+    ("normal", (0.5, 0.25, 1.0)),
+], ids=["p-out-of-range", "unknown-kind", "too-few-params", "too-many-params"])
+def test_direct_construction_is_checked_like_the_constructors(kind, params):
+    with pytest.raises(ParameterError):
+        DistributionSpec(kind, params)
+
+
 def test_normal_clamps_at_zero():
     fieldv = sample_potential(grid_1d(500), DistributionSpec.normal(0.5, 0.5), 4)
     vals = fieldv.cell_values
@@ -172,6 +183,18 @@ def test_save_load_roundtrip_property(tmp_path_factory, fieldv):
     assert back.seed == fieldv.seed
     assert back.dist == fieldv.dist
     assert back.cell_values.tobytes() == fieldv.cell_values.tobytes()
+
+
+@pytest.mark.parametrize("text", [
+    "1 4 2\n0.0\n1.0\n0.0\n1.0\n",                        # header without seed and dist
+    "1 4 2 7 bernoulli 0.5\n0.0\n1.0\n0.0\n",              # 3 values for 4 cells
+    "1 4 2 7 frob 1.0\n0.0\n1.0\n0.0\n1.0\n",             # unknown distribution
+], ids=["short-header", "value-count", "unknown-dist"])
+def test_malformed_potential_file_is_a_parameter_error(tmp_path, text):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(ParameterError):
+        load_potential(path)
 
 
 def test_serialization_2d_row_major(tmp_path):

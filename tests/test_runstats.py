@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from locscape import (ParameterError, RunModel,
+from locscape import (ParameterError, RunModel, runstats,
                       boundary_localization_prob, multimodal_prob_dirichlet,
                       multimodal_prob_neumann, oracle_probabilities)
 from run_oracles import RunConfig, config_flags, sample_run_config
@@ -108,8 +108,9 @@ def test_oracle_agrees_with_series(p):
     assert abs(est.p_multimodal_extended - multimodal_prob_neumann(model)) < se
 
 
-def test_oracle_deterministic_and_batch_invariant():
+def test_oracle_deterministic_and_batch_invariant(monkeypatch):
     model = RunModel(0.5, 50)
-    a = oracle_probabilities(model, 50_000, 3, batch=7_000)
-    b = oracle_probabilities(model, 50_000, 3, batch=7_000)
+    monkeypatch.setattr(runstats, "ORACLE_BATCH", 7_000)
+    a = oracle_probabilities(model, 50_000, 3)
+    b = oracle_probabilities(model, 50_000, 3)
     assert a == b

@@ -22,7 +22,7 @@ def test_constant_potential_ground_state_is_constant():
 def test_iterative_matches_dense_oracle(strong_disorder_1d):
     grid, fieldv, K, bc = strong_disorder_1d
     op = assemble(grid, fieldv, K, bc)
-    pairs = smallest_eigenpairs(op, 4, tol=1e-8)
+    pairs = smallest_eigenpairs(op, 4)
     oracle = dense_eigenpairs(op, 4)
     for pair, (lam_d, u_d) in zip(pairs, oracle):
         assert abs(pair.eigenvalue - lam_d) <= 10 * 1e-8 * max(1.0, abs(lam_d))
@@ -84,7 +84,7 @@ def test_solve_linear_residual_postcondition(strong_disorder_1d):
     grid, fieldv, K, bc = strong_disorder_1d
     op = assemble(grid, fieldv, K, bc)
     rhs = np.sin(3 * op.axes[0])
-    w = solve_linear(op, rhs, tol=1e-10)
+    w = solve_linear(op, rhs)
     res = np.max(np.abs(op.matrix @ w - op.mass * rhs))
     assert res <= 1e-10 * np.max(np.abs(op.mass * rhs))
 
@@ -141,7 +141,7 @@ def test_tridiagonal_branch_matches_dense_oracle(strong_disorder_1d, bc, monkeyp
     grid, fieldv, K, _ = strong_disorder_1d
     monkeypatch.setattr(solver.spla, "eigsh", _no_arpack)
     op = assemble(grid, fieldv, K, bc)
-    _assert_matches_oracle(op, smallest_eigenpairs(op, 4, tol=1e-8))
+    _assert_matches_oracle(op, smallest_eigenpairs(op, 4))
 
 
 def test_tridiagonal_branch_on_nonuniform_line(monkeypatch):
@@ -173,5 +173,5 @@ def test_ring_still_matches_dense_oracle_through_arpack(strong_disorder_1d, monk
     monkeypatch.setattr(solver.spla, "eigsh",
                         lambda *a, **kw: calls.append(1) or eigsh(*a, **kw))
     op = assemble(grid, fieldv, K, BoundaryCondition.periodic())
-    _assert_matches_oracle(op, smallest_eigenpairs(op, 4, tol=1e-8))
+    _assert_matches_oracle(op, smallest_eigenpairs(op, 4))
     assert calls == [1]

@@ -72,7 +72,7 @@ def test_estimates_agree_with_fd_landscape(strong_disorder_1d):
     op = assemble(fine, fine_field, K, bc)
     w = landscape_from_operator(op).w
     cfg = PathConfig(dt=2e-5, n_paths=10_000, seed=13)
-    for x in probe_points_for(fieldv, 5):
+    for x in probe_points_for(fieldv):
         est = estimate_landscape_mc(x, fieldv, K, bc, cfg)
         node = int(np.argmin(np.abs(op.axes[0] - x)))
         assert abs(est.mean - w[node]) <= 3 * est.std_error
@@ -100,7 +100,7 @@ def test_landscape_bound_holds_stochastically(strong_disorder_1d):
     op = assemble(grid, fieldv, K, bc)
     pair = smallest_eigenpairs(op, 1)[0]
     cfg = PathConfig(dt=2e-5, n_paths=4000, seed=17)
-    for x in probe_points_for(fieldv, 5):
+    for x in probe_points_for(fieldv):
         est = estimate_landscape_mc(x, fieldv, K, bc, cfg)
         node = int(np.argmin(np.abs(op.axes[0] - x)))
         assert pair.eigenvalue * est.mean + 3 * pair.eigenvalue * est.std_error >= abs(pair.mode[node])
