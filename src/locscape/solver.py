@@ -12,7 +12,7 @@ from .operator import DiscreteOperator
 from .rng import stream
 
 EIG_TOL = 1e-8        # eigenpair residual bound, relative to max(1, |lambda|)
-SOLVE_TOL = 1e-10     # linear-solve residual bound, relative to ||M rhs||_inf
+SOLVE_TOL = 1e-10     # linear-solve residual bound, relative to ||A|| ||w|| + ||M rhs||
 MAX_ITER = 10_000
 DEGENERACY_RTOL = 1e-6
 
@@ -97,7 +97,9 @@ def solve_linear(op: DiscreteOperator, rhs) -> np.ndarray:
 
     ``rhs`` is the source sampled at active nodes (scalar broadcasts).  The
     residual is checked in the mass-weighted form ||A w - M rhs||_inf <=
-    SOLVE_TOL * ||M rhs||_inf, with a few steps of iterative refinement if needed.
+    SOLVE_TOL * (||A||_inf ||w||_inf + ||M rhs||_inf), with a few steps of iterative
+    refinement if needed.  The ||A|| ||w|| term keeps a nearly singular operator (reflecting
+    walls with small K V + h, where w is large) from failing on round-off alone.
     """
     n = op.size
     b_raw = np.broadcast_to(np.asarray(rhs, float), (n,)).copy()
@@ -109,14 +111,19 @@ def solve_linear(op: DiscreteOperator, rhs) -> np.ndarray:
     except RuntimeError as exc:  # pragma: no cover - scipy signals singular factor this way
         raise SingularOperatorError(str(exc)) from exc
     w = lu.solve(b)
-    scale = np.max(np.abs(b))
+    b_norm = np.max(np.abs(b))
+
+    def bound(w):
+        return SOLVE_TOL * (abs(op.matrix).sum(axis=1).max() * np.max(np.abs(w)) + b_norm)
+
     for _ in range(5):
         r = b - op.matrix @ w
-        if np.max(np.abs(r)) <= SOLVE_TOL * scale:
+        res = np.max(np.abs(r))
+        if res <= SOLVE_TOL * b_norm or res <= bound(w):   # the cheap, stricter test first
             return w
         w = w + lu.solve(r)
     res = np.max(np.abs(b - op.matrix @ w))
-    if res > SOLVE_TOL * scale:
-        raise ConvergenceError(f"linear solve residual {res:.3e} above {SOLVE_TOL * scale:.3e}",
+    if res > bound(w):
+        raise ConvergenceError(f"linear solve residual {res:.3e} above {bound(w):.3e}",
                                residual=float(res))
     return w

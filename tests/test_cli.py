@@ -124,6 +124,19 @@ def test_numerical_failure_exits_3(tmp_path):
     assert code == 3
 
 
+def test_nearly_singular_robin_landscape_solves(tmp_path):
+    # V = 0 behind weak Robin walls: w = 1/(2h) + x(1 - x)/2 is large, so the solve's
+    # residual is round-off relative to ||A|| ||w||, not to ||M rhs||
+    out = tmp_path / "o"
+    assert run_cli("landscape", "--set", "n_cells=9", "--set", "nodes_per_cell=6",
+                   "--set", "dist_params=[0.0]", "--set", 'bc="robin"',
+                   "--set", "h=0.00390625", "--set", "K=1.0", "--out", str(out)) == 0
+    w = np.array((out / "landscape.txt").read_text().split(), dtype=float)
+    assert np.all(np.isfinite(w)) and w.min() > 0
+    x = np.linspace(0.0, 1.0, len(w))
+    np.testing.assert_allclose(w, 128.0 + x * (1 - x) / 2, rtol=1e-6)
+
+
 def test_singular_neumann_solve_exits_3(tmp_path):
     # lambda = 0 is an eigenvalue here; the landscape solve then reports the singular operator
     out = tmp_path / "o"

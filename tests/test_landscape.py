@@ -82,9 +82,7 @@ _FIELD_DISTS = st.one_of(
 def _bound_cases(draw):
     """A random field in 1D or 2D, K in [1, 1e5], and any wall kind the dimension takes.
 
-    The singular case, reflecting walls with K V = 0, is not drawn.  Nor are reflecting
-    or Robin walls with K mean(V) < 1, where `solve_linear` can miss its residual tolerance
-    on a nearly singular operator.
+    The singular case, reflecting walls with K V = 0, is not drawn.
     """
     dim = draw(st.sampled_from([1, 2]))
     if dim == 1:
@@ -95,8 +93,8 @@ def _bound_cases(draw):
     K = draw(st.floats(1.0, 1e5))
     kinds = ["dirichlet", "neumann", "robin"] + (["periodic"] if dim == 1 else [])
     kind = draw(st.sampled_from(kinds))
-    if kind != "dirichlet":
-        assume(K * fieldv.cell_values.mean() >= 1.0)
+    if kind in ("neumann", "periodic"):
+        assume(fieldv.cell_values.max() > 0.0)
     h = draw(st.floats(1e-3, 100.0)) if kind == "robin" else 0.0
     return fieldv, K, BoundaryCondition(kind, h)
 

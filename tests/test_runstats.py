@@ -108,7 +108,7 @@ def test_oracle_agrees_with_series(p):
     assert abs(est.p_multimodal_extended - multimodal_prob_neumann(model)) < se
 
 
-def test_oracle_deterministic_and_batch_invariant(monkeypatch):
+def test_oracle_is_deterministic(monkeypatch):
     model = RunModel(0.5, 50)
     monkeypatch.setattr(runstats, "ORACLE_BATCH", 7_000)
     a = oracle_probabilities(model, 50_000, 3)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,7 +11,7 @@ from locscape import (BoundaryCondition, DistributionSpec, ParameterError, PathC
 from locscape import stochastic
 from locscape.rng import TAG_WALK, stream
 
-from walk_oracles import scan_by_steps, simulate_reflecting_path
+from walk_oracles import scan_allocating, scan_by_steps, simulate_reflecting_path
 
 
 def test_reflected_path_stays_inside():
@@ -45,6 +47,12 @@ def test_start_point_must_lie_in_domain():
     fieldv = sample_potential(grid_1d(10), DistributionSpec.bernoulli(1.0), 0)
     with pytest.raises(ParameterError, match="probe .* outside the closed unit domain"):
         estimate_landscape_mc(-0.1, fieldv, 10.0, BoundaryCondition.neumann(), PathConfig())
+
+
+def test_negative_disorder_strength_rejected():
+    fieldv = sample_potential(grid_1d(10), DistributionSpec.bernoulli(1.0), 0)
+    with pytest.raises(ParameterError, match="K must be >= 0"):
+        estimate_landscape_mc(0.5, fieldv, -1.0, BoundaryCondition.neumann(), PathConfig())
 
 
 def test_constant_potential_estimate_is_exact():
@@ -133,13 +141,64 @@ def test_block_scan_matches_per_step_walk(bc, dim, monkeypatch):
     Y0 = rng.uniform(0.5, 1.0, n)
     dW = np.sqrt(2e-3) * rng.standard_normal((B, n, dim))
     U = rng.random((B, n))
-    occ, Y, x, died = stochastic._scan(walk, x0, Y0, dW, U)
+    occ, Y, x, died = stochastic._scan(walk, x0, Y0, dW, U, stochastic._Workspace())
     ref_occ, ref_Y, ref_x, ref_died = scan_by_steps(walk, x0, Y0, dW, U)
     assert np.array_equal(died, ref_died)
     assert 0 < died.sum() < n          # both endings are exercised
     np.testing.assert_allclose(occ, ref_occ, rtol=1e-12, atol=0)
     np.testing.assert_allclose(Y[~died], ref_Y[~died], rtol=1e-12, atol=0)
     np.testing.assert_allclose(x[~died], ref_x[~died], rtol=1e-12, atol=1e-15)
+
+
+_WALLS = [BoundaryCondition.neumann(), BoundaryCondition.robin(5.0), BoundaryCondition.dirichlet()]
+
+
+def _scan_inputs(bc, dim, B, n, seed):
+    """A walk and one block's inputs: a quarter of the paths start on or near a wall, and
+    weights range down to the cutoff.  Half the cells are 0, the others uniform in (0, 2)."""
+    grid = grid_1d(30) if dim == 1 else grid_2d(12)
+    cells = (sample_potential(grid, DistributionSpec.uniform(0.0, 2.0), 7).cell_values
+             * sample_potential(grid, DistributionSpec.bernoulli(0.5), 8).cell_values)
+    walk = stochastic._Walk(cells, 100.0, 1e-3, bc.h, bc.kind == "dirichlet")
+    rng = np.random.default_rng(seed)
+    x0 = rng.uniform(0.0, 1.0, (n, dim))
+    x0[: n // 4] = rng.uniform(0.0, 0.05, (n // 4, dim))
+    x0[: n // 8] = rng.choice([0.0, 1.0], (n // 8, dim))
+    Y0 = 10.0 ** rng.uniform(-10.0, 0.0, n)
+    dW = np.sqrt(2e-3) * rng.standard_normal((B, n, dim))
+    return walk, x0, Y0, dW, rng.random((B, n))
+
+
+@pytest.mark.parametrize("bc", _WALLS, ids=lambda bc: bc.kind)
+@pytest.mark.parametrize("dim", [1, 2])
+def test_scan_reuses_workspace_without_stale_state(bc, dim):
+    ws = stochastic._Workspace()
+    full = _scan_inputs(bc, dim, stochastic.BLOCK, stochastic.LANE, 21)
+    stochastic._scan(*full, ws)
+    small = _scan_inputs(bc, dim, 7, 300, 22)
+    reused = stochastic._scan(*small, ws)
+    fresh = stochastic._scan(*small, stochastic._Workspace())
+    assert 0 < reused[3].sum() < 300          # paths die in the block, and others live
+    for got, want, ref in zip(reused, fresh, scan_allocating(*small)):
+        assert np.array_equal(got, want)
+        assert np.array_equal(got, ref)       # same operations in the same order: same bits
+
+
+@pytest.mark.parametrize("bc", _WALLS, ids=lambda bc: bc.kind)
+def test_full_block_scan_allocates_no_block_sized_array(bc):
+    ws = stochastic._Workspace()
+    args = _scan_inputs(bc, 1, stochastic.BLOCK, stochastic.LANE, 23)
+    stochastic._scan(*args, ws)                # the first block sizes the buffers
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        stochastic._scan(*args, ws)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # the three results hold LANE entries each; one (BLOCK, LANE) float array is 8x this
+    assert peak < stochastic.BLOCK * stochastic.LANE * 8 // 4
 
 
 def _key(gen):
