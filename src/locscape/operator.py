@@ -16,7 +16,9 @@ average of the adjacent cell values.  One 1D builder produces every axis: on
 the lattice's equal cells this is the plain average (1 cell strictly inside, 2
 across a face, 4 at an interior corner in 2D, where the Kronecker sum of two
 axes gives the 2D pencil), and the same builder serves lines and rings with
-arbitrary cell widths.
+arbitrary cell widths.  A non-periodic axis is written straight into tridiagonal CSR
+over its active nodes (Dirichlet ends trimmed before the matrix exists); a ring adds
+its two corner entries to a banded matrix.
 """
 
 from dataclasses import dataclass
@@ -143,7 +145,9 @@ def _axis_1d(widths, values, ends, K):
     whose last cell closes onto node 0; K must be 0 if ``values`` has trailing
     axes.  Returns the matrix (stiffness + K*diag(v*m)), the lumped mass m, the
     node potential v (the width-weighted average of the adjacent cells) and the
-    (low, high) Dirichlet trim, restricted to the active nodes.
+    (low, high) Dirichlet trim, restricted to the active nodes.  Without a ring the
+    matrix is tridiagonal CSR with sorted int32 indices, every row holding its
+    neighbours and its diagonal, the layout `sp.diags` gives.
     """
     w = np.asarray(widths, float)
     v = np.asarray(values, float)
@@ -168,12 +172,24 @@ def _axis_1d(widths, values, ends, K):
             trim[side] = True
     if K:
         d = d + K * vnode * m
-    S = sp.diags([d, -inv[1:n], -inv[1:n]], [0, 1, -1], format="csr")
     if ends is None:
+        S = sp.diags([d, -inv[1:n], -inv[1:n]], [0, 1, -1], format="csr")
         S = S + sp.csr_matrix(([-inv[0], -inv[0]], ([0, n - 1], [n - 1, 0])), shape=(n, n))
+        return S, m, vnode, (False, False)
     lo, hi = trim
     sl = slice(int(lo), n - int(hi))
-    return S[sl, sl], m[sl], vnode[sl], (lo, hi)
+    d, e = d[sl], -inv[sl][1:]              # e[i] couples active nodes i and i + 1
+    na = len(d)
+    # CSR straight from the active nodes: row i holds (e[i-1], d[i], e[i]) at columns
+    # (i-1, i, i+1); the flat layout's first and last slots fall outside the matrix
+    rows = np.empty((na, 3))
+    rows[:, 1] = d
+    rows[1:, 0] = e
+    rows[:-1, 2] = e
+    cols = np.arange(-1, 2, dtype=np.int32) + np.arange(na, dtype=np.int32)[:, None]
+    indptr = np.clip(3 * np.arange(na + 1, dtype=np.int32) - 1, 0, max(3 * na - 2, 0))
+    S = sp.csr_matrix((rows.ravel()[1:-1], cols.ravel()[1:-1], indptr), shape=(na, na))
+    return S, m[sl], vnode[sl], (lo, hi)
 
 
 def assemble(grid: GridSpec, fieldv: PotentialField, K: float,

@@ -1,4 +1,12 @@
-"""Eigenpairs and linear solves for assembled operators."""
+"""Eigenpairs and linear solves for assembled operators.
+
+Non-periodic 1D pencils are tridiagonal, and both routes hand them to LAPACK's
+tridiagonal routines: bisection and inverse iteration (`stebz`/`stein`, through
+`eigh_tridiagonal`) for eigenpairs, and the LDL^T factorization of an SPD tridiagonal
+matrix (`pttrf`/`pttrs`) for sources.  2D operators and rings use ARPACK shift-invert
+and SuperLU.  `_tridiagonal` is the one place that picks the route and reads the
+(diagonal, superdiagonal) pair.
+"""
 
 from dataclasses import dataclass
 
@@ -41,6 +49,17 @@ def _assign_clusters(values):
     return cluster
 
 
+def _tridiagonal(op: DiscreteOperator):
+    """(diagonal, superdiagonal) of A for a non-periodic 1D pencil, else None.
+
+    Such pencils are tridiagonal, so both `smallest_eigenpairs` and `solve_linear`
+    send them to LAPACK's tridiagonal routines; 2D operators and rings return None.
+    """
+    if op.dim == 1 and not op.periodic:
+        return op.matrix.diagonal(), op.matrix.diagonal(1)
+    return None
+
+
 def smallest_eigenpairs(op: DiscreteOperator, k: int) -> list[EigenPair]:
     """The k smallest eigenpairs of A u = lambda M u, eigenvalues non-decreasing.
 
@@ -55,10 +74,11 @@ def smallest_eigenpairs(op: DiscreteOperator, k: int) -> list[EigenPair]:
         raise ParameterError("k must be >= 1")
     if k >= n:
         raise ParameterError(f"k={k} too large for operator of dimension {n}")
-    if op.dim == 1 and not op.periodic:
+    tri = _tridiagonal(op)
+    if tri is not None:
         s = 1.0 / np.sqrt(op.mass)
-        d = op.matrix.diagonal() / op.mass
-        e = op.matrix.diagonal(1) * s[:-1] * s[1:]
+        d = tri[0] / op.mass
+        e = tri[1] * s[:-1] * s[1:]
         try:
             vals, vecs = sla.eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1))
         except np.linalg.LinAlgError as exc:
@@ -100,17 +120,32 @@ def solve_linear(op: DiscreteOperator, rhs) -> np.ndarray:
     SOLVE_TOL * (||A||_inf ||w||_inf + ||M rhs||_inf), with a few steps of iterative
     refinement if needed.  The ||A|| ||w|| term keeps a nearly singular operator (reflecting
     walls with small K V + h, where w is large) from failing on round-off alone.
+
+    Non-periodic 1D pencils are factored once by LAPACK's LDL^T (`dpttrf`) and solved,
+    refinement steps included, by `dpttrs`; a pivot that is not positive means the
+    operator is singular.  2D operators and rings are factored by SuperLU.  Either way
+    a singular operator raises SingularOperatorError.
     """
     n = op.size
     b_raw = np.broadcast_to(np.asarray(rhs, float), (n,)).copy()
     if op.bc.kind in ("neumann", "periodic") and np.max(op.coupling * op.vnode) == 0.0:
         raise SingularOperatorError("pure Neumann/periodic operator with K*V = 0 is singular")
     b = op.mass * b_raw
-    try:
-        lu = spla.splu(op.matrix.tocsc())
-    except RuntimeError as exc:  # pragma: no cover - scipy signals singular factor this way
-        raise SingularOperatorError(str(exc)) from exc
-    w = lu.solve(b)
+    tri = _tridiagonal(op)
+    if tri is not None:
+        d, e, info = sla.lapack.dpttrf(*tri)
+        if info > 0:
+            raise SingularOperatorError(
+                f"operator is not positive definite: LDL^T pivot {info} is not > 0")
+
+        def solve(r):
+            return sla.lapack.dpttrs(d, e, r)[0]
+    else:
+        try:
+            solve = spla.splu(op.matrix.tocsc()).solve
+        except RuntimeError as exc:  # pragma: no cover - scipy signals singular factor this way
+            raise SingularOperatorError(str(exc)) from exc
+    w = solve(b)
     b_norm = np.max(np.abs(b))
 
     def bound(w):
@@ -121,7 +156,7 @@ def solve_linear(op: DiscreteOperator, rhs) -> np.ndarray:
         res = np.max(np.abs(r))
         if res <= SOLVE_TOL * b_norm or res <= bound(w):   # the cheap, stricter test first
             return w
-        w = w + lu.solve(r)
+        w = w + solve(r)
     res = np.max(np.abs(b - op.matrix @ w))
     if res > bound(w):
         raise ConvergenceError(f"linear solve residual {res:.3e} above {bound(w):.3e}",

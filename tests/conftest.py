@@ -1,8 +1,19 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import strategies as st
 
 from locscape import BoundaryCondition, DistributionSpec, ParameterError, grid_1d, sample_potential
+
+
+# cell-value distributions for property tests: every family, parameters anywhere valid
+FIELD_DISTS = st.one_of(
+    st.builds(DistributionSpec.bernoulli, st.floats(0.0, 1.0)),
+    st.builds(lambda a, width: DistributionSpec.uniform(a, a + width),
+              st.floats(0.0, 2.0), st.floats(1e-3, 2.0)),
+    st.builds(lambda mu, cv: DistributionSpec.gamma(mu, cv * mu),     # shape 1/cv^2 >= 1
+              st.floats(0.1, 2.0), st.floats(0.1, 1.0)),
+)
 
 
 def dense_eigenpairs(op, k):

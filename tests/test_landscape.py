@@ -9,6 +9,7 @@ from locscape import (BoundaryCondition, DistributionSpec, GridSpec, Landscape, 
                       sample_potential, save_grid, smallest_eigenpairs, valley_partition,
                       zero_components)
 from locscape.potential import runs_of_zeros
+from conftest import FIELD_DISTS
 
 
 def test_constant_potential_landscape_exact():
@@ -69,15 +70,6 @@ def test_fm_bound_random_sweep():
         assert landscape_bound_violation(pair, ls) <= 1e-6
 
 
-_FIELD_DISTS = st.one_of(
-    st.builds(DistributionSpec.bernoulli, st.floats(0.0, 1.0)),
-    st.builds(lambda a, width: DistributionSpec.uniform(a, a + width),
-              st.floats(0.0, 2.0), st.floats(1e-3, 2.0)),
-    st.builds(lambda mu, cv: DistributionSpec.gamma(mu, cv * mu),     # shape 1/cv^2 >= 1
-              st.floats(0.1, 2.0), st.floats(0.1, 1.0)),
-)
-
-
 @st.composite
 def _bound_cases(draw):
     """A random field in 1D or 2D, K in [1, 1e5], and any wall kind the dimension takes.
@@ -89,7 +81,7 @@ def _bound_cases(draw):
         grid = GridSpec(1, draw(st.integers(2, 20)), draw(st.integers(3, 6)))
     else:
         grid = GridSpec(2, draw(st.integers(3, 6)), draw(st.integers(2, 4)))
-    fieldv = sample_potential(grid, draw(_FIELD_DISTS), draw(st.integers(0, 2**32)))
+    fieldv = sample_potential(grid, draw(FIELD_DISTS), draw(st.integers(0, 2**32)))
     K = draw(st.floats(1.0, 1e5))
     kinds = ["dirichlet", "neumann", "robin"] + (["periodic"] if dim == 1 else [])
     kind = draw(st.sampled_from(kinds))

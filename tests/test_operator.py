@@ -7,6 +7,7 @@ from locscape import (BoundaryCondition, DistributionSpec, GridSpec, ParameterEr
                       assemble, assemble_line, assemble_ring, grid_1d, grid_2d,
                       sample_potential, smallest_eigenpairs)
 from conftest import dense_eigenpairs
+from operator_oracles import axis_1d_by_diags, kron_sum_2d
 
 
 def _zero_field(grid):
@@ -196,3 +197,56 @@ def test_builder_annihilates_constants_without_absorption(cells, ends):
     # K = 0 under reflective or periodic walls: constants span the kernel
     A = _build(cells, 0.0, ends).matrix.toarray()
     assert np.all(np.abs(A.sum(axis=1)) <= _roundoff(A))
+
+
+# --- the direct tridiagonal CSR against the banded-then-sliced construction ---------
+
+def _assert_same_csr(A, B):
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(A, name), getattr(B, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+_WALLS = [("dirichlet", 0.0), ("neumann", 0.0), ("robin", 0.7)]
+_LATTICE_BCS = ([BoundaryCondition.dirichlet(), BoundaryCondition.neumann(),
+                 BoundaryCondition.robin(0.7)]
+                + [BoundaryCondition.mixed(lk, rk, lh, rh)
+                   for lk, lh in _WALLS for rk, rh in _WALLS])
+
+
+@pytest.mark.parametrize("bc", _LATTICE_BCS,
+                         ids=lambda bc: "-".join(k for k, _ in bc.end_specs()))
+@pytest.mark.parametrize("grid", [grid_1d(12, 5), GridSpec(1, 2, 2)], ids=["12x5", "2x2"])
+def test_lattice_matrix_equals_banded_reference(grid, bc):
+    fieldv = sample_potential(grid, DistributionSpec.uniform(0.0, 2.0), 8)
+    op = assemble(grid, fieldv, 321.0, bc)
+    S, m, v, trim = axis_1d_by_diags(np.full(grid.nodes_per_axis - 1, grid.spacing),
+                                     np.repeat(fieldv.cell_values, grid.nodes_per_cell),
+                                     bc.end_specs(), 321.0)
+    _assert_same_csr(op.matrix, S)
+    assert np.array_equal(op.mass, m) and np.array_equal(op.vnode, v)
+    assert op.trimmed == (trim,)
+
+
+@pytest.mark.parametrize("n_cells", [1, 2, 40])
+@pytest.mark.parametrize("ends", [(("dirichlet", 0.0), ("dirichlet", 0.0)),
+                                  (("robin", 3.0), ("dirichlet", 0.0)),
+                                  (("neumann", 0.0), ("robin", 0.0))], ids=str)
+def test_nonuniform_line_matrix_equals_banded_reference(n_cells, ends):
+    rng = np.random.default_rng(n_cells)
+    widths, values = rng.uniform(0.1, 2.0, n_cells), rng.uniform(0.0, 1.0, n_cells)
+    (lk, lh), (rk, rh) = ends
+    op = assemble_line(widths, values, 77.0, BoundaryCondition.mixed(lk, rk, lh, rh))
+    S, m, v, _ = axis_1d_by_diags(widths, values, ends, 77.0)
+    _assert_same_csr(op.matrix, S)
+    assert np.array_equal(op.mass, m) and np.array_equal(op.vnode, v)
+
+
+def test_2d_matrix_equals_kron_sum_of_banded_reference():
+    grid = grid_2d(5, 3)
+    fieldv = sample_potential(grid, DistributionSpec.uniform(0.0, 1.0), 4)
+    op = assemble(grid, fieldv, 50.0, BoundaryCondition.robin(0.4))
+    S, m, _, _ = axis_1d_by_diags(np.full(grid.nodes_per_axis - 1, grid.spacing),
+                                  np.repeat(fieldv.cell_values, grid.nodes_per_cell, axis=0),
+                                  BoundaryCondition.robin(0.4).end_specs(), 0.0)
+    _assert_same_csr(op.matrix, kron_sum_2d(S, m, 50.0, op.vnode))

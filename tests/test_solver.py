@@ -2,12 +2,14 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from locscape import (BoundaryCondition, ConvergenceError, DistributionSpec,
+from locscape import (BoundaryCondition, ConvergenceError, DistributionSpec, GridSpec,
                       ParameterError, SingularOperatorError, assemble, assemble_line,
                       grid_1d, grid_2d, sample_potential, smallest_eigenpairs, solve_linear,
                       solver)
-from conftest import dense_eigenpairs, rayleigh_quotient
+from conftest import FIELD_DISTS, dense_eigenpairs, rayleigh_quotient
 
 
 def test_constant_potential_ground_state_is_constant():
@@ -97,6 +99,61 @@ def test_singular_pure_neumann_rejected():
         solve_linear(op, 1.0)
 
 
+_WALL = st.one_of(st.just(("dirichlet", 0.0)), st.just(("neumann", 0.0)),
+                  st.tuples(st.just("robin"), st.floats(1e-3, 100.0)))
+
+
+@st.composite
+def _tridiagonal_solve_cases(draw):
+    """A random 1D field, K in [1, 1e5], any non-periodic walls and a source.
+
+    The singular case, reflecting walls at both ends with K V = 0, is not drawn.
+    """
+    grid = GridSpec(1, draw(st.integers(2, 20)), draw(st.integers(2, 8)))
+    fieldv = sample_potential(grid, draw(FIELD_DISTS), draw(st.integers(0, 2**32)))
+    K = draw(st.floats(1.0, 1e5))
+    kind = draw(st.sampled_from(["dirichlet", "neumann", "robin", "mixed"]))
+    if kind == "mixed":
+        (left, h_left), (right, h_right) = draw(_WALL), draw(_WALL)
+        bc = BoundaryCondition.mixed(left, right, h_left, h_right)
+    else:
+        bc = BoundaryCondition(kind, draw(st.floats(1e-3, 100.0)) if kind == "robin" else 0.0)
+    if all(end == "neumann" for end, _ in bc.end_specs()):
+        assume(fieldv.cell_values.max() > 0.0)
+    rhs = draw(st.one_of(st.just(1.0), st.integers(0, 2**32).map(
+        lambda seed: np.random.default_rng(seed).uniform(-1.0, 1.0, grid.nodes_per_axis))))
+    return fieldv, K, bc, rhs
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tridiagonal_solve_cases())
+def test_tridiagonal_solve_matches_dense_solve(case):
+    fieldv, K, bc, rhs = case
+    op = assemble(fieldv.grid, fieldv, K, bc)
+    rhs = rhs if np.isscalar(rhs) else rhs[:op.size]
+    w = solve_linear(op, rhs)
+    A = op.matrix.toarray()
+    w_dense = np.linalg.solve(A, op.mass * np.broadcast_to(rhs, (op.size,)))
+    # two backward-stable solves differ by up to a few eps times the condition number:
+    # reflecting walls with K V small near the walls reach cond ~ 1e6, where no route,
+    # the dense one included, is within 1e-12 of the exact solution
+    tol = max(1e-12, 4 * np.finfo(float).eps * np.linalg.cond(A, np.inf))
+    assert np.max(np.abs(w - w_dense)) <= tol * np.max(np.abs(w_dense))
+
+
+@pytest.mark.parametrize("grid, bc", [
+    (grid_1d(50), BoundaryCondition.robin(0.0)),
+    (grid_1d(5), BoundaryCondition.mixed("neumann", "neumann")),
+], ids=["robin-h0", "mixed-neumann-neumann"])
+def test_singular_pencil_past_the_neumann_check_rejected(grid, bc):
+    # the kind is neither neumann nor periodic, so the singular operator reaches the
+    # factorization, which must report it
+    zeros = sample_potential(grid, DistributionSpec.bernoulli(0.0), 0)
+    op = assemble(grid, zeros, 5.0, bc)
+    with pytest.raises(SingularOperatorError):
+        solve_linear(op, 1.0)
+
+
 def test_rayleigh_quotient_properties(strong_disorder_1d):
     grid, fieldv, K, bc = strong_disorder_1d
     op = assemble(grid, fieldv, K, bc)
@@ -131,6 +188,10 @@ def _no_arpack(*args, **kwargs):
     raise AssertionError("non-periodic 1D pencils must not reach ARPACK")
 
 
+def _no_superlu(*args, **kwargs):
+    raise AssertionError("non-periodic 1D pencils must not reach SuperLU")
+
+
 @pytest.mark.parametrize("bc", [
     BoundaryCondition.dirichlet(),
     BoundaryCondition.neumann(),
@@ -140,8 +201,11 @@ def _no_arpack(*args, **kwargs):
 def test_tridiagonal_branch_matches_dense_oracle(strong_disorder_1d, bc, monkeypatch):
     grid, fieldv, K, _ = strong_disorder_1d
     monkeypatch.setattr(solver.spla, "eigsh", _no_arpack)
+    monkeypatch.setattr(solver.spla, "splu", _no_superlu)
     op = assemble(grid, fieldv, K, bc)
     _assert_matches_oracle(op, smallest_eigenpairs(op, 4))
+    w = solve_linear(op, 1.0)
+    assert np.max(np.abs(op.matrix @ w - op.mass)) <= 1e-10 * np.max(op.mass)
 
 
 def test_tridiagonal_branch_on_nonuniform_line(monkeypatch):
@@ -172,6 +236,10 @@ def test_ring_still_matches_dense_oracle_through_arpack(strong_disorder_1d, monk
     eigsh = solver.spla.eigsh
     monkeypatch.setattr(solver.spla, "eigsh",
                         lambda *a, **kw: calls.append(1) or eigsh(*a, **kw))
+    splu = solver.spla.splu
+    monkeypatch.setattr(solver.spla, "splu",
+                        lambda *a, **kw: calls.append(2) or splu(*a, **kw))
     op = assemble(grid, fieldv, K, BoundaryCondition.periodic())
     _assert_matches_oracle(op, smallest_eigenpairs(op, 4))
-    assert calls == [1]
+    solve_linear(op, 1.0)
+    assert calls == [1, 2]
