@@ -16,9 +16,9 @@ average of the adjacent cell values.  One 1D builder produces every axis: on
 the lattice's equal cells this is the plain average (1 cell strictly inside, 2
 across a face, 4 at an interior corner in 2D, where the Kronecker sum of two
 axes gives the 2D pencil), and the same builder serves lines and rings with
-arbitrary cell widths.  A non-periodic axis is written straight into tridiagonal CSR
-over its active nodes (Dirichlet ends trimmed before the matrix exists); a ring adds
-its two corner entries to a banded matrix.
+arbitrary cell widths.  Every axis is written straight into CSR: a non-periodic one
+as a tridiagonal matrix over its active nodes (Dirichlet ends trimmed before the matrix
+exists), a ring with its two corner entries in rows 0 and n-1.
 """
 
 from dataclasses import dataclass
@@ -145,9 +145,9 @@ def _axis_1d(widths, values, ends, K):
     whose last cell closes onto node 0; K must be 0 if ``values`` has trailing
     axes.  Returns the matrix (stiffness + K*diag(v*m)), the lumped mass m, the
     node potential v (the width-weighted average of the adjacent cells) and the
-    (low, high) Dirichlet trim, restricted to the active nodes.  Without a ring the
-    matrix is tridiagonal CSR with sorted int32 indices, every row holding its
-    neighbours and its diagonal, the layout `sp.diags` gives.
+    (low, high) Dirichlet trim, restricted to the active nodes.  The matrix is CSR with
+    sorted int32 indices, every row holding its neighbours and its diagonal, the layout
+    `sp.diags` (plus the corner entries of a ring) gives.
     """
     w = np.asarray(widths, float)
     v = np.asarray(values, float)
@@ -173,8 +173,17 @@ def _axis_1d(widths, values, ends, K):
     if K:
         d = d + K * vnode * m
     if ends is None:
-        S = sp.diags([d, -inv[1:n], -inv[1:n]], [0, 1, -1], format="csr")
-        S = S + sp.csr_matrix(([-inv[0], -inv[0]], ([0, n - 1], [n - 1, 0])), shape=(n, n))
+        # row i holds (e[i-1], d[i], e[i]) at columns (i-1, i, i+1) mod n, where e = -inv[1:]
+        # and e[n-1] is the corner; rows 0 and n-1 are rotated so their columns stay sorted
+        e = -inv[1:]
+        rows = np.empty((n, 3))
+        rows[:, 0], rows[:, 1], rows[:, 2] = np.roll(e, 1), d, e
+        cols = np.arange(-1, 2, dtype=np.int32) + np.arange(n, dtype=np.int32)[:, None]
+        rows[0], cols[0] = np.roll(rows[0], -1), np.roll(cols[0], -1) % n
+        rows[-1], cols[-1] = np.roll(rows[-1], 1), np.roll(cols[-1], 1) % n
+        indptr = 3 * np.arange(n + 1, dtype=np.int32)
+        S = sp.csr_matrix((rows.ravel(), cols.ravel(), indptr), shape=(n, n))
+        S.sum_duplicates()                  # a ring of 1 or 2 nodes has its corner on a neighbour
         return S, m, vnode, (False, False)
     lo, hi = trim
     sl = slice(int(lo), n - int(hi))

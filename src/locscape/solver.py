@@ -1,18 +1,21 @@
 """Eigenpairs and linear solves for assembled operators.
 
-Non-periodic 1D pencils are tridiagonal, and both routes hand them to LAPACK's
-tridiagonal routines: bisection and inverse iteration (`stebz`/`stein`, through
-`eigh_tridiagonal`) for eigenpairs, and the LDL^T factorization of an SPD tridiagonal
-matrix (`pttrf`/`pttrs`) for sources.  2D operators and rings use ARPACK shift-invert
-and SuperLU.  `_tridiagonal` is the one place that picks the route and reads the
-(diagonal, superdiagonal) pair.
+Every 1D pencil is factored by LAPACK's LDL^T of an SPD tridiagonal matrix
+(`pttrf`/`pttrs`).  A ring is a tridiagonal chain plus one corner entry c < 0, so it is
+written A = T' + c w w^T with w = e_0 + e_{n-1}: T' drops both corner entries and adds
+|c| to its two end diagonals, which keeps it SPD whenever A is, and each solve is one
+`pttrs` plus a Sherman-Morrison correction.  2D operators are factored by SuperLU.
+`_factor` is the one place that factors A; it serves `solve_linear` and shift-invert
+Lanczos (ARPACK in standard mode) for the eigenpairs of rings and 2D operators.
+Non-periodic 1D pencils get their eigenpairs from LAPACK's tridiagonal eigensolver
+(`stebz`/`stein`, through `eigh_tridiagonal`) instead.  `_tridiagonal` is the one place
+that reads the (diagonal, superdiagonal, corner) of a 1D pencil.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConvergenceError, ParameterError, SingularOperatorError
@@ -50,23 +53,70 @@ def _assign_clusters(values):
 
 
 def _tridiagonal(op: DiscreteOperator):
-    """(diagonal, superdiagonal) of A for a non-periodic 1D pencil, else None.
+    """(diagonal, superdiagonal, corner) of A for a 1D pencil.
 
-    Such pencils are tridiagonal, so both `smallest_eigenpairs` and `solve_linear`
-    send them to LAPACK's tridiagonal routines; 2D operators and rings return None.
+    The corner is A[0, n-1] on a ring of more than 2 nodes and 0 otherwise: a 2-node
+    ring's corner lies on the superdiagonal, so that ring is already tridiagonal.
     """
-    if op.dim == 1 and not op.periodic:
-        return op.matrix.diagonal(), op.matrix.diagonal(1)
-    return None
+    A = op.matrix
+    n = op.size
+    corner = A[0, n - 1] if op.periodic and n > 2 else 0.0
+    return A.diagonal(), A.diagonal(1), corner
+
+
+def _factor(op: DiscreteOperator):
+    """solve(b) = A^{-1} b from one factorization of A.
+
+    1D pencils use `dpttrf` once and `dpttrs` per solve, rings with a Sherman-Morrison
+    correction for their corner; 2D operators use SuperLU.  A singular operator raises
+    SingularOperatorError: reflecting or periodic walls with K V = 0, a pivot that is
+    not positive, a Sherman-Morrison denominator that is not positive, or an exactly
+    singular SuperLU factor.
+    """
+    if op.bc.kind in ("neumann", "periodic") and np.max(op.coupling * op.vnode) == 0.0:
+        raise SingularOperatorError("pure Neumann/periodic operator with K*V = 0 is singular")
+    if op.dim != 1:
+        try:
+            return spla.splu(op.matrix.tocsc()).solve
+        except RuntimeError as exc:   # SuperLU reports an exactly singular factor this way
+            raise SingularOperatorError(f"sparse LU failed: {exc}") from exc
+    d, e, c = _tridiagonal(op)
+    if c:                                   # T' = A - c w w^T, both corners folded in
+        d = d.copy()
+        d[[0, -1]] -= c
+    d, e, info = sla.lapack.dpttrf(d, e)
+    if info > 0:
+        raise SingularOperatorError(
+            f"operator is not positive definite: LDL^T pivot {info} is not > 0")
+    if not c:
+        return lambda b: sla.lapack.dpttrs(d, e, b)[0]
+    w = np.zeros(len(d))
+    w[[0, -1]] = 1.0
+    z = sla.lapack.dpttrs(d, e, w)[0]       # T'^{-1} w
+    denom = 1.0 + c * (z[0] + z[-1])        # Sherman-Morrison: A is SPD iff this is positive
+    if not denom > 0.0:
+        raise SingularOperatorError(
+            f"operator is not positive definite: Sherman-Morrison denominator {denom:.3e}")
+    z *= c / denom
+
+    def solve(b):
+        y = sla.lapack.dpttrs(d, e, b)[0]
+        return y - (y[0] + y[-1]) * z
+
+    return solve
 
 
 def smallest_eigenpairs(op: DiscreteOperator, k: int) -> list[EigenPair]:
     """The k smallest eigenpairs of A u = lambda M u, eigenvalues non-decreasing.
 
     Non-periodic 1D pencils are tridiagonal with diagonal M, so they are solved
-    directly by LAPACK's tridiagonal eigensolver on M^{-1/2} A M^{-1/2}; 2D
-    operators and rings use shift-invert Lanczos at shift 0 (ARPACK), started
-    from a vector drawn from a fixed counter-based stream.  Both routes are
+    directly by LAPACK's tridiagonal eigensolver on M^{-1/2} A M^{-1/2}.  Rings and 2D
+    operators use shift-invert Lanczos at shift 0: ARPACK in standard mode on
+    x -> M^{1/2} A^{-1} M^{1/2} x, with A^{-1} from `_factor`, started from a vector
+    drawn from a fixed counter-based stream; its eigenvalues theta give lambda = 1/theta,
+    and its vectors y give u = M^{-1/2} y.  While a pair misses the residual bound (up to
+    five times), one more solve per pair, A^{-1} M u, and Rayleigh-Ritz on those k vectors
+    refine them.  A singular operator raises SingularOperatorError.  Both routes are
     deterministic, and the contract is the residual bound, not the method.
     """
     n = op.size
@@ -74,42 +124,72 @@ def smallest_eigenpairs(op: DiscreteOperator, k: int) -> list[EigenPair]:
         raise ParameterError("k must be >= 1")
     if k >= n:
         raise ParameterError(f"k={k} too large for operator of dimension {n}")
-    tri = _tridiagonal(op)
-    if tri is not None:
-        s = 1.0 / np.sqrt(op.mass)
-        d = tri[0] / op.mass
-        e = tri[1] * s[:-1] * s[1:]
+    s = 1.0 / np.sqrt(op.mass)
+    if op.dim == 1 and not op.periodic:
+        d, e, _ = _tridiagonal(op)
         try:
-            vals, vecs = sla.eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1))
+            vals, vecs = sla.eigh_tridiagonal(d / op.mass, e * s[:-1] * s[1:],
+                                              select="i", select_range=(0, k - 1))
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(f"tridiagonal eigensolver failed: {exc}",
                                    residual=None) from exc
         vecs = vecs * s[:, None]
     else:
+        solve = _factor(op)
+        root_m = np.sqrt(op.mass)
+        opinv = spla.LinearOperator((n, n), matvec=lambda x: root_m * solve(root_m * x.ravel()),
+                                    dtype=float)
         v0 = stream(0x51AC, n).standard_normal(n)
         try:
-            vals, vecs = spla.eigsh(op.matrix, k=k, M=sp.diags(op.mass), sigma=0, which="LM",
-                                    v0=v0, maxiter=MAX_ITER)
+            theta, vecs = spla.eigsh(opinv, k=k, which="LM", v0=v0, maxiter=MAX_ITER)
         except spla.ArpackNoConvergence as exc:
             got = len(exc.eigenvalues)
             raise ConvergenceError(
                 f"eigensolver converged {got}/{k} pairs within {MAX_ITER} iterations",
                 residual=None) from exc
+        vals, vecs = 1.0 / theta, vecs * s[:, None]
+        # Lanczos can leave a pair short of the bound: standard mode errs by about
+        # eps ||M^{-1/2} A M^{-1/2}|| at nodes of small mass, and a cluster of more than k
+        # equal eigenvalues can yield a stray Ritz vector.  Block inverse iteration with
+        # Rayleigh-Ritz in the M inner product damps each error component by
+        # lambda_k / lambda_i per step, and runs only until every pair meets the bound.
+        for _ in range(5):
+            if all(_meets_bound(op, lam, u) for lam, u in zip(vals, vecs.T)):
+                break
+            U = np.column_stack([solve(op.mass * u) for u in vecs.T])
+            U /= np.sqrt(np.einsum("ij,ij->j", U, op.mass[:, None] * U))
+            try:
+                vals, c = sla.eigh(U.T @ (op.matrix @ U), U.T @ (op.mass[:, None] * U))
+            except np.linalg.LinAlgError as exc:
+                raise ConvergenceError(f"Rayleigh-Ritz step failed: {exc}",
+                                       residual=None) from exc
+            vecs = U @ c
     order = np.argsort(vals)
     vals, vecs = vals[order], vecs[:, order]
     clusters = _assign_clusters(vals)
     pairs = []
     for j in range(k):
-        u = vecs[:, j]
-        peak = np.argmax(np.abs(u))
-        u = u / u[peak]                     # sign fix and ||u||_inf = 1 in one step
-        r = op.matrix @ u - vals[j] * (op.mass * u)
-        res = float(np.max(np.abs(r / op.mass)))
+        u = _sup_normalized(vecs[:, j])
+        res = _residual(op, vals[j], u)
         if not res <= EIG_TOL * max(1.0, abs(vals[j])):
             raise ConvergenceError(
                 f"eigenpair {j} residual {res:.3e} exceeds tolerance", residual=res)
         pairs.append(EigenPair(float(vals[j]), u, res, int(clusters[j])))
     return pairs
+
+
+def _sup_normalized(u):
+    return u / u[np.argmax(np.abs(u))]      # sign fix and ||u||_inf = 1 in one step
+
+
+def _residual(op, lam, u):
+    """||M^{-1}(A u - lam M u)||_inf."""
+    r = op.matrix @ u - lam * (op.mass * u)
+    return float(np.max(np.abs(r / op.mass)))
+
+
+def _meets_bound(op, lam, u):
+    return _residual(op, lam, _sup_normalized(u)) <= EIG_TOL * max(1.0, abs(lam))
 
 
 def solve_linear(op: DiscreteOperator, rhs) -> np.ndarray:
@@ -121,30 +201,14 @@ def solve_linear(op: DiscreteOperator, rhs) -> np.ndarray:
     refinement if needed.  The ||A|| ||w|| term keeps a nearly singular operator (reflecting
     walls with small K V + h, where w is large) from failing on round-off alone.
 
-    Non-periodic 1D pencils are factored once by LAPACK's LDL^T (`dpttrf`) and solved,
-    refinement steps included, by `dpttrs`; a pivot that is not positive means the
-    operator is singular.  2D operators and rings are factored by SuperLU.  Either way
-    a singular operator raises SingularOperatorError.
+    A is factored once by `_factor` (LDL^T for every 1D pencil, with a rank-one corner
+    correction on a ring; SuperLU in 2D), and that factor serves the first solve and
+    every refinement step.  A singular operator raises SingularOperatorError.
     """
     n = op.size
     b_raw = np.broadcast_to(np.asarray(rhs, float), (n,)).copy()
-    if op.bc.kind in ("neumann", "periodic") and np.max(op.coupling * op.vnode) == 0.0:
-        raise SingularOperatorError("pure Neumann/periodic operator with K*V = 0 is singular")
+    solve = _factor(op)
     b = op.mass * b_raw
-    tri = _tridiagonal(op)
-    if tri is not None:
-        d, e, info = sla.lapack.dpttrf(*tri)
-        if info > 0:
-            raise SingularOperatorError(
-                f"operator is not positive definite: LDL^T pivot {info} is not > 0")
-
-        def solve(r):
-            return sla.lapack.dpttrs(d, e, r)[0]
-    else:
-        try:
-            solve = spla.splu(op.matrix.tocsc()).solve
-        except RuntimeError as exc:  # pragma: no cover - scipy signals singular factor this way
-            raise SingularOperatorError(str(exc)) from exc
     w = solve(b)
     b_norm = np.max(np.abs(b))
 

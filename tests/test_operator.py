@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from locscape import (BoundaryCondition, DistributionSpec, GridSpec, ParameterError,
                       assemble, assemble_line, assemble_ring, grid_1d, grid_2d,
                       sample_potential, smallest_eigenpairs)
-from conftest import dense_eigenpairs
+from conftest import CELLS, dense_eigenpairs
 from operator_oracles import axis_1d_by_diags, kron_sum_2d
 
 
@@ -160,9 +160,6 @@ def test_line_and_ring_match_uniform_assembly(bc):
 
 _END = st.one_of(st.just(("dirichlet", 0.0)), st.just(("neumann", 0.0)),
                  st.tuples(st.just("robin"), st.floats(0.0, 100.0)))
-_CELLS = st.integers(2, 30).flatmap(lambda n: st.tuples(
-    st.lists(st.floats(1e-3, 10.0), min_size=n, max_size=n),       # widths
-    st.lists(st.floats(0.0, 10.0), min_size=n, max_size=n)))       # values
 
 
 def _build(cells, K, ends):
@@ -180,7 +177,7 @@ def _roundoff(A):
 
 
 @settings(max_examples=200, deadline=None)
-@given(_CELLS, st.one_of(st.just(0.0), st.floats(0.0, 1e4)),
+@given(CELLS, st.one_of(st.just(0.0), st.floats(0.0, 1e4)),
        st.one_of(st.none(), st.tuples(_END, _END)))
 def test_builder_gives_symmetric_m_matrix_with_positive_mass(cells, K, ends):
     op = _build(cells, K, ends)
@@ -192,14 +189,14 @@ def test_builder_gives_symmetric_m_matrix_with_positive_mass(cells, K, ends):
 
 
 @settings(max_examples=200, deadline=None)
-@given(_CELLS, st.sampled_from([None, (("neumann", 0.0), ("neumann", 0.0))]))
+@given(CELLS, st.sampled_from([None, (("neumann", 0.0), ("neumann", 0.0))]))
 def test_builder_annihilates_constants_without_absorption(cells, ends):
     # K = 0 under reflective or periodic walls: constants span the kernel
     A = _build(cells, 0.0, ends).matrix.toarray()
     assert np.all(np.abs(A.sum(axis=1)) <= _roundoff(A))
 
 
-# --- the direct tridiagonal CSR against the banded-then-sliced construction ---------
+# --- the direct CSR against the banded construction -------------------------------
 
 def _assert_same_csr(A, B):
     for name in ("data", "indices", "indptr"):
@@ -250,3 +247,24 @@ def test_2d_matrix_equals_kron_sum_of_banded_reference():
                                   np.repeat(fieldv.cell_values, grid.nodes_per_cell, axis=0),
                                   BoundaryCondition.robin(0.4).end_specs(), 0.0)
     _assert_same_csr(op.matrix, kron_sum_2d(S, m, 50.0, op.vnode))
+
+
+@pytest.mark.parametrize("n_cells", [2, 3, 40])
+def test_nonuniform_ring_matrix_equals_banded_reference(n_cells):
+    # 2 cells is the smallest ring: its corner entries land on the off-diagonals
+    rng = np.random.default_rng(n_cells)
+    widths, values = rng.uniform(0.1, 2.0, n_cells), rng.uniform(0.0, 1.0, n_cells)
+    op = assemble_ring(widths, values, 77.0)
+    S, m, v, _ = axis_1d_by_diags(widths, values, None, 77.0)
+    _assert_same_csr(op.matrix, S)
+    assert np.array_equal(op.mass, m) and np.array_equal(op.vnode, v)
+
+
+@pytest.mark.parametrize("grid", [grid_1d(12, 5), GridSpec(1, 2, 2)], ids=["12x5", "2x2"])
+def test_periodic_lattice_matrix_equals_banded_reference(grid):
+    fieldv = sample_potential(grid, DistributionSpec.uniform(0.0, 2.0), 8)
+    op = assemble(grid, fieldv, 321.0, BoundaryCondition.periodic())
+    S, m, v, _ = axis_1d_by_diags(np.full(grid.nodes_per_axis - 1, grid.spacing),
+                                  np.repeat(fieldv.cell_values, grid.nodes_per_cell), None, 321.0)
+    _assert_same_csr(op.matrix, S)
+    assert np.array_equal(op.mass, m) and np.array_equal(op.vnode, v)

@@ -2,14 +2,16 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import LinearOperator
 
 from locscape import (BoundaryCondition, ConvergenceError, DistributionSpec, GridSpec,
                       ParameterError, SingularOperatorError, assemble, assemble_line,
-                      grid_1d, grid_2d, sample_potential, smallest_eigenpairs, solve_linear,
-                      solver)
-from conftest import FIELD_DISTS, dense_eigenpairs, rayleigh_quotient
+                      assemble_ring, grid_1d, grid_2d, sample_potential, smallest_eigenpairs,
+                      solve_linear, solver)
+from conftest import CELLS, FIELD_DISTS, dense_eigenpairs, rayleigh_quotient
 
 
 def test_constant_potential_ground_state_is_constant():
@@ -230,16 +232,96 @@ def test_degenerate_criterion_6_trial_solves():
     assert len({p.cluster for p in pairs}) == 1
 
 
-def test_ring_still_matches_dense_oracle_through_arpack(strong_disorder_1d, monkeypatch):
+def _recording(monkeypatch, calls, name):
+    """Replace solver.spla.<name> by a wrapper that logs (name, first argument, keywords)."""
+    real = getattr(solver.spla, name)
+    monkeypatch.setattr(solver.spla, name,
+                        lambda A, *a, **kw: calls.append((name, A, kw)) or real(A, *a, **kw))
+
+
+def _assert_arpack_factors_nothing(call):
+    name, A, kw = call
+    assert name == "eigsh" and isinstance(A, LinearOperator)
+    assert "sigma" not in kw and "M" not in kw
+
+
+def test_shift_invert_runs_on_the_solvers_own_factor(strong_disorder_1d, monkeypatch):
+    # rings are factored by LDL^T with a corner correction and never reach SuperLU; 2D
+    # operators are factored by SuperLU once per solve; either way ARPACK gets the inverse
+    # as a LinearOperator, so it factors nothing itself
     grid, fieldv, K, _ = strong_disorder_1d
     calls = []
-    eigsh = solver.spla.eigsh
-    monkeypatch.setattr(solver.spla, "eigsh",
-                        lambda *a, **kw: calls.append(1) or eigsh(*a, **kw))
-    splu = solver.spla.splu
-    monkeypatch.setattr(solver.spla, "splu",
-                        lambda *a, **kw: calls.append(2) or splu(*a, **kw))
+    _recording(monkeypatch, calls, "eigsh")
+    _recording(monkeypatch, calls, "splu")
     op = assemble(grid, fieldv, K, BoundaryCondition.periodic())
     _assert_matches_oracle(op, smallest_eigenpairs(op, 4))
     solve_linear(op, 1.0)
-    assert calls == [1, 2]
+    assert [call[0] for call in calls] == ["eigsh"]
+    _assert_arpack_factors_nothing(calls[0])
+    calls.clear()
+    grid = grid_2d(5)
+    op = assemble(grid, sample_potential(grid, DistributionSpec.uniform(0.0, 1.0), 3), 300.0,
+                  BoundaryCondition.neumann())
+    _assert_matches_oracle(op, smallest_eigenpairs(op, 3))
+    solve_linear(op, 1.0)
+    assert [call[0] for call in calls] == ["splu", "eigsh", "splu"]
+    _assert_arpack_factors_nothing(calls[1])
+
+
+@st.composite
+def _ring_cases(draw):
+    """A ring on random cells with K in [1e-6, 1e5], log-uniform, so nearly singular
+    rings are drawn.
+
+    Only the singular K V = 0 is not: exactly, or in floating point, where K V m is
+    below the round-off of A's diagonal and leaves A singular to working precision.
+    """
+    widths, values = (np.array(c) for c in draw(CELLS))
+    op = assemble_ring(widths, values, 10.0 ** draw(st.floats(-6.0, 5.0)))
+    assume(np.max(op.coupling * op.vnode) > 0.0)
+    assume(np.finfo(float).eps * np.linalg.cond(op.matrix.toarray(), np.inf) < 1.0)
+    return op
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ring_cases(), st.integers(0, 2**32))
+def test_ring_solves_match_dense_solves(op, seed):
+    rhs = np.random.default_rng(seed).uniform(-1.0, 1.0, op.size)
+    w = solve_linear(op, rhs)
+    A = op.matrix.toarray()
+    w_dense = np.linalg.solve(A, op.mass * rhs)
+    # as in test_tridiagonal_solve_matches_dense_solve: two backward-stable solves differ
+    # by up to a few eps times the condition number, which small K V makes large
+    tol = max(1e-12, 4 * np.finfo(float).eps * np.linalg.cond(A, np.inf))
+    assert np.max(np.abs(w - w_dense)) <= tol * np.max(np.abs(w_dense))
+    k = min(3, op.size - 1)
+    lam = scipy.linalg.eigh(A, np.diag(op.mass), eigvals_only=True)[:k + 1]
+    # a mode moves by up to its residual over its gap (Davis-Kahan), so it is pinned to
+    # 1e-6 only where the gap exceeds the residual bound 1e6-fold; equal cells make a
+    # ring's modes degenerate, and then any basis will do
+    separated = np.min(np.diff(lam)) > solver.EIG_TOL / 1e-6 * max(1.0, lam[-1])
+    _assert_matches_oracle(op, smallest_eigenpairs(op, k), modes=separated)
+
+
+@pytest.mark.parametrize("op", [
+    # cells of very unequal width: standard-mode Lanczos missed the bound at the small masses
+    assemble_ring(np.array([3.0, 2.0**-8, 1e-3, 1e-3]), np.array([0.0, 0.0, 0.0, 1.0]), 1.0),
+    # a ground cluster of 4 equal eigenvalues with k = 3: Lanczos left a stray Ritz vector
+    assemble(grid_1d(30), sample_potential(grid_1d(30), DistributionSpec.bernoulli(0.5), 96),
+             3e6, BoundaryCondition.periodic()),
+], ids=["unequal-cells", "fourfold-cluster"])
+def test_shift_invert_refines_pairs_short_of_the_bound(op):
+    _assert_matches_oracle(op, smallest_eigenpairs(op, 3), modes=False)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: assemble_ring(np.full(50, 0.02), np.zeros(50), 100.0),
+    lambda: assemble(grid_2d(4), sample_potential(grid_2d(4), DistributionSpec.bernoulli(0.5), 1),
+                     0.0, BoundaryCondition.neumann()),
+], ids=["ring-zero-potential", "2d-neumann-K0"])
+def test_singular_shift_invert_is_a_typed_error(make):
+    op = make()
+    with pytest.raises(SingularOperatorError):
+        smallest_eigenpairs(op, 2)
+    with pytest.raises(SingularOperatorError):
+        solve_linear(op, 1.0)
