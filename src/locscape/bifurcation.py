@@ -11,12 +11,13 @@ the full spectrum provides the independent numerical route to the same number.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .errors import ConstraintError, LocscapeError, NoBifurcationError, NoRootError, ParameterError
+from .errors import (ConstraintError, ConvergenceError, LocscapeError, NoBifurcationError,
+                     NoRootError, ParameterError)
 from .operator import DiscreteOperator, assemble_ring
 from .rng import stream
 from .solver import smallest_eigenpairs
@@ -134,9 +135,20 @@ def subsystem_half_pieces(params: TwoWellParams, which: int) -> tuple[np.ndarray
 
 # --- transcendental matching conditions -------------------------------------------
 
+# A scalar lambda makes each mask below a bool, which is tested directly: numpy's
+# reduction wrappers cost microseconds per call on it, and Brent's method calls often.
+
 def _check_lambda(K, lam):
-    if not np.all((0.0 < lam) & (lam < K)):
+    inside = (0.0 < lam) & (lam < K)
+    if not (inside.all() if isinstance(inside, np.ndarray) else inside):
         raise ParameterError(f"need 0 < lambda < K, got lambda={lam}, K={K}")
+
+
+def _check_pole(trig, arg, label):
+    """Reject the lambdas whose trig argument lies within POLE_WIDTH/4 of a zero of `trig`."""
+    near = np.abs(trig(arg)) < 0.25 * POLE_WIDTH
+    if near.any() if isinstance(near, np.ndarray) else near:
+        raise ParameterError(f"{label} = {np.extract(near, arg)}")
 
 
 def characteristic_left(K: float, lam, params: TwoWellParams):
@@ -148,9 +160,7 @@ def characteristic_left(K: float, lam, params: TwoWellParams):
     a = np.sqrt(lam)
     b = np.sqrt(K - lam)
     t0 = params.half_widths[0]
-    near = np.abs(np.cos(a * t0)) < 0.25 * POLE_WIDTH
-    if np.any(near):
-        raise ParameterError(f"tan pole at alpha*t0 = {np.extract(near, a * t0)}")
+    _check_pole(np.cos, a * t0, "tan pole at alpha*t0")
     return a * np.tan(a * t0) - b * np.tanh(b * (0.5 - t0))
 
 
@@ -166,9 +176,7 @@ def characteristic_right(K: float, lam, params: TwoWellParams):
     a = np.sqrt(lam)
     b = np.sqrt(K - lam)
     t0, t1, t2, t3 = params.half_widths
-    near = np.abs(np.sin(a * (t2 - t1))) < 0.25 * POLE_WIDTH
-    if np.any(near):
-        raise ParameterError(f"cot pole at alpha*L3 = {np.extract(near, a * (t2 - t1))}")
+    _check_pole(np.sin, a * (t2 - t1), "cot pole at alpha*L3")
     ea = np.exp(2 * b * (t2 - t1 - t3))
     eb = np.exp(-2 * b * t1)
     ec = np.exp(2 * b * (t2 - t3))
@@ -196,6 +204,66 @@ def _pole_margin(lam_pole, t_char):
     return 2.0 * np.sqrt(lam_pole) * POLE_WIDTH / t_char
 
 
+def _brentq(f, xa, xb, xtol):
+    """Root of `f` in [xa, xb] by Brent's method (R. P. Brent, *Algorithms for
+    Minimization without Derivatives*, 1973, ch. 4).
+
+    A line-for-line port of scipy's ``brentq.c`` at rtol = 4 eps and 100 iterations:
+    the same iterates in the same order, so the same root to the bit and the same
+    function calls.  Ends of equal sign raise `NoRootError`; a NaN value of `f`, or no
+    convergence in 100 iterations, raises `ConvergenceError`.
+    """
+    rtol = 4 * np.finfo(float).eps
+
+    def call(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ConvergenceError(f"Brent's method: the function is NaN at x={x!r}")
+        return fx
+
+    xpre, xcur, xtol = float(xa), float(xb), float(xtol)
+    xblk = fblk = spre = scur = 0.0
+    fpre = call(xpre)
+    fcur = call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise NoRootError(f"Brent's method: f has the same sign at {xpre!r} and {xcur!r}")
+    for _ in range(100):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2   # the tolerance is 2 delta
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:   # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:              # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                stry = math.inf    # C divides to inf or nan here, and either fails the test below
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry   # good short step
+            else:
+                spre = scur = sbis        # bisect
+        else:
+            spre = scur = sbis            # bisect
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = call(xcur)
+    raise ConvergenceError(f"Brent's method did not converge in 100 iterations; last x={xcur!r}")
+
+
 def subsystem_ground_energy(K: float, params: TwoWellParams, which: int) -> float:
     """Smallest root of the matching condition in (0, K): a pole-aware scan, one
     array evaluation per pole-free interval, then Brent's method on the first
@@ -214,7 +282,7 @@ def subsystem_ground_energy(K: float, params: TwoWellParams, which: int) -> floa
         if len(sign_change) == 0:
             continue
         a, b = grid[sign_change[0]], grid[sign_change[0] + 1]
-        return brentq(lambda lam: f(K, lam, params), a, b, xtol=1e-12 * max(1.0, a))
+        return _brentq(lambda lam: f(K, lam, params), a, b, 1e-12 * max(1.0, a))
     raise NoRootError(f"no root of condition {which} below lambda={lam_max} at K={K}")
 
 
@@ -227,7 +295,7 @@ class CriticalPoint:
 def critical_point(params: TwoWellParams) -> CriticalPoint:
     """Coupling in K_BOUNDS at which the two wells' ground energies cross, by Brent's
     method in log K (an absolute tolerance K_RTOL there is a relative one in K)."""
-    @functools.cache   # brentq evaluates both ends again after the sign check
+    @functools.cache   # _brentq evaluates both ends again after the sign check
     def gap(u):
         K = np.exp(u)
         try:
@@ -241,7 +309,7 @@ def critical_point(params: TwoWellParams) -> CriticalPoint:
     if not (ga < 0) != (gb < 0):
         raise NoBifurcationError(
             f"ground energies do not cross on [{a:g}, {b:g}] (gap {ga:.3g} -> {gb:.3g})")
-    Kc = np.exp(brentq(gap, np.log(a), np.log(b), xtol=K_RTOL))
+    Kc = np.exp(_brentq(gap, np.log(a), np.log(b), K_RTOL))
     lam = 0.5 * (subsystem_ground_energy(Kc, params, 1) + subsystem_ground_energy(Kc, params, 2))
     return CriticalPoint(float(Kc), float(lam))
 

@@ -177,7 +177,7 @@ def _cmd_solve(cfg, seed, trials, threads, out):
     modes = np.column_stack([op.embed(p.mode).ravel() for p in pairs])
     with open(out / "modes.txt", "w") as fh:
         for row in modes:
-            fh.write(" ".join(repr(v) for v in row) + "\n")
+            fh.write(" ".join(f"{v.item()!r}" for v in row) + "\n")
 
 
 def _cmd_landscape(cfg, seed, trials, threads, out):

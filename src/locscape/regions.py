@@ -3,7 +3,6 @@
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import ParameterError
 from .operator import BoundaryCondition
@@ -55,17 +54,26 @@ class ExtendedSubregion:
 def _partition(labels, granularity, cell_measure):
     """Partition whose region ids are the labels 0, 1, ...; -1 marks unassigned.
 
-    One sweep over the labels: bounding boxes from ``ndimage.find_objects``, sizes
-    from ``np.bincount``, wall contact from the boxes and corner contact from the
-    labels of the four corners.
+    One pass over the labelled entries: sizes from ``np.bincount``, bounding boxes from
+    ``np.minimum.at``/``np.maximum.at`` over their coordinates, wall contact from the
+    boxes and corner contact from the labels of the four corners.
     """
-    boxes = ndimage.find_objects(labels + 1)
-    sizes = np.bincount(labels.ravel() + 1, minlength=len(boxes) + 1)[1:]
+    flat = labels.ravel()
+    at = np.flatnonzero(flat >= 0)
+    ids = flat[at]
+    n_regions = int(ids.max()) + 1 if len(ids) else 0
+    sizes = np.bincount(ids, minlength=n_regions)
+    first = np.full((labels.ndim, n_regions), flat.size)   # per axis and region: lowest index
+    last = np.full((labels.ndim, n_regions), -1)           # and highest
+    for axis, coord in enumerate(np.unravel_index(at, labels.shape)):
+        np.minimum.at(first[axis], ids, coord)
+        np.maximum.at(last[axis], ids, coord)
     corners = ({int(labels[i, j]) for i in (0, -1) for j in (0, -1)}
                if labels.ndim == 2 else set())
     regions = []
-    for rid, (box, size) in enumerate(zip(boxes, sizes.tolist())):
-        bbox = tuple((sl.start, sl.stop - 1) for sl in box)
+    for rid, (size, lows, highs) in enumerate(zip(sizes.tolist(), first.T.tolist(),
+                                                  last.T.tolist())):
+        bbox = tuple(zip(lows, highs))
         touches = tuple(t for (lo, hi), n in zip(bbox, labels.shape)
                         for t in (lo == 0, hi == n - 1))
         regions.append(Region(rid, size, bbox, touches, rid in corners, size * cell_measure))
@@ -80,6 +88,7 @@ def zero_components(fieldv: PotentialField) -> SubregionPartition:
     """
     if not fieldv.is_binary:
         raise ParameterError("zero components are defined for {0,1}-valued fields")
+    from scipy import ndimage   # here, not at module level: only the valleys command needs it
     cell_measure = (1.0 / fieldv.grid.cells_per_side) ** fieldv.grid.dim
     labels, _ = ndimage.label(fieldv.cell_values == 0)   # default structure = 4-connectivity
     return _partition(labels.astype(int) - 1, "cell", cell_measure)   # background -> -1

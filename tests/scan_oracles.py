@@ -1,7 +1,9 @@
 """Loop and mask references for the vectorized scans: plateau-by-plateau scans of a
-1D landscape (for `locscape.landscape`) and one mask per region (for `locscape.regions`)."""
+1D landscape (for `locscape.landscape`), and one mask per region or scipy's
+`find_objects` boxes (for `locscape.regions`)."""
 
 import numpy as np
+from scipy import ndimage
 
 from locscape import Region
 
@@ -71,3 +73,19 @@ def regions_by_masks(labels, cell_measure):
     `regions._partition`."""
     return tuple(region_from_mask(rid, labels == rid, cell_measure)
                  for rid in range(labels.max() + 1))
+
+
+def regions_by_find_objects(labels, cell_measure):
+    """The regions of labels 0, 1, ..., boxes from ``ndimage.find_objects``: the
+    builder `regions._partition` used before it computed its boxes with numpy."""
+    boxes = ndimage.find_objects(labels + 1)
+    sizes = np.bincount(labels.ravel() + 1, minlength=len(boxes) + 1)[1:]
+    corners = ({int(labels[i, j]) for i in (0, -1) for j in (0, -1)}
+               if labels.ndim == 2 else set())
+    regions = []
+    for rid, (box, size) in enumerate(zip(boxes, sizes.tolist())):
+        bbox = tuple((sl.start, sl.stop - 1) for sl in box)
+        touches = tuple(t for (lo, hi), n in zip(bbox, labels.shape)
+                        for t in (lo == 0, hi == n - 1))
+        regions.append(Region(rid, size, bbox, touches, rid in corners, size * cell_measure))
+    return tuple(regions)

@@ -1,11 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 from scipy.stats import linregress
 
-from locscape import (REFERENCE_PARAMS, ConstraintError, LocscapeError, NoBifurcationError,
-                      ParameterError, ShapeRatios, TwoWellParams, bifurcation,
+from locscape import (REFERENCE_PARAMS, ConstraintError, ConvergenceError, LocscapeError,
+                      NoBifurcationError, NoRootError, ParameterError, ShapeRatios, TwoWellParams, bifurcation,
                       characteristic_left, characteristic_right, critical_coupling_sweep,
                       critical_point, peak_height_ratio, piecewise_potential,
                       ratios_to_lengths, scaling_study, smallest_eigenpairs,
@@ -114,6 +117,61 @@ def test_ground_energy_reaches_isolated_well_limit():
     lam = subsystem_ground_energy(1e8, REFERENCE_PARAMS, 1)
     exact = (np.pi / REFERENCE_PARAMS.L1) ** 2
     assert abs(lam - exact) / exact < 0.01
+
+
+_SMOOTH = {   # smooth functions of x with a root r and a shape parameter c > 0
+    "line": lambda x, r, c: c * (x - r),
+    "cubic": lambda x, r, c: (x - r) * ((x - r) ** 2 + c),
+    "tanh": lambda x, r, c: math.tanh(c * (x - r)) + 0.1 * (x - r) ** 3,
+    "exp": lambda x, r, c: math.expm1(math.asinh(c * (x - r))),   # asinh: no overflow
+    "sine": lambda x, r, c: np.sin(c * x) - np.sin(c * r),   # several roots, numpy scalars
+    "flat": lambda x, r, c: (x - r) ** 5 + c * (x - r) ** 3,
+}
+
+
+def _outcome(solve, f):
+    """The root's bits, or a failure to converge, and every point where `f` was called."""
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return f(x)
+    try:
+        return solve(counted).hex(), calls
+    except (ConvergenceError, RuntimeError):   # 100 iterations, no convergence
+        return "no convergence", calls
+
+
+@settings(max_examples=500, deadline=None)
+@given(kind=st.sampled_from(sorted(_SMOOTH)), r=st.floats(-50.0, 50.0),
+       c=st.floats(1e-3, 1e3), left=st.floats(1e-6, 100.0), right=st.floats(1e-6, 100.0),
+       xtol=st.sampled_from([1e-12, 2e-12, 1e-10 * 3.7, 1e-6, 0.1]))
+def test_brentq_port_matches_scipy_bit_for_bit(kind, r, c, left, right, xtol):
+    f = lambda x: _SMOOTH[kind](x, r, c)
+    a, b = r - left, r + right
+    fa, fb = f(a), f(b)
+    assume(np.isfinite(fa) and np.isfinite(fb) and np.signbit(fa) != np.signbit(fb))
+    ours = _outcome(lambda g: bifurcation._brentq(g, a, b, xtol), f)
+    assert ours == _outcome(lambda g: brentq(g, a, b, xtol=xtol), f)
+
+
+def test_brentq_port_failures_are_typed_numerical_errors():
+    def line_with_nan_hole(x):
+        return math.nan if 0.4 < x < 0.6 else x - 0.5
+    with pytest.raises(ConvergenceError, match="NaN"):
+        bifurcation._brentq(line_with_nan_hole, 0.0, 1.0, 1e-12)
+    with pytest.raises(ValueError, match="NaN"):   # scipy fails at the same call
+        brentq(line_with_nan_hole, 0.0, 1.0, xtol=1e-12)
+    with pytest.raises(NoRootError, match="same sign"):
+        bifurcation._brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12)
+    # a step function on a huge bracket: 100 iterations cannot shrink it to the tolerance
+    step = lambda x: math.copysign(1.0, x - 1 / 3)
+    with pytest.raises(ConvergenceError, match="did not converge in 100 iterations"):
+        bifurcation._brentq(step, -1e300, 1e300, 1e-12)
+    with pytest.raises(RuntimeError, match="Failed to converge after 100 iterations"):
+        brentq(step, -1e300, 1e300, xtol=1e-12)
+    for error in (ConvergenceError, NoRootError):
+        assert issubclass(error, LocscapeError) and not issubclass(error, ParameterError)
 
 
 def test_critical_point_solves_both_conditions():

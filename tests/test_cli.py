@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 import scipy
 
-from locscape import (BoundaryCondition, DistributionSpec, GridSpec, assemble, experiments,
-                      landscape, landscape_from_operator, load_potential, sample_potential)
+from locscape import (BoundaryCondition, DistributionSpec, GridSpec, assemble, bifurcation,
+                      experiments, landscape, landscape_from_operator, load_potential,
+                      sample_potential, smallest_eigenpairs)
 from locscape.cli import main
 
 
@@ -100,13 +101,25 @@ def test_argument_the_library_rejects_exits_2_without_outputs(tmp_path, monkeypa
     assert calls == []
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats alone took about 0.5 s of every command's start-up; no locscape code needs it
+def test_import_leaves_scipy_stats_unloaded(tmp_path):
+    # scipy.stats alone took about 0.5 s of every command's start-up, and scipy.optimize and
+    # scipy.ndimage together about 40% of `import locscape.cli`; no benchmarked command needs
+    # them, neither at import nor in its body
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    code = "import locscape.cli, sys; print('scipy.stats' in sys.modules)"
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True, timeout=120)
-    assert run.stdout.strip() == "False"
+    code = """
+import sys
+import locscape.cli
+unused = ("scipy.stats", "scipy.optimize", "scipy.ndimage")
+print(*[m in sys.modules for m in unused])
+for i, argv in enumerate([["bifurcation", "--set", "sweep=false"],
+                          ["multimodal-prob", "--trials", "5"],
+                          ["fk-check", "--set", "n_paths=200"]]):
+    assert locscape.cli.main([*argv, "--out", f"{sys.argv[1]}/{i}"]) == 0
+print(*[m in sys.modules for m in unused])
+"""
+    run = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env, capture_output=True,
+                         text=True, check=True, timeout=300)
+    assert run.stdout.split() == ["False"] * 6
 
 
 def test_bad_env_value_exits_2(tmp_path, monkeypatch):
@@ -122,6 +135,14 @@ def test_numerical_failure_exits_3(tmp_path):
     code = run_cli("landscape", "--set", "dist_params=[0.0]", "--set", "K=0.0",
                    "--out", str(out), "--seed", "1")
     assert code == 3
+
+
+def test_root_finder_failure_exits_3(tmp_path, monkeypatch):
+    # a NaN reaching Brent's method is a numerical failure with exit 3, not a traceback
+    left = bifurcation.characteristic_left
+    monkeypatch.setattr(bifurcation, "characteristic_left",
+                        lambda K, lam, params: left(K, lam, params) if np.ndim(lam) else np.nan)
+    assert run_cli("bifurcation", "--set", "sweep=false", "--out", str(tmp_path / "o")) == 3
 
 
 def test_nearly_singular_robin_landscape_solves(tmp_path):
@@ -193,6 +214,18 @@ def test_solve_writes_eigenpairs_and_landscape(tmp_path):
     w = [float(v) for v in (out / "landscape.txt").read_text().split()]
     assert len(w) == 241
     assert min(w) > 0
+
+
+def test_solve_modes_file_reads_back_as_the_embedded_modes(tmp_path):
+    # numpy 2 scalars repr as np.float64(...); the file holds plain numbers, one row per node
+    out = tmp_path / "o"
+    assert run_cli("solve", "--set", "n_cells=12", "--set", "n_modes=3", "--set", 'bc="dirichlet"',
+                   "--seed", "4", "--out", str(out)) == 0
+    grid = GridSpec(1, 12, 8)
+    op = assemble(grid, sample_potential(grid, DistributionSpec("bernoulli", (0.5,)), 4), 8000.0,
+                  BoundaryCondition("dirichlet"))
+    modes = np.column_stack([op.embed(p.mode).ravel() for p in smallest_eigenpairs(op, k=3)])
+    assert np.array_equal(np.loadtxt(out / "modes.txt"), modes)
 
 
 def test_valleys_outputs(tmp_path):

@@ -1,6 +1,7 @@
 """Property tests of the 1D run scans against the loop oracles in `scan_oracles`."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -78,3 +79,18 @@ def _label_arrays(draw):
 def test_region_sweep_matches_mask_builder(labels):
     part = _partition(labels, "cell", 0.25)
     assert part.regions == scan_oracles.regions_by_masks(labels, 0.25)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_label_arrays())
+def test_region_boxes_match_find_objects(labels):
+    # the reprs agree only if the types do: numpy 2 prints a numpy integer as np.int64(...)
+    part = _partition(labels, "cell", 0.25)
+    assert repr(part.regions) == repr(scan_oracles.regions_by_find_objects(labels, 0.25))
+
+
+@pytest.mark.parametrize("shape", [(1,), (7,), (1, 1), (3, 5)])
+def test_unlabelled_partition_has_no_regions(shape):
+    labels = np.full(shape, -1)
+    part = _partition(labels, "cell", 0.25)
+    assert part.regions == scan_oracles.regions_by_find_objects(labels, 0.25) == ()
