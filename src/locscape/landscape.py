@@ -167,10 +167,7 @@ def disorder_sweep(fieldv: PotentialField, bc: BoundaryCondition, K_list,
 def _nearest_nodes(op: DiscreteOperator, pts: np.ndarray) -> np.ndarray:
     per_axis = [np.argmin(np.abs(ax[None, :] - pts[:, d][:, None]), axis=1)
                 for d, ax in enumerate(op.axes)]
-    if op.dim == 1:
-        return per_axis[0]
-    ny = len(op.axes[1])
-    return per_axis[0] * ny + per_axis[1]
+    return np.ravel_multi_index(per_axis, op.shape_active)
 
 
 def save_grid(values: np.ndarray, path) -> None:

@@ -16,9 +16,8 @@ average of the adjacent cell values.  One 1D builder produces every axis: on
 the lattice's equal cells this is the plain average (1 cell strictly inside, 2
 across a face, 4 at an interior corner in 2D, where the Kronecker sum of two
 axes gives the 2D pencil), and the same builder serves lines and rings with
-arbitrary cell widths.  Every axis is written straight into CSR: a non-periodic one
-as a tridiagonal matrix over its active nodes (Dirichlet ends trimmed before the matrix
-exists), a ring with its two corner entries in rows 0 and n-1.
+arbitrary cell widths.  A 1D operator keeps A as its diagonal, off-diagonal and ring
+corner and applies it by a matvec that sums each row in CSR's order; only 2D is CSR.
 """
 
 from dataclasses import dataclass
@@ -94,23 +93,22 @@ class BoundaryCondition:
 
 @dataclass(frozen=True)
 class DiscreteOperator:
-    """Assembled pencil (matrix, mass) with grid metadata.
+    """Assembled pencil (A, M) with grid metadata.
 
     ``axes`` holds the active node coordinates per axis; Dirichlet ends are
-    eliminated, so active nodes may be a strict subset of the lattice nodes.
+    eliminated, so active nodes may be a strict subset of the lattice nodes.  A 1D
+    operator holds A as arrays (d, e, c): diagonal, off-diagonal and the corner joining
+    nodes 0 and n-1 of a ring (0 on a line, and on a ring of 1 or 2 nodes, whose corner
+    sums into d or e as in CSR).  A 2D operator holds A as a CSR matrix.
     """
 
-    matrix: sp.csr_matrix
+    A: tuple | sp.csr_matrix
     mass: np.ndarray
     bc: BoundaryCondition
     coupling: float
     axes: tuple
     trimmed: tuple          # per axis: (low_end_eliminated, high_end_eliminated)
     vnode: np.ndarray       # potential value at active nodes (flattened)
-
-    @property
-    def periodic(self) -> bool:
-        return self.bc.kind == "periodic"
 
     @property
     def dim(self) -> int:
@@ -122,19 +120,55 @@ class DiscreteOperator:
 
     @property
     def size(self) -> int:
-        return self.matrix.shape[0]
+        return len(self.mass)
+
+    @property
+    def matrix(self) -> sp.csr_matrix:
+        """A as CSR; built on demand in 1D, where no solver path reads it."""
+        if self.dim != 1:
+            return self.A
+        d, e, c = self.A
+        n = len(d)
+        A = sp.diags([e, d, e], [-1, 0, 1], (n, n), "csr") if n else sp.csr_matrix((0, 0))
+        if c:                               # a ring's corner entries, in rows 0 and n-1
+            A = A + sp.csr_matrix(([c, c], ([0, n - 1], [n - 1, 0])), shape=(n, n))
+        return A
+
+    def _matvec(self, u: np.ndarray) -> np.ndarray:
+        """A u, u of shape (n,) or (n, k); as in CSR, each row sums from 0 in column order."""
+        if self.dim != 1:
+            return self.A @ u
+        d, e, c = self.A
+        if u.ndim == 2:
+            d, e = d[:, None], e[:, None]
+        y = np.zeros(u.shape)
+        if c:
+            y[-1] += c * u[0]
+        y[1:] += e * u[:-1]
+        y += d * u
+        y[:-1] += e * u[1:]
+        if c:
+            y[0] += c * u[-1]
+        return y
+
+    def _abs_row_sums(self) -> np.ndarray:
+        """Row sums of |A| as CSR forms them: a row's first entry plus the sum of the rest."""
+        if self.dim != 1:
+            return np.asarray(abs(self.A).sum(axis=1)).ravel()
+        d, e, c = (np.abs(x) for x in self.A)
+        s = d.copy()
+        s[:-1] += e
+        s[1:] += e                          # |e_{i-1}| + (|d_i| + |e_i|)
+        if c:
+            s[0], s[-1] = d[0] + (e[0] + c), s[-1] + c
+        return s
 
     def embed(self, u: np.ndarray) -> np.ndarray:
-        """Pad a vector on active nodes with zeros at eliminated Dirichlet nodes.
-
-        Returns the full lattice-node array, shape (nx,) or (nx, ny).
-        """
+        """Pad a vector on active nodes with zeros at eliminated Dirichlet nodes, giving the
+        full lattice-node array, shape (nx,) or (nx, ny)."""
         arr = np.asarray(u).reshape(self.shape_active)
-        for axis, (lo, hi) in enumerate(self.trimmed):
-            pad = [(0, 0)] * arr.ndim
-            pad[axis] = (1 if lo else 0, 1 if hi else 0)
-            arr = np.pad(arr, pad)
-        return arr
+        pad = [(int(lo), int(hi)) for lo, hi in self.trimmed]
+        return np.pad(arr, pad) if any(map(any, pad)) else arr
 
 
 def _axis_1d(widths, values, ends, K):
@@ -143,19 +177,18 @@ def _axis_1d(widths, values, ends, K):
     ``values`` holds one row per cell; extra trailing axes are averaged alongside.
     ``ends`` is the (kind, h) pair of the low and high end, or None for a ring
     whose last cell closes onto node 0; K must be 0 if ``values`` has trailing
-    axes.  Returns the matrix (stiffness + K*diag(v*m)), the lumped mass m, the
-    node potential v (the width-weighted average of the adjacent cells) and the
-    (low, high) Dirichlet trim, restricted to the active nodes.  The matrix is CSR with
-    sorted int32 indices, every row holding its neighbours and its diagonal, the layout
-    `sp.diags` (plus the corner entries of a ring) gives.
+    axes.  Returns A = stiffness + K*diag(v*m) as its pieces (d, e, c) (see
+    `DiscreteOperator`), the lumped mass m, the node potential v (the width-weighted
+    average of the adjacent cells) and the (low, high) Dirichlet trim, restricted to
+    the active nodes.
     """
     w = np.asarray(widths, float)
     v = np.asarray(values, float)
     if ends is None:
-        wp, vp = np.r_[w[-1], w], np.concatenate([v[-1:], v])
+        wp, vp = np.concatenate((w[-1:], w)), np.concatenate((v[-1:], v))
     else:                                   # zero-width cells beyond both ends
         pad = np.zeros_like(v[:1])
-        wp, vp = np.r_[0.0, w, 0.0], np.concatenate([pad, v, pad])
+        wp, vp = np.concatenate(([0.0], w, [0.0])), np.concatenate((pad, v, pad))
     n = len(wp) - 1                         # node i joins cells wp[i] and wp[i + 1]
     inv = 1.0 / np.where(wp > 0, wp, np.inf)   # the zero-width cells add no stiffness
     span = wp[:-1] + wp[1:]
@@ -173,32 +206,14 @@ def _axis_1d(widths, values, ends, K):
     if K:
         d = d + K * vnode * m
     if ends is None:
-        # row i holds (e[i-1], d[i], e[i]) at columns (i-1, i, i+1) mod n, where e = -inv[1:]
-        # and e[n-1] is the corner; rows 0 and n-1 are rotated so their columns stay sorted
-        e = -inv[1:]
-        rows = np.empty((n, 3))
-        rows[:, 0], rows[:, 1], rows[:, 2] = np.roll(e, 1), d, e
-        cols = np.arange(-1, 2, dtype=np.int32) + np.arange(n, dtype=np.int32)[:, None]
-        rows[0], cols[0] = np.roll(rows[0], -1), np.roll(cols[0], -1) % n
-        rows[-1], cols[-1] = np.roll(rows[-1], 1), np.roll(cols[-1], 1) % n
-        indptr = 3 * np.arange(n + 1, dtype=np.int32)
-        S = sp.csr_matrix((rows.ravel(), cols.ravel(), indptr), shape=(n, n))
-        S.sum_duplicates()                  # a ring of 1 or 2 nodes has its corner on a neighbour
-        return S, m, vnode, (False, False)
-    lo, hi = trim
-    sl = slice(int(lo), n - int(hi))
-    d, e = d[sl], -inv[sl][1:]              # e[i] couples active nodes i and i + 1
-    na = len(d)
-    # CSR straight from the active nodes: row i holds (e[i-1], d[i], e[i]) at columns
-    # (i-1, i, i+1); the flat layout's first and last slots fall outside the matrix
-    rows = np.empty((na, 3))
-    rows[:, 1] = d
-    rows[1:, 0] = e
-    rows[:-1, 2] = e
-    cols = np.arange(-1, 2, dtype=np.int32) + np.arange(na, dtype=np.int32)[:, None]
-    indptr = np.clip(3 * np.arange(na + 1, dtype=np.int32) - 1, 0, max(3 * na - 2, 0))
-    S = sp.csr_matrix((rows.ravel()[1:-1], cols.ravel()[1:-1], indptr), shape=(na, na))
-    return S, m[sl], vnode[sl], (lo, hi)
+        e, c = -inv[1:-1], -inv[-1]         # the last cell joins node n-1 to node 0
+        if n == 2:                          # the corner lies on the off-diagonal
+            e, c = e + c, 0.0
+        elif n == 1:                        # and on the diagonal
+            d, c = d + c + c, 0.0
+        return (d, e, c), m, vnode, (False, False)
+    sl = slice(int(trim[0]), n - int(trim[1]))
+    return (d[sl], -inv[sl][1:], 0.0), m[sl], vnode[sl], tuple(trim)
 
 
 def assemble(grid: GridSpec, fieldv: PotentialField, K: float,
@@ -219,19 +234,18 @@ def assemble(grid: GridSpec, fieldv: PotentialField, K: float,
     widths = np.full(n - 1, grid.spacing)
     ends = None if periodic else bc.end_specs()
     coords = np.linspace(0.0, 1.0, n)
-    S, m, v, (lo, hi) = _axis_1d(widths, np.repeat(fieldv.cell_values, r, axis=0), ends,
+    A, m, v, (lo, hi) = _axis_1d(widths, np.repeat(fieldv.cell_values, r, axis=0), ends,
                                  K if grid.dim == 1 else 0.0)   # 2D adds K*V after the kron
     coords = coords[:-1] if periodic else coords[int(lo):n - int(hi)]
 
     if grid.dim == 1:
-        return DiscreteOperator(S, m, bc, K, (coords,), ((lo, hi),), v)
+        return DiscreteOperator(A, m, bc, K, (coords,), ((lo, hi),), v)
 
     # v is (active x, cells y); average along y as well, then index it [x, y]
     v = _axis_1d(widths, np.repeat(v.T, r, axis=0), ends, 0.0)[2].T
-    M = sp.diags(m)
-    A2 = sp.kron(S, M) + sp.kron(M, S)
-    m2 = np.multiply.outer(m, m).ravel()
-    A = (A2 + sp.diags(K * v.ravel() * m2)).tocsr()
+    d, e, _ = A
+    S, M, m2 = sp.diags([e, d, e], [-1, 0, 1]), sp.diags(m), np.multiply.outer(m, m).ravel()
+    A = (sp.kron(S, M) + sp.kron(M, S) + sp.diags(K * v.ravel() * m2)).tocsr()
     return DiscreteOperator(A, m2, bc, K, (coords, coords), ((lo, hi), (lo, hi)), v.ravel())
 
 

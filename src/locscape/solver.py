@@ -8,8 +8,7 @@ written A = T' + c w w^T with w = e_0 + e_{n-1}: T' drops both corner entries an
 `_factor` is the one place that factors A; it serves `solve_linear` and shift-invert
 Lanczos (ARPACK in standard mode) for the eigenpairs of rings and 2D operators.
 Non-periodic 1D pencils get their eigenpairs from LAPACK's tridiagonal eigensolver
-(`stebz`/`stein`, through `eigh_tridiagonal`) instead.  `_tridiagonal` is the one place
-that reads the (diagonal, superdiagonal, corner) of a 1D pencil.
+(`stebz`/`stein`, through `eigh_tridiagonal`) instead.  No 1D path reads A as CSR.
 """
 
 from dataclasses import dataclass
@@ -52,35 +51,22 @@ def _assign_clusters(values):
     return cluster
 
 
-def _tridiagonal(op: DiscreteOperator):
-    """(diagonal, superdiagonal, corner) of A for a 1D pencil.
-
-    The corner is A[0, n-1] on a ring of more than 2 nodes and 0 otherwise: a 2-node
-    ring's corner lies on the superdiagonal, so that ring is already tridiagonal.
-    """
-    A = op.matrix
-    n = op.size
-    corner = A[0, n - 1] if op.periodic and n > 2 else 0.0
-    return A.diagonal(), A.diagonal(1), corner
-
-
 def _factor(op: DiscreteOperator):
-    """solve(b) = A^{-1} b from one factorization of A.
+    """solve(b) = A^{-1} b from one factorization of A: `dpttrf` once and `dpttrs` per solve
+    in 1D, with a Sherman-Morrison correction for a ring's corner; SuperLU in 2D.
 
-    1D pencils use `dpttrf` once and `dpttrs` per solve, rings with a Sherman-Morrison
-    correction for their corner; 2D operators use SuperLU.  A singular operator raises
-    SingularOperatorError: reflecting or periodic walls with K V = 0, a pivot that is
-    not positive, a Sherman-Morrison denominator that is not positive, or an exactly
+    A singular operator raises SingularOperatorError: reflecting or periodic walls with
+    K V = 0, a pivot or Sherman-Morrison denominator that is not positive, or an exactly
     singular SuperLU factor.
     """
     if op.bc.kind in ("neumann", "periodic") and np.max(op.coupling * op.vnode) == 0.0:
         raise SingularOperatorError("pure Neumann/periodic operator with K*V = 0 is singular")
     if op.dim != 1:
         try:
-            return spla.splu(op.matrix.tocsc()).solve
+            return spla.splu(op.A.tocsc()).solve
         except RuntimeError as exc:   # SuperLU reports an exactly singular factor this way
             raise SingularOperatorError(f"sparse LU failed: {exc}") from exc
-    d, e, c = _tridiagonal(op)
+    d, e, c = op.A
     if c:                                   # T' = A - c w w^T, both corners folded in
         d = d.copy()
         d[[0, -1]] -= c
@@ -125,8 +111,8 @@ def smallest_eigenpairs(op: DiscreteOperator, k: int) -> list[EigenPair]:
     if k >= n:
         raise ParameterError(f"k={k} too large for operator of dimension {n}")
     s = 1.0 / np.sqrt(op.mass)
-    if op.dim == 1 and not op.periodic:
-        d, e, _ = _tridiagonal(op)
+    if op.dim == 1 and op.bc.kind != "periodic":
+        d, e, _ = op.A
         try:
             vals, vecs = sla.eigh_tridiagonal(d / op.mass, e * s[:-1] * s[1:],
                                               select="i", select_range=(0, k - 1))
@@ -143,10 +129,8 @@ def smallest_eigenpairs(op: DiscreteOperator, k: int) -> list[EigenPair]:
         try:
             theta, vecs = spla.eigsh(opinv, k=k, which="LM", v0=v0, maxiter=MAX_ITER)
         except spla.ArpackNoConvergence as exc:
-            got = len(exc.eigenvalues)
-            raise ConvergenceError(
-                f"eigensolver converged {got}/{k} pairs within {MAX_ITER} iterations",
-                residual=None) from exc
+            raise ConvergenceError(f"eigensolver converged {len(exc.eigenvalues)}/{k} pairs "
+                                   f"within {MAX_ITER} iterations", residual=None) from exc
         vals, vecs = 1.0 / theta, vecs * s[:, None]
         # Lanczos can leave a pair short of the bound: standard mode errs by about
         # eps ||M^{-1/2} A M^{-1/2}|| at nodes of small mass, and a cluster of more than k
@@ -159,7 +143,7 @@ def smallest_eigenpairs(op: DiscreteOperator, k: int) -> list[EigenPair]:
             U = np.column_stack([solve(op.mass * u) for u in vecs.T])
             U /= np.sqrt(np.einsum("ij,ij->j", U, op.mass[:, None] * U))
             try:
-                vals, c = sla.eigh(U.T @ (op.matrix @ U), U.T @ (op.mass[:, None] * U))
+                vals, c = sla.eigh(U.T @ op._matvec(U), U.T @ (op.mass[:, None] * U))
             except np.linalg.LinAlgError as exc:
                 raise ConvergenceError(f"Rayleigh-Ritz step failed: {exc}",
                                        residual=None) from exc
@@ -184,7 +168,7 @@ def _sup_normalized(u):
 
 def _residual(op, lam, u):
     """||M^{-1}(A u - lam M u)||_inf."""
-    r = op.matrix @ u - lam * (op.mass * u)
+    r = op._matvec(u) - lam * (op.mass * u)
     return float(np.max(np.abs(r / op.mass)))
 
 
@@ -199,30 +183,34 @@ def solve_linear(op: DiscreteOperator, rhs) -> np.ndarray:
     residual is checked in the mass-weighted form ||A w - M rhs||_inf <=
     SOLVE_TOL * (||A||_inf ||w||_inf + ||M rhs||_inf), with a few steps of iterative
     refinement if needed.  The ||A|| ||w|| term keeps a nearly singular operator (reflecting
-    walls with small K V + h, where w is large) from failing on round-off alone.
+    walls with small K V + h, where w is large) from failing on round-off alone.  A solve
+    that only this term accepts must also have eps ||A||_inf ||A^{-1}||_inf < 1, or A is
+    singular to working precision; for the M-matrix A, ||A^{-1}||_inf = max(A^{-1} 1).
 
     A is factored once by `_factor` (LDL^T for every 1D pencil, with a rank-one corner
     correction on a ring; SuperLU in 2D), and that factor serves the first solve and
     every refinement step.  A singular operator raises SingularOperatorError.
     """
     n = op.size
-    b_raw = np.broadcast_to(np.asarray(rhs, float), (n,)).copy()
     solve = _factor(op)
-    b = op.mass * b_raw
+    b = op.mass * np.broadcast_to(np.asarray(rhs, float), (n,))
     w = solve(b)
     b_norm = np.max(np.abs(b))
-
-    def bound(w):
-        return SOLVE_TOL * (abs(op.matrix).sum(axis=1).max() * np.max(np.abs(w)) + b_norm)
-
-    for _ in range(5):
-        r = b - op.matrix @ w
+    for step in range(6):
+        r = b - op._matvec(w)
         res = np.max(np.abs(r))
-        if res <= SOLVE_TOL * b_norm or res <= bound(w):   # the cheap, stricter test first
+        if res <= SOLVE_TOL * b_norm:       # the cheap, stricter test first
             return w
+        a_norm = op._abs_row_sums().max()
+        bound = SOLVE_TOL * (a_norm * np.max(np.abs(w)) + b_norm)
+        if res <= bound:
+            break
+        if step == 5:
+            raise ConvergenceError(f"linear solve residual {res:.3e} above {bound:.3e}",
+                                   residual=float(res))
         w = w + solve(r)
-    res = np.max(np.abs(b - op.matrix @ w))
-    if res > bound(w):
-        raise ConvergenceError(f"linear solve residual {res:.3e} above {bound(w):.3e}",
-                               residual=float(res))
+    cond = np.finfo(float).eps * a_norm * np.max(np.abs(solve(np.ones(n))))
+    if not cond < 1.0:
+        raise SingularOperatorError(
+            f"operator is singular to working precision: eps * cond_inf(A) = {cond:.3e}")
     return w

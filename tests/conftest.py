@@ -15,10 +15,14 @@ FIELD_DISTS = st.one_of(
               st.floats(0.1, 2.0), st.floats(0.1, 1.0)),
 )
 
-# cell widths and values of a 1D builder's input, 2 to 30 cells
-CELLS = st.integers(2, 30).flatmap(lambda n: st.tuples(
-    st.lists(st.floats(1e-3, 10.0), min_size=n, max_size=n),       # widths
-    st.lists(st.floats(0.0, 10.0), min_size=n, max_size=n)))       # values
+def cells(min_cells):
+    """Cell widths and values of a 1D builder's input, min_cells to 30 cells."""
+    return st.integers(min_cells, 30).flatmap(lambda n: st.tuples(
+        st.lists(st.floats(1e-3, 10.0), min_size=n, max_size=n),   # widths
+        st.lists(st.floats(0.0, 10.0), min_size=n, max_size=n)))   # values
+
+
+CELLS = cells(2)
 
 
 def dense_eigenpairs(op, k):

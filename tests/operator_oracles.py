@@ -1,4 +1,5 @@
-"""Banded assembly of a 1D pencil: the reference for `operator._axis_1d`."""
+"""Banded assembly of a 1D pencil: the reference for `operator._axis_1d` and the CSR that
+`DiscreteOperator.matrix` builds from it."""
 
 import numpy as np
 import scipy.sparse as sp
@@ -9,8 +10,8 @@ def axis_1d_by_diags(widths, values, ends, K):
 
     The matrix is `sp.diags` over every node, Dirichlet nodes included, then sliced
     down to the active nodes; a ring (``ends`` None) adds its two corner entries as a
-    second sparse matrix.  Returns (matrix, mass, node potential, trim) as `_axis_1d`
-    does.
+    second sparse matrix.  Returns (matrix, mass, node potential, trim), as `_axis_1d`
+    does with the matrix given as its arrays (d, e, c).
     """
     w = np.asarray(widths, float)
     v = np.asarray(values, float)

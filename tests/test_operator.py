@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from locscape import (BoundaryCondition, DistributionSpec, GridSpec, ParameterError,
                       assemble, assemble_line, assemble_ring, grid_1d, grid_2d,
                       sample_potential, smallest_eigenpairs)
-from conftest import CELLS, dense_eigenpairs
+from conftest import CELLS, cells, dense_eigenpairs
 from operator_oracles import axis_1d_by_diags, kron_sum_2d
 
 
@@ -268,3 +268,23 @@ def test_periodic_lattice_matrix_equals_banded_reference(grid):
                                   np.repeat(fieldv.cell_values, grid.nodes_per_cell), None, 321.0)
     _assert_same_csr(op.matrix, S)
     assert np.array_equal(op.mass, m) and np.array_equal(op.vnode, v)
+
+
+# --- the 1D matvec and row sums against the CSR they stand for -------------------
+
+@settings(max_examples=300, deadline=None)
+@given(cells(1), st.one_of(st.just(0.0), st.floats(0.0, 1e4)),
+       st.one_of(st.none(), st.tuples(_END, _END)), st.sampled_from([None, 1, 3]),
+       st.integers(0, 2**32))
+@example(([1.0], [0.5]), 10.0, None, None, 0)                 # a ring of 1 node
+@example(([1.0], [0.5]), 10.0, None, 3, 0)
+@example(([0.3, 1.7], [0.5, 2.0]), 10.0, None, None, 0)       # a ring of 2 nodes
+@example(([0.3, 1.7], [0.5, 2.0]), 10.0, None, 3, 0)
+def test_matvec_and_row_sums_are_bit_exact(cell_data, K, ends, k, seed):
+    # rows summed in CSR's order: residuals and refinement decisions keep their bits
+    op = _build(cell_data, K, ends)
+    A = op.matrix
+    shape = (op.size,) if k is None else (op.size, k)
+    u = np.random.default_rng(seed).standard_normal(shape)
+    assert np.array_equal(op._matvec(u), A @ u)
+    assert np.array_equal(op._abs_row_sums(), np.asarray(abs(A).sum(axis=1)).ravel())

@@ -3,14 +3,14 @@ from collections import Counter
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import LinearOperator
 
-from locscape import (BoundaryCondition, ConvergenceError, DistributionSpec, GridSpec,
-                      ParameterError, SingularOperatorError, assemble, assemble_line,
-                      assemble_ring, grid_1d, grid_2d, sample_potential, smallest_eigenpairs,
-                      solve_linear, solver)
+from locscape import (REFERENCE_PARAMS, BoundaryCondition, ConvergenceError, DistributionSpec,
+                      ExperimentSpec, GridSpec, ParameterError, SingularOperatorError, assemble,
+                      assemble_line, assemble_ring, experiments, grid_1d, grid_2d,
+                      sample_potential, smallest_eigenpairs, solve_linear, solver, toy_operator)
 from conftest import CELLS, FIELD_DISTS, dense_eigenpairs, rayleigh_quotient
 
 
@@ -127,14 +127,35 @@ def _tridiagonal_solve_cases(draw):
     return fieldv, K, bc, rhs
 
 
+def _solve_unless_singular_to_working_precision(op, A, rhs):
+    """solve_linear(op, rhs) where the dense eps cond_inf(A) is below 0.5; where it is 2 or
+    more, check that the solve raises SingularOperatorError and return None.
+
+    Draws in between are skipped: there the solver's own estimate of cond_inf(A), from a
+    solve with A's factor, may fall on either side of 1/eps.
+    """
+    eps_cond = np.finfo(float).eps * np.linalg.cond(A, np.inf)
+    assume(not 0.5 <= eps_cond < 2.0)
+    if eps_cond < 0.5:
+        return solve_linear(op, rhs)
+    with pytest.raises(SingularOperatorError):
+        solve_linear(op, rhs)
+    return None
+
+
 @settings(max_examples=200, deadline=None)
 @given(_tridiagonal_solve_cases())
+# K V m far below the round-off of A's diagonal: factored, but singular to working precision
+@example((sample_potential(GridSpec(1, 4, 2), DistributionSpec.uniform(1e-14, 2e-14), 0), 1.0,
+          BoundaryCondition.neumann(), 1.0))
 def test_tridiagonal_solve_matches_dense_solve(case):
     fieldv, K, bc, rhs = case
     op = assemble(fieldv.grid, fieldv, K, bc)
     rhs = rhs if np.isscalar(rhs) else rhs[:op.size]
-    w = solve_linear(op, rhs)
     A = op.matrix.toarray()
+    w = _solve_unless_singular_to_working_precision(op, A, rhs)
+    if w is None:
+        return
     w_dense = np.linalg.solve(A, op.mass * np.broadcast_to(rhs, (op.size,)))
     # two backward-stable solves differ by up to a few eps times the condition number:
     # reflecting walls with K V small near the walls reach cond ~ 1e6, where no route,
@@ -191,7 +212,27 @@ def _no_arpack(*args, **kwargs):
 
 
 def _no_superlu(*args, **kwargs):
-    raise AssertionError("non-periodic 1D pencils must not reach SuperLU")
+    raise AssertionError("1D pencils must not reach SuperLU")
+
+
+class _NoSparse:
+    """Stands in for scipy.sparse in `locscape.operator`: any use of it fails."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"a 1D path reached scipy.sparse.{name}")
+
+
+def test_no_1d_path_builds_csr_or_calls_superlu(monkeypatch):
+    monkeypatch.setattr("locscape.operator.sp", _NoSparse())
+    monkeypatch.setattr(solver.spla, "splu", _no_superlu)
+    for predicate, bc in (("boundary", BoundaryCondition.robin(0.01)),
+                          ("multimodal", BoundaryCondition.dirichlet())):
+        spec = ExperimentSpec(grid_1d(20), DistributionSpec.bernoulli(0.5), 5e4, bc, 1, 7,
+                              predicate)
+        assert not experiments.run_trial(spec, 0).failed
+    rng = np.random.default_rng(4)
+    solve_linear(assemble_ring(rng.uniform(0.1, 2.0, 30), rng.uniform(0.0, 1.0, 30), 50.0), 1.0)
+    smallest_eigenpairs(toy_operator(REFERENCE_PARAMS, 700.0, nodes_per_unit=200), 1)
 
 
 @pytest.mark.parametrize("bc", [
@@ -273,22 +314,25 @@ def _ring_cases(draw):
     """A ring on random cells with K in [1e-6, 1e5], log-uniform, so nearly singular
     rings are drawn.
 
-    Only the singular K V = 0 is not: exactly, or in floating point, where K V m is
-    below the round-off of A's diagonal and leaves A singular to working precision.
+    Only the singular K V = 0 is left out.  Rings singular to working precision, where
+    K V m is below the round-off of A's diagonal, are not.
     """
     widths, values = (np.array(c) for c in draw(CELLS))
     op = assemble_ring(widths, values, 10.0 ** draw(st.floats(-6.0, 5.0)))
     assume(np.max(op.coupling * op.vnode) > 0.0)
-    assume(np.finfo(float).eps * np.linalg.cond(op.matrix.toarray(), np.inf) < 1.0)
     return op
 
 
 @settings(max_examples=200, deadline=None)
 @given(_ring_cases(), st.integers(0, 2**32))
+# K V m far below the round-off of A's diagonal: factored, but singular to working precision
+@example(assemble_ring(np.array([0.5, 1.0, 2.0, 0.25, 3.0]), np.full(5, 1e-16), 1.0), 0)
 def test_ring_solves_match_dense_solves(op, seed):
     rhs = np.random.default_rng(seed).uniform(-1.0, 1.0, op.size)
-    w = solve_linear(op, rhs)
     A = op.matrix.toarray()
+    w = _solve_unless_singular_to_working_precision(op, A, rhs)
+    if w is None:
+        return
     w_dense = np.linalg.solve(A, op.mass * rhs)
     # as in test_tridiagonal_solve_matches_dense_solve: two backward-stable solves differ
     # by up to a few eps times the condition number, which small K V makes large
