@@ -13,9 +13,9 @@ import numpy as np
 
 from locscape import (BoundaryCondition, DistributionSpec, ExperimentSpec, RunModel,
                       assemble, grid_1d, landscape_from_operator, multimodal_prob_dirichlet,
-                      multimodal_prob_neumann, run_ensemble, sample_potential,
-                      smallest_eigenpairs, valley_partition)
+                      multimodal_prob_neumann, run_ensemble, sample_potential, valley_partition)
 from locscape.experiments import THRESHOLD, is_multimodal
+from locscape.solver import ground_cluster
 
 OUT = Path(__file__).resolve().parent
 N, K = 50, 3e6
@@ -26,8 +26,7 @@ example = None
 for seed in range(200):
     fieldv = sample_potential(grid, DistributionSpec.bernoulli(0.5), seed)
     op = assemble(grid, fieldv, K, BoundaryCondition.neumann())
-    pairs = smallest_eigenpairs(op, 3)
-    members = [p for p in pairs if p.cluster == pairs[0].cluster]
+    members = ground_cluster(op)
     if len(members) < 2:
         continue
     env = np.max(np.abs([p.mode for p in members]), axis=0)

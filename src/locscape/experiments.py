@@ -17,7 +17,7 @@ from .landscape import landscape_from_operator, valley_partition
 from .operator import BoundaryCondition, assemble
 from .potential import DistributionSpec, GridSpec, sample_potential
 from .regions import SubregionPartition
-from .solver import smallest_eigenpairs
+from .solver import ground_cluster, smallest_eigenpairs
 
 THRESHOLD = 0.5   # localization detectors compare sup-normalized amplitudes to this
 PREDICATES = ("boundary", "corner", "multimodal")
@@ -115,7 +115,8 @@ def run_trial(spec: ExperimentSpec, trial: int) -> TrialRecord:
     fieldv = sample_potential(spec.grid, spec.dist, trial_seed)
     op = assemble(spec.grid, fieldv, spec.K, spec.bc)
     try:
-        pairs = smallest_eigenpairs(op, k=3 if spec.predicate == "multimodal" else 1)
+        pairs = (ground_cluster(op) if spec.predicate == "multimodal"
+                 else smallest_eigenpairs(op, k=1))
     except ConvergenceError:
         return TrialRecord(trial, trial_seed, float("nan"), False, True)
     pair = pairs[0]
@@ -124,8 +125,7 @@ def run_trial(spec: ExperimentSpec, trial: int) -> TrialRecord:
     elif spec.predicate == "corner":
         hit = is_corner_localized(op.embed(pair.mode))
     else:
-        members = [p for p in pairs if p.cluster == pair.cluster]
-        envelope = np.max(np.abs([p.mode for p in members]), axis=0)
+        envelope = np.max(np.abs([p.mode for p in pairs]), axis=0)
         partition = valley_partition(landscape_from_operator(op))
         hit = is_multimodal(envelope, partition)
     return TrialRecord(trial, trial_seed, pair.eigenvalue, hit, False)

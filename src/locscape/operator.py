@@ -260,8 +260,15 @@ def assemble_ring(widths, values, K: float) -> DiscreteOperator:
 
 
 def assemble_line(widths, values, K: float, bc: BoundaryCondition) -> DiscreteOperator:
-    """1D operator on [0, sum(widths)] from cell widths/values, any non-periodic bc."""
+    """1D operator on [0, sum(widths)] from cell widths/values, any non-periodic bc.
+
+    A line must keep at least one active node: one cell between two Dirichlet walls has
+    none and is rejected.
+    """
     A, m, v, (lo, hi) = _axis_1d(widths, values, bc.end_specs(), K)
+    if not len(m):
+        raise ParameterError(f"a line of {len(widths)} cell with Dirichlet walls at both ends "
+                             "has no active node")
     coords = np.concatenate(([0.0], np.cumsum(widths)))
     coords = coords[int(lo):len(coords) - int(hi)]
     return DiscreteOperator(A, m, bc, float(K), (coords,), ((lo, hi),), v)

@@ -7,8 +7,11 @@ written A = T' + c w w^T with w = e_0 + e_{n-1}: T' drops both corner entries an
 `pttrs` plus a Sherman-Morrison correction.  2D operators are factored by SuperLU.
 `_factor` is the one place that factors A; it serves `solve_linear` and shift-invert
 Lanczos (ARPACK in standard mode) for the eigenpairs of rings and 2D operators.
-Non-periodic 1D pencils get their eigenpairs from LAPACK's tridiagonal eigensolver
-(`stebz`/`stein`, through `eigh_tridiagonal`) instead.  No 1D path reads A as CSR.
+Non-periodic 1D pencils get their eigenpairs from LAPACK's tridiagonal routines instead,
+called directly: Sturm bisection (`dstebz`) for the eigenvalues and inverse iteration
+(`dstein`) for the vectors.  `ground_cluster` asks bisection only for the ground cluster
+that a multimodality trial reads: lambda_1 alone, then one Sturm count to show whether any
+other eigenvalue lies within DEGENERACY_RTOL of it.  No 1D path reads A as CSR.
 """
 
 from dataclasses import dataclass
@@ -96,7 +99,8 @@ def smallest_eigenpairs(op: DiscreteOperator, k: int) -> list[EigenPair]:
     """The k smallest eigenpairs of A u = lambda M u, eigenvalues non-decreasing.
 
     Non-periodic 1D pencils are tridiagonal with diagonal M, so they are solved
-    directly by LAPACK's tridiagonal eigensolver on M^{-1/2} A M^{-1/2}.  Rings and 2D
+    directly on M^{-1/2} A M^{-1/2}: bisection (`dstebz`) for the k eigenvalues, then
+    inverse iteration (`dstein`) for their vectors.  Rings and 2D
     operators use shift-invert Lanczos at shift 0: ARPACK in standard mode on
     x -> M^{1/2} A^{-1} M^{1/2} x, with A^{-1} from `_factor`, started from a vector
     drawn from a fixed counter-based stream; its eigenvalues theta give lambda = 1/theta,
@@ -110,49 +114,119 @@ def smallest_eigenpairs(op: DiscreteOperator, k: int) -> list[EigenPair]:
         raise ParameterError("k must be >= 1")
     if k >= n:
         raise ParameterError(f"k={k} too large for operator of dimension {n}")
-    s = 1.0 / np.sqrt(op.mass)
     if op.dim == 1 and op.bc.kind != "periodic":
-        d, e, _ = op.A
+        d, e, s = _scaled_tridiagonal(op)
+        w, iblock, isplit = _stebz(d, e, 2, iu=k)
+        return _pairs(op, *_stein(d, e, s, w, iblock, isplit))
+    solve = _factor(op)
+    root_m = np.sqrt(op.mass)
+    opinv = spla.LinearOperator((n, n), matvec=lambda x: root_m * solve(root_m * x.ravel()),
+                                dtype=float)
+    v0 = stream(0x51AC, n).standard_normal(n)
+    try:
+        theta, vecs = spla.eigsh(opinv, k=k, which="LM", v0=v0, maxiter=MAX_ITER)
+    except spla.ArpackNoConvergence as exc:
+        raise ConvergenceError(f"eigensolver converged {len(exc.eigenvalues)}/{k} pairs "
+                               f"within {MAX_ITER} iterations", residual=None) from exc
+    vals, vecs = 1.0 / theta, vecs * (1.0 / root_m)[:, None]
+    # Lanczos can leave a pair short of the bound: standard mode errs by about
+    # eps ||M^{-1/2} A M^{-1/2}|| at nodes of small mass, and a cluster of more than k
+    # equal eigenvalues can yield a stray Ritz vector.  Block inverse iteration with
+    # Rayleigh-Ritz in the M inner product damps each error component by
+    # lambda_k / lambda_i per step, and runs only until every pair meets the bound.
+    for _ in range(5):
+        if all(_meets_bound(op, lam, u) for lam, u in zip(vals, vecs.T)):
+            break
+        U = np.column_stack([solve(op.mass * u) for u in vecs.T])
+        U /= np.sqrt(np.einsum("ij,ij->j", U, op.mass[:, None] * U))
         try:
-            vals, vecs = sla.eigh_tridiagonal(d / op.mass, e * s[:-1] * s[1:],
-                                              select="i", select_range=(0, k - 1))
+            vals, c = sla.eigh(U.T @ op._matvec(U), U.T @ (op.mass[:, None] * U))
         except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(f"tridiagonal eigensolver failed: {exc}",
+            raise ConvergenceError(f"Rayleigh-Ritz step failed: {exc}",
                                    residual=None) from exc
-        vecs = vecs * s[:, None]
-    else:
-        solve = _factor(op)
-        root_m = np.sqrt(op.mass)
-        opinv = spla.LinearOperator((n, n), matvec=lambda x: root_m * solve(root_m * x.ravel()),
-                                    dtype=float)
-        v0 = stream(0x51AC, n).standard_normal(n)
-        try:
-            theta, vecs = spla.eigsh(opinv, k=k, which="LM", v0=v0, maxiter=MAX_ITER)
-        except spla.ArpackNoConvergence as exc:
-            raise ConvergenceError(f"eigensolver converged {len(exc.eigenvalues)}/{k} pairs "
-                                   f"within {MAX_ITER} iterations", residual=None) from exc
-        vals, vecs = 1.0 / theta, vecs * s[:, None]
-        # Lanczos can leave a pair short of the bound: standard mode errs by about
-        # eps ||M^{-1/2} A M^{-1/2}|| at nodes of small mass, and a cluster of more than k
-        # equal eigenvalues can yield a stray Ritz vector.  Block inverse iteration with
-        # Rayleigh-Ritz in the M inner product damps each error component by
-        # lambda_k / lambda_i per step, and runs only until every pair meets the bound.
-        for _ in range(5):
-            if all(_meets_bound(op, lam, u) for lam, u in zip(vals, vecs.T)):
-                break
-            U = np.column_stack([solve(op.mass * u) for u in vecs.T])
-            U /= np.sqrt(np.einsum("ij,ij->j", U, op.mass[:, None] * U))
-            try:
-                vals, c = sla.eigh(U.T @ op._matvec(U), U.T @ (op.mass[:, None] * U))
-            except np.linalg.LinAlgError as exc:
-                raise ConvergenceError(f"Rayleigh-Ritz step failed: {exc}",
-                                       residual=None) from exc
-            vecs = U @ c
+        vecs = U @ c
+    return _pairs(op, vals, vecs)
+
+
+def ground_cluster(op: DiscreteOperator) -> list[EigenPair]:
+    """The ground cluster: the eigenpairs whose eigenvalues lie within DEGENERACY_RTOL of the
+    smallest, lambda_1, at most 3 of them, eigenvalues non-decreasing.
+
+    A member is any lambda with |lambda - lambda_1| < DEGENERACY_RTOL |lambda|; the
+    ``cluster`` labels of `smallest_eigenpairs` chain neighbours instead, so the two rules
+    part only where a run of eigenvalues spreads over more than the tolerance.  A
+    non-periodic 1D pencil is solved by bisection for lambda_1 alone (`dstebz`), then one
+    Sturm count on the bracket (lambda_1 (1 - rtol), lambda_1 / (1 - rtol)], widened by the
+    bisection's absolute tolerance; only when it holds more than lambda_1 does a second
+    bisection on it find the members.  `dstein` computes vectors for the members only.
+    Rings and 2D operators take the ground cluster of smallest_eigenpairs(op, 3).  Every
+    returned pair meets the residual bound of `smallest_eigenpairs`.
+    """
+    if op.dim != 1 or op.bc.kind == "periodic":
+        pairs = smallest_eigenpairs(op, 3)
+        return [p for p in pairs if p.cluster == pairs[0].cluster]
+    if op.size < 2:
+        raise ParameterError(f"ground_cluster needs an operator of dimension >= 2, got {op.size}")
+    d, e, s = _scaled_tridiagonal(op)
+    w, iblock, isplit = _stebz(d, e, 2, iu=1)
+    lam, rtol = w[0], DEGENERACY_RTOL
+    # dstebz's absolute tolerance: ulp times the Gerschgorin bound of the spectrum
+    r = np.abs(d)
+    r[:-1] += np.abs(e)
+    r[1:] += np.abs(e)
+    atol = np.finfo(float).eps * r.max()
+    vl = lam - rtol * abs(lam) - atol
+    vu = lam + rtol / (1.0 - rtol) * abs(lam) + atol
+    count = len(_stebz(d, e, 1, vl, vu, tol=np.inf)[0])   # an infinite tol only counts
+    if count < 1:
+        raise ConvergenceError(f"Sturm count found no eigenvalue in ({vl:.17g}, {vu:.17g}] "
+                               f"about lambda_1 = {lam:.17g}", residual=None)
+    if count > 1:
+        w, iblock, isplit = _stebz(d, e, 1, vl, vu)
+        order = np.argsort(w)
+        near = np.abs(w[order] - w[order[0]]) < rtol * np.maximum(np.abs(w[order]), 1e-300)
+        keep = np.sort(order[near][:3])     # back in block order, as dstein needs
+        w, iblock[:len(keep)] = w[keep], iblock[keep]
+    return _pairs(op, *_stein(d, e, s, w, iblock, isplit))
+
+
+def _scaled_tridiagonal(op):
+    """M^{-1/2} A M^{-1/2} of a non-periodic 1D pencil as (diagonal, off-diagonal), and the
+    scaling s = M^{-1/2} that maps its eigenvectors back to modes."""
+    d, e, _ = op.A
+    s = 1.0 / np.sqrt(op.mass)
+    return d / op.mass, e * s[:-1] * s[1:], s
+
+
+def _stebz(d, e, rng, vl=0.0, vu=0.0, iu=1, tol=0.0):
+    """Eigenvalues of the tridiagonal (d, e) by Sturm bisection, `dstebz` in block order:
+    the iu smallest (rng 2) or those in (vl, vu] (rng 1).  tol 0 asks for full accuracy;
+    an infinite tol stops at the Sturm counts.  Returns (eigenvalues, iblock, isplit)."""
+    m, w, iblock, isplit, info = sla.lapack.dstebz(d, e, rng, vl, vu, 1, iu, tol, "B")
+    if info:
+        raise ConvergenceError(f"tridiagonal bisection (dstebz) failed: info {info}",
+                               residual=None)
+    return w[:m], iblock, isplit
+
+
+def _stein(d, e, s, w, iblock, isplit):
+    """(w, modes) sorted by w: inverse-iteration vectors of the tridiagonal (d, e) at its
+    eigenvalues w (`dstein`), mapped back to modes by s."""
+    vecs, info = sla.lapack.dstein(d, e, w, iblock, isplit)
+    if info:
+        raise ConvergenceError(f"tridiagonal inverse iteration (dstein) failed: info {info}",
+                               residual=None)
+    order = np.argsort(w)
+    return w[order], vecs[:, order] * s[:, None]
+
+
+def _pairs(op, vals, vecs):
+    """EigenPairs sorted by eigenvalue, each checked against the residual bound."""
     order = np.argsort(vals)
     vals, vecs = vals[order], vecs[:, order]
     clusters = _assign_clusters(vals)
     pairs = []
-    for j in range(k):
+    for j in range(len(vals)):
         u = _sup_normalized(vecs[:, j])
         res = _residual(op, vals[j], u)
         if not res <= EIG_TOL * max(1.0, abs(vals[j])):

@@ -233,7 +233,12 @@ def test_nonuniform_line_matrix_equals_banded_reference(n_cells, ends):
     rng = np.random.default_rng(n_cells)
     widths, values = rng.uniform(0.1, 2.0, n_cells), rng.uniform(0.0, 1.0, n_cells)
     (lk, lh), (rk, rh) = ends
-    op = assemble_line(widths, values, 77.0, BoundaryCondition.mixed(lk, rk, lh, rh))
+    bc = BoundaryCondition.mixed(lk, rk, lh, rh)
+    if n_cells == 1 and lk == rk == "dirichlet":   # no active node: rejected, not solved
+        with pytest.raises(ParameterError, match="no active node"):
+            assemble_line(widths, values, 77.0, bc)
+        return
+    op = assemble_line(widths, values, 77.0, bc)
     S, m, v, _ = axis_1d_by_diags(widths, values, ends, 77.0)
     _assert_same_csr(op.matrix, S)
     assert np.array_equal(op.mass, m) and np.array_equal(op.vnode, v)
@@ -280,8 +285,13 @@ def test_periodic_lattice_matrix_equals_banded_reference(grid):
 @example(([1.0], [0.5]), 10.0, None, 3, 0)
 @example(([0.3, 1.7], [0.5, 2.0]), 10.0, None, None, 0)       # a ring of 2 nodes
 @example(([0.3, 1.7], [0.5, 2.0]), 10.0, None, 3, 0)
+@example(([1.0], [0.5]), 10.0, (("dirichlet", 0.0), ("dirichlet", 0.0)), None, 0)
 def test_matvec_and_row_sums_are_bit_exact(cell_data, K, ends, k, seed):
     # rows summed in CSR's order: residuals and refinement decisions keep their bits
+    if ends is not None and len(cell_data[0]) == 1 and ends[0][0] == ends[1][0] == "dirichlet":
+        with pytest.raises(ParameterError, match="no active node"):
+            _build(cell_data, K, ends)      # one cell between Dirichlet walls: rejected
+        return
     op = _build(cell_data, K, ends)
     A = op.matrix
     shape = (op.size,) if k is None else (op.size, k)

@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,10 +8,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import LinearOperator
 
-from locscape import (REFERENCE_PARAMS, BoundaryCondition, ConvergenceError, DistributionSpec,
-                      ExperimentSpec, GridSpec, ParameterError, SingularOperatorError, assemble,
-                      assemble_line, assemble_ring, experiments, grid_1d, grid_2d,
-                      sample_potential, smallest_eigenpairs, solve_linear, solver, toy_operator)
+from locscape import (REFERENCE_PARAMS, BoundaryCondition, ConvergenceError, DiscreteOperator,
+                      DistributionSpec, ExperimentSpec, GridSpec, ParameterError, PotentialField,
+                      SingularOperatorError, assemble, assemble_line, assemble_ring, experiments,
+                      grid_1d, grid_2d, sample_potential, smallest_eigenpairs, solve_linear, solver,
+                      toy_operator)
 from conftest import CELLS, FIELD_DISTS, dense_eigenpairs, rayleigh_quotient
 
 
@@ -101,25 +103,34 @@ def test_singular_pure_neumann_rejected():
         solve_linear(op, 1.0)
 
 
+# exponent of the scale on drawn cell values: 1, or 10**-200 up to 10, where K V m can fall
+# below the round-off of A's diagonal
+_LOG_SCALE = st.one_of(st.just(0.0), st.floats(-200.0, 1.0))
+
 _WALL = st.one_of(st.just(("dirichlet", 0.0)), st.just(("neumann", 0.0)),
                   st.tuples(st.just("robin"), st.floats(1e-3, 100.0)))
+# every non-periodic kind, and mixed ends of any two kinds
+_LINE_BC = st.one_of(
+    st.sampled_from([BoundaryCondition.dirichlet(), BoundaryCondition.neumann()]),
+    st.floats(1e-3, 100.0).map(BoundaryCondition.robin),
+    st.tuples(_WALL, _WALL).map(lambda ends: BoundaryCondition.mixed(
+        ends[0][0], ends[1][0], ends[0][1], ends[1][1])))
 
 
 @st.composite
 def _tridiagonal_solve_cases(draw):
-    """A random 1D field, K in [1, 1e5], any non-periodic walls and a source.
+    """A random 1D field, its values scaled by 10**uniform(-200, 1) in about half the draws,
+    K in [1, 1e5], any non-periodic walls and a source.
 
-    The singular case, reflecting walls at both ends with K V = 0, is not drawn.
+    The singular case, reflecting walls at both ends with K V = 0, is not drawn.  Operators
+    singular to working precision, reflecting walls with K V m below the round-off of A's
+    diagonal, are.
     """
     grid = GridSpec(1, draw(st.integers(2, 20)), draw(st.integers(2, 8)))
     fieldv = sample_potential(grid, draw(FIELD_DISTS), draw(st.integers(0, 2**32)))
+    fieldv = replace(fieldv, cell_values=fieldv.cell_values * 10.0 ** draw(_LOG_SCALE))
     K = draw(st.floats(1.0, 1e5))
-    kind = draw(st.sampled_from(["dirichlet", "neumann", "robin", "mixed"]))
-    if kind == "mixed":
-        (left, h_left), (right, h_right) = draw(_WALL), draw(_WALL)
-        bc = BoundaryCondition.mixed(left, right, h_left, h_right)
-    else:
-        bc = BoundaryCondition(kind, draw(st.floats(1e-3, 100.0)) if kind == "robin" else 0.0)
+    bc = draw(_LINE_BC)
     if all(end == "neumann" for end, _ in bc.end_specs()):
         assume(fieldv.cell_values.max() > 0.0)
     rhs = draw(st.one_of(st.just(1.0), st.integers(0, 2**32).map(
@@ -271,17 +282,20 @@ def test_degenerate_criterion_6_trial_solves():
     pairs = smallest_eigenpairs(op, 3)
     _assert_matches_oracle(op, pairs, modes=False)   # any basis of the cluster is valid
     assert len({p.cluster for p in pairs}) == 1
+    members = solver.ground_cluster(op)              # six-fold, capped at 3
+    _assert_matches_oracle(op, members, modes=False)
+    assert len(members) == 3
 
 
-def _recording(monkeypatch, calls, name):
-    """Replace solver.spla.<name> by a wrapper that logs (name, first argument, keywords)."""
-    real = getattr(solver.spla, name)
-    monkeypatch.setattr(solver.spla, name,
-                        lambda A, *a, **kw: calls.append((name, A, kw)) or real(A, *a, **kw))
+def _recording(monkeypatch, calls, name, module=solver.spla):
+    """Replace module.<name> by a wrapper that logs (name, positional arguments, keywords)."""
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name,
+                        lambda *a, **kw: calls.append((name, a, kw)) or real(*a, **kw))
 
 
 def _assert_arpack_factors_nothing(call):
-    name, A, kw = call
+    name, (A, *_), kw = call
     assert name == "eigsh" and isinstance(A, LinearOperator)
     assert "sigma" not in kw and "M" not in kw
 
@@ -311,13 +325,14 @@ def test_shift_invert_runs_on_the_solvers_own_factor(strong_disorder_1d, monkeyp
 
 @st.composite
 def _ring_cases(draw):
-    """A ring on random cells with K in [1e-6, 1e5], log-uniform, so nearly singular
-    rings are drawn.
+    """A ring on random cells, their values scaled by 10**uniform(-200, 1) in about half
+    the draws, with K in [1e-6, 1e5], log-uniform, so nearly singular rings are drawn.
 
     Only the singular K V = 0 is left out.  Rings singular to working precision, where
     K V m is below the round-off of A's diagonal, are not.
     """
     widths, values = (np.array(c) for c in draw(CELLS))
+    values = values * 10.0 ** draw(_LOG_SCALE)
     op = assemble_ring(widths, values, 10.0 ** draw(st.floats(-6.0, 5.0)))
     assume(np.max(op.coupling * op.vnode) > 0.0)
     return op
@@ -369,3 +384,97 @@ def test_singular_shift_invert_is_a_typed_error(make):
         smallest_eigenpairs(op, 2)
     with pytest.raises(SingularOperatorError):
         solve_linear(op, 1.0)
+
+
+# --- the ground cluster --------------------------------------------------------------
+
+@st.composite
+def _ground_cluster_cases(draw):
+    """A 1D line under any non-periodic walls: a random field with K = 0 or K in [1, 1e7],
+    log-uniform; or a planted degeneracy, two identical one-cell wells in a unit potential,
+    at least three cells apart and two from either wall, at K in [1e5, 1e7]."""
+    bc = draw(_LINE_BC)
+    if draw(st.booleans()):
+        grid = GridSpec(1, draw(st.integers(3, 20)), draw(st.integers(2, 8)))
+        fieldv = sample_potential(grid, draw(FIELD_DISTS), draw(st.integers(0, 2**32)))
+        K = draw(st.one_of(st.just(0.0), st.floats(0.0, 7.0).map(lambda x: 10.0 ** x)))
+        return assemble(grid, fieldv, K, bc), False
+    n = draw(st.integers(12, 30))
+    grid = GridSpec(1, n, draw(st.integers(2, 8)))
+    i = draw(st.integers(2, n - 7))
+    j = draw(st.integers(i + 4, n - 3))
+    values = np.ones(n)
+    values[[i, j]] = 0.0
+    K = 10.0 ** draw(st.floats(5.0, 7.0))
+    return assemble(grid, PotentialField(grid, values, 0), K, bc), True
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ground_cluster_cases())
+def test_ground_cluster_matches_dense_eigenvalues(case):
+    op, planted = case
+    lam = scipy.linalg.eigh(op.matrix.toarray(), np.diag(op.mass), eigvals_only=True)
+    near = lam[np.abs(lam - lam[0]) < solver.DEGENERACY_RTOL * np.maximum(np.abs(lam), 1e-300)]
+    pairs = solver.ground_cluster(op)
+    assert len(pairs) == min(len(near), 3)
+    for pair, lam_d in zip(pairs, near):
+        assert abs(pair.eigenvalue - lam_d) <= 10 * solver.EIG_TOL * max(1.0, abs(lam_d))
+        assert pair.residual <= solver.EIG_TOL * max(1.0, abs(pair.eigenvalue))
+    first = smallest_eigenpairs(op, 3)
+    assert len(pairs) == sum(p.cluster == first[0].cluster for p in first)
+    if planted:
+        assert len(pairs) == 2
+
+
+def test_ground_cluster_spanning_split_blocks():
+    # an exact zero off-diagonal splits the pencil; the lower member lies in the second
+    # block, so the members reach dstein in block order, not in order of eigenvalue
+    d = np.array([2.0, 2.0, 2.0 - 2e-8, 2.0 - 2e-8, 5.0])
+    e = np.array([-1.0, 0.0, -1.0 + 1e-8, 0.0])
+    op = DiscreteOperator((d, e, 0.0), np.ones(5), BoundaryCondition.neumann(), 1.0,
+                          (np.arange(5.0),), ((False, False),), np.ones(5))
+    pairs = solver.ground_cluster(op)
+    assert [p.eigenvalue for p in pairs] == pytest.approx([1.0 - 1e-8, 1.0], rel=1e-14)
+    assert all(p.residual <= solver.EIG_TOL for p in pairs)
+
+
+def _multimodal_trial(trial, bc=BoundaryCondition.dirichlet()):
+    spec = ExperimentSpec(grid_1d(50), DistributionSpec.bernoulli(0.5), 3e6, bc, 1, 2718,
+                          "multimodal")
+    return experiments.run_trial(spec, trial)
+
+
+@pytest.mark.parametrize("trial, members", [(0, 1), (150, 3)], ids=["singleton", "six-fold"])
+def test_multimodal_trial_bisects_once_and_solves_only_the_members(trial, members,
+                                                                   monkeypatch):
+    # one full-range bisection for lambda_1, one Sturm count of its bracket, a second
+    # bisection only when the count shows company, and dstein vectors for the members only
+    calls = []
+    _recording(monkeypatch, calls, "dstebz", solver.sla.lapack)
+    _recording(monkeypatch, calls, "dstein", solver.sla.lapack)
+    assert not _multimodal_trial(trial).failed
+    stebz = [(a[2], a[7]) for name, a, _ in calls if name == "dstebz"]     # (range, tol)
+    assert stebz == [(2, 0.0), (1, np.inf)] + [(1, 0.0)] * (members > 1)
+    assert [len(a[2]) for name, a, _ in calls if name == "dstein"] == [members]
+
+
+def test_periodic_multimodal_trial_runs_shift_invert_once(monkeypatch):
+    calls = []
+    _recording(monkeypatch, calls, "eigsh")
+    assert not _multimodal_trial(0, BoundaryCondition.periodic()).failed
+    assert [call[0] for call in calls] == ["eigsh"]
+    _assert_arpack_factors_nothing(calls[0])
+
+
+@pytest.mark.parametrize("name", ["dstebz", "dstein"])
+@pytest.mark.parametrize("predicate", ["boundary", "multimodal"])
+def test_tridiagonal_lapack_failure_is_a_failed_trial(name, predicate, monkeypatch):
+    real = getattr(solver.sla.lapack, name)
+    monkeypatch.setattr(solver.sla.lapack, name, lambda *a: (*real(*a)[:-1], 1))   # info 1
+    spec = ExperimentSpec(grid_1d(20), DistributionSpec.bernoulli(0.5), 5e4,
+                          BoundaryCondition.neumann(), 1, 7, predicate)
+    record = experiments.run_trial(spec, 0)
+    assert record.failed and np.isnan(record.eigenvalue)
+    with pytest.raises(ConvergenceError, match=name):
+        solver.ground_cluster(assemble(spec.grid, sample_potential(spec.grid, spec.dist, 7),
+                                       spec.K, spec.bc))
