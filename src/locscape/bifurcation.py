@@ -6,8 +6,10 @@ split well (two length-L3 wells separated by a short L4 barrier), far apart
 joint width exceeds L1; at strong coupling the barrier cuts the split well in
 two and the mode jumps to the long well.  The crossover coupling solves a pair
 of transcendental matching conditions, one per well, obtained by shifting each
-well to the center of the period and folding the half-interval; the sweep of
-the full spectrum provides the independent numerical route to the same number.
+well to the center of the period and folding the half-interval.  Dirichlet-Neumann
+bracketing puts each well's ground energy, and no other root, below min(K, the
+condition's first pole), so one Brent solve on that bracket finds it.  The sweep
+of the full spectrum provides the independent numerical route to the same number.
 """
 
 import functools
@@ -23,7 +25,6 @@ from .rng import stream
 from .solver import smallest_eigenpairs
 
 POLE_WIDTH = 1e-8
-SCAN_INTERVALS = 200
 K_BOUNDS = (10.0, 1e8)   # couplings between which `critical_point` seeks the crossing
 K_RTOL = 1e-10           # relative tolerance of `critical_point` in K
 SWEEP_RTOL = 1e-5        # relative width at which the sweep stops refining its bracket
@@ -135,27 +136,19 @@ def subsystem_half_pieces(params: TwoWellParams, which: int) -> tuple[np.ndarray
 
 # --- transcendental matching conditions -------------------------------------------
 
-# A scalar lambda makes each mask below a bool, which is tested directly: numpy's
-# reduction wrappers cost microseconds per call on it, and Brent's method calls often.
-
 def _check_lambda(K, lam):
-    inside = (0.0 < lam) & (lam < K)
-    if not (inside.all() if isinstance(inside, np.ndarray) else inside):
+    if not 0.0 < lam < K:
         raise ParameterError(f"need 0 < lambda < K, got lambda={lam}, K={K}")
 
 
 def _check_pole(trig, arg, label):
-    """Reject the lambdas whose trig argument lies within POLE_WIDTH/4 of a zero of `trig`."""
-    near = np.abs(trig(arg)) < 0.25 * POLE_WIDTH
-    if near.any() if isinstance(near, np.ndarray) else near:
-        raise ParameterError(f"{label} = {np.extract(near, arg)}")
+    """Reject a lambda whose trig argument lies within POLE_WIDTH/4 of a zero of `trig`."""
+    if abs(trig(arg)) < 0.25 * POLE_WIDTH:
+        raise ParameterError(f"{label} = {arg}")
 
 
-def characteristic_left(K: float, lam, params: TwoWellParams):
-    """alpha tan(alpha t0) - beta tanh(beta (1/2 - t0)); zero at long-well energies.
-
-    `lam` may be a scalar or an array; the result has its shape.
-    """
+def characteristic_left(K: float, lam: float, params: TwoWellParams) -> float:
+    """alpha tan(alpha t0) - beta tanh(beta (1/2 - t0)); zero at long-well energies."""
     _check_lambda(K, lam)
     a = np.sqrt(lam)
     b = np.sqrt(K - lam)
@@ -164,8 +157,8 @@ def characteristic_left(K: float, lam, params: TwoWellParams):
     return a * np.tan(a * t0) - b * np.tanh(b * (0.5 - t0))
 
 
-def characteristic_right(K: float, lam, params: TwoWellParams):
-    """Split-well matching condition, in overflow-free form; `lam` scalar or array.
+def characteristic_right(K: float, lam: float, params: TwoWellParams) -> float:
+    """Split-well matching condition, in overflow-free form.
 
     The direct form carries exp(2 beta t) factors that overflow for K beyond
     ~1e5; dividing every exponential by exp(2 beta (t1 + t3)) leaves only
@@ -182,26 +175,6 @@ def characteristic_right(K: float, lam, params: TwoWellParams):
     ec = np.exp(2 * b * (t2 - t3))
     ratio = ((a * a - b * b) * (ea + 1.0) + (a * a + b * b) * (eb + ec)) / (1.0 - ea)
     return ratio + 2 * a * b / np.tan(a * (t1 - t2))
-
-
-def _pole_lambdas(which, lam_max, t_char):
-    """Poles of the condition's tan (which=1) or cot (which=2) term below lam_max, ascending.
-
-    Candidates are squared by Python's float power: numpy's square differs from it
-    in the last bit for about 1 geometry in 100, and the poles bound the scan's brackets.
-    """
-    n = int(np.sqrt(lam_max) * t_char / np.pi) + 1
-    if which == 1:
-        alpha = (np.pi / 2 + np.arange(n) * np.pi) / t_char
-    else:
-        alpha = np.arange(1, n + 1) * np.pi / t_char
-    lam = [a ** 2 for a in alpha.tolist()]
-    return [x for x in lam if x < lam_max]
-
-
-def _pole_margin(lam_pole, t_char):
-    # keep the scan POLE_WIDTH away from the pole in the trig argument alpha*t
-    return 2.0 * np.sqrt(lam_pole) * POLE_WIDTH / t_char
 
 
 def _brentq(f, xa, xb, xtol):
@@ -265,25 +238,25 @@ def _brentq(f, xa, xb, xtol):
 
 
 def subsystem_ground_energy(K: float, params: TwoWellParams, which: int) -> float:
-    """Smallest root of the matching condition in (0, K): a pole-aware scan, one
-    array evaluation per pole-free interval, then Brent's method on the first
-    sign change."""
-    f = characteristic_left if which == 1 else characteristic_right
-    t0, t1, t2, t3 = params.half_widths
-    t_char = t0 if which == 1 else t2 - t1
-    lam_max = min(K * (1 - 1e-12), 4 * (np.pi / params.L1) ** 2)
-    bounds = [0.0, *_pole_lambdas(which, lam_max, t_char), lam_max]
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        lo2 = lo + _pole_margin(lo, t_char) if lo > 0 else 1e-12 * lam_max
-        hi2 = hi - max(_pole_margin(hi, t_char), 1e-12 * hi)
-        grid = np.linspace(lo2, hi2, SCAN_INTERVALS + 1)
-        vals = f(K, grid, params)
-        sign_change = np.flatnonzero(np.signbit(vals[:-1]) != np.signbit(vals[1:]))
-        if len(sign_change) == 0:
-            continue
-        a, b = grid[sign_change[0]], grid[sign_change[0] + 1]
-        return _brentq(lambda lam: f(K, lam, params), a, b, 1e-12 * max(1.0, a))
-    raise NoRootError(f"no root of condition {which} below lambda={lam_max} at K={K}")
+    """Ground energy of well `which` at coupling K: Brent's method on a proven bracket.
+
+    The folded well's ground energy lies below K (the constant test function) and
+    below the well's Dirichlet energy lam_D (a Dirichlet test function on the
+    well), and Neumann bracketing at the well's edges puts the second eigenvalue at
+    or above min(K, lam_D) (Reed & Simon IV, sec. XIII.15).  lam_D is the
+    condition's first pole: alpha t0 = pi/2 for the long well, alpha L3 = pi for
+    the split well.  So (0, min(K, lam_D)) holds the ground energy and no other root;
+    the condition is negative at its bottom and positive at its top (+inf at the
+    pole).  The top end stays POLE_WIDTH clear of the pole, outside `_check_pole`'s
+    guard.
+    """
+    if not (K > 0 and math.isfinite(K)):
+        raise ParameterError(f"K must be finite and positive, got {K}")
+    if which not in (1, 2):
+        raise ParameterError(f"which must be 1 or 2, got {which}")
+    f, width = (characteristic_left, params.L1) if which == 1 else (characteristic_right, params.L3)
+    hi = min(K * (1 - 1e-12), (np.pi / width) ** 2 * (1 - POLE_WIDTH))
+    return _brentq(lambda lam: f(K, lam, params), 1e-12 * hi, hi, 1e-12)
 
 
 @dataclass(frozen=True)
@@ -298,11 +271,7 @@ def critical_point(params: TwoWellParams) -> CriticalPoint:
     @functools.cache   # _brentq evaluates both ends again after the sign check
     def gap(u):
         K = np.exp(u)
-        try:
-            return subsystem_ground_energy(K, params, 1) - subsystem_ground_energy(K, params, 2)
-        except NoRootError as exc:
-            # a well with no energy inside the scan window cannot produce a crossing
-            raise NoBifurcationError(str(exc)) from exc
+        return subsystem_ground_energy(K, params, 1) - subsystem_ground_energy(K, params, 2)
 
     a, b = K_BOUNDS
     ga, gb = gap(np.log(a)), gap(np.log(b))

@@ -35,7 +35,7 @@ class SingularOperatorError(LocscapeError):
 
 
 class NoRootError(LocscapeError):
-    """No root of a characteristic equation below the requested bound."""
+    """A root-finder's bracket has ends of the same sign, so it holds no certain root."""
 
 
 class NoBifurcationError(LocscapeError):

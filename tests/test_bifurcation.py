@@ -75,21 +75,6 @@ def test_stable_and_raw_right_conditions_agree():
         assert a == pytest.approx(b, rel=1e-10)
 
 
-@settings(max_examples=100, deadline=None)
-@given(K=st.floats(20.0, 1e6),
-       fractions=st.lists(st.floats(1e-9, 1.0 - 1e-9), min_size=1, max_size=40),
-       which=st.sampled_from([1, 2]))
-def test_array_call_matches_scalar_calls(K, fractions, which):
-    t0, t1, t2, t3 = REFERENCE_PARAMS.half_widths
-    f, trig, t = ((characteristic_left, np.cos, t0) if which == 1
-                  else (characteristic_right, np.sin, t2 - t1))
-    lam = K * np.array(fractions)
-    lam = lam[np.abs(trig(np.sqrt(lam) * t)) > 1e-6]
-    assume(len(lam) > 0)
-    scalar = np.array([f(K, x, REFERENCE_PARAMS) for x in lam])
-    np.testing.assert_allclose(f(K, lam, REFERENCE_PARAMS), scalar, rtol=1e-14, atol=0)
-
-
 def test_stable_right_condition_finite_at_huge_coupling():
     K = 1e6
     for lam in np.linspace(1.0, K - 1.0, 50):
@@ -111,6 +96,30 @@ def test_ground_energies_match_fd_oracle():
             assert abs(lam - lam_fd) / lam_fd < 0.005
             f = characteristic_left if which == 1 else characteristic_right
             assert scaled_residual(f, K, lam_fd, REFERENCE_PARAMS) < 1e-5
+
+
+@pytest.mark.parametrize("K,which", [(800.0, 3), (800.0, 0), (math.nan, 1), (-1.0, 2),
+                                     (0.0, 1), (math.inf, 2)])
+def test_ground_energy_rejects_bad_arguments(K, which):
+    with pytest.raises(ParameterError, match="which must be 1 or 2|K must be finite and positive"):
+        subsystem_ground_energy(K, REFERENCE_PARAMS, which)
+
+
+@settings(max_examples=100, deadline=None)
+@given(L3=st.floats(0.03, 0.055), f1=st.floats(1.3, 1.7), f4=st.floats(0.2, 0.4),
+       logK=st.floats(math.log(200.0), math.log(1e6)), which=st.sampled_from([1, 2]))
+def test_ground_energy_bracket_holds_the_ground_state_alone(L3, f1, f4, logK, which):
+    # the route test's geometries; K stays >= 200, where the fine FD grid meets EIG_TOL
+    L1, L4 = f1 * L3, f4 * L3
+    params = TwoWellParams(L1, (1 - L1 - 2 * L3 - L4) / 2, L3, L4)
+    K = math.exp(logK)
+    f = characteristic_left if which == 1 else characteristic_right
+    bound = min(K, (np.pi / (L1 if which == 1 else L3)) ** 2)   # K or the first pole
+    lam = subsystem_ground_energy(K, params, which)
+    assert 0.0 < lam < bound
+    assert f(K, lam * (1 - 1e-9), params) < 0.0 < f(K, lam * (1 + 1e-9), params)
+    pairs = smallest_eigenpairs(subsystem_operator(params, K, which, 2000), 2)
+    assert pairs[1].eigenvalue >= bound   # Neumann bracketing: lambda_2 >= min(K, lam_D)
 
 
 def test_ground_energy_reaches_isolated_well_limit():
@@ -303,13 +312,23 @@ def test_scaling_study_runs_and_reports():
 
 @pytest.mark.parametrize("axis", ["P1", "P2", "P3"])
 def test_scaling_fit_equals_linregress(axis):
-    # the fit is linregress written out; at P1, seed 0 only the clip of r keeps r2 at 1.0
+    # the fit is linregress written out, clip of r included
     fit = scaling_study(axis, n_points=12, seed=0)
     P, K = np.array(fit.samples).T
     ref = linregress(P, np.log(K)) if axis == "P2" else linregress(np.log10(P), np.log10(K))
     assert (fit.slope, fit.intercept, fit.r2) == (ref.slope, ref.intercept, ref.rvalue ** 2)
-    if axis == "P1":
-        assert fit.r2 == 1.0
+
+
+def test_scaling_fit_clips_r_of_an_exact_power_law(monkeypatch):
+    # an exact power law, K_c = P1**-2: at these draws round-off pushes the unclipped r past -1
+    monkeypatch.setattr(bifurcation, "critical_point",
+                        lambda p: bifurcation.CriticalPoint(lengths_to_ratios(p).P1 ** -2.0, 1.0))
+    fit = scaling_study("P1", n_points=12, seed=6)
+    x, y = np.log10(np.array(fit.samples)).T
+    ssxm, ssxym, _, ssym = np.cov(x, y, bias=True).flat
+    assert abs(ssxym / np.sqrt(ssxm * ssym)) > 1.0
+    assert fit.r2 == 1.0
+    assert fit.slope == pytest.approx(-2.0, rel=1e-12)
 
 
 def test_scaling_study_needs_two_fitted_points():

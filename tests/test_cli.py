@@ -139,9 +139,7 @@ def test_numerical_failure_exits_3(tmp_path):
 
 def test_root_finder_failure_exits_3(tmp_path, monkeypatch):
     # a NaN reaching Brent's method is a numerical failure with exit 3, not a traceback
-    left = bifurcation.characteristic_left
-    monkeypatch.setattr(bifurcation, "characteristic_left",
-                        lambda K, lam, params: left(K, lam, params) if np.ndim(lam) else np.nan)
+    monkeypatch.setattr(bifurcation, "characteristic_left", lambda K, lam, params: np.nan)
     assert run_cli("bifurcation", "--set", "sweep=false", "--out", str(tmp_path / "o")) == 3
 
 
