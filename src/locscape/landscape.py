@@ -17,7 +17,7 @@ import numpy as np
 from .errors import LocscapeError, ParameterError
 from .operator import BoundaryCondition, DiscreteOperator, assemble
 from .potential import PotentialField, _runs
-from .regions import _partition
+from .regions import SubregionPartition
 from .solver import SOLVE_TOL, EigenPair, solve_linear
 
 
@@ -62,7 +62,7 @@ def local_maxima_1d(w: np.ndarray) -> list[int]:
     return ((first + last) // 2)[left_lower & right_lower].tolist()
 
 
-def valley_partition(ls: Landscape):
+def valley_partition(ls: Landscape) -> SubregionPartition:
     """Split the domain along the valleys of the landscape.
 
     1D: regions are the intervals between interior local minima of w; the
@@ -86,8 +86,8 @@ def valley_partition(ls: Landscape):
         split = (first[k] + last[k]) // 2 + (v[k - 1] >= v[k + 1])
         labels = np.zeros(len(w), dtype=int)
         labels[split] = 1
-        return _partition(np.cumsum(labels), "node", spacing)
-    return _partition(_watershed(w.reshape(shape)).reshape(shape), "node", spacing)
+        return SubregionPartition(np.cumsum(labels), spacing)
+    return SubregionPartition(_watershed(w.reshape(shape)).reshape(shape), spacing)
 
 
 def _neighbors(i, nx, ny):

@@ -1,18 +1,18 @@
-"""Labeled domain partitions: zero-potential components and their extensions."""
+"""Labeled domain partitions: label arrays whose `Region` records are built when first read."""
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ParameterError
-from .operator import BoundaryCondition
 from .potential import PotentialField
 
 
 @dataclass(frozen=True)
 class Region:
     id: int
-    size: int                 # cells or nodes, per partition granularity
+    size: int                 # labelled cells or nodes
     bbox: tuple               # inclusive index ranges per axis
     touches: tuple            # per side flags: 1D (lo, hi); 2D (x_lo, x_hi, y_lo, y_hi)
     touches_corner: bool
@@ -23,13 +23,13 @@ class Region:
 class SubregionPartition:
     """Partition of the lattice (cells) or of the node grid into connected regions.
 
-    ``labels`` maps each cell/node to a region id, or -1 where unassigned
-    (e.g. nonzero cells in a zero-component partition).
+    ``labels`` maps each cell/node to a region id 0, 1, ..., or -1 where unassigned
+    (e.g. nonzero cells in a zero-component partition); ``cell_measure`` is the
+    length (1D) or area (2D) of one labelled cell or node.
     """
 
     labels: np.ndarray
-    granularity: str          # "cell" | "node"
-    regions: tuple
+    cell_measure: float
 
     def __post_init__(self):
         lab = np.asarray(self.labels)
@@ -38,46 +38,35 @@ class SubregionPartition:
 
     @property
     def n_regions(self) -> int:
-        return len(self.regions)
+        return int(self.labels.max(initial=-1)) + 1
 
-
-@dataclass(frozen=True)
-class ExtendedSubregion:
-    """Mirror extension of a region across the Neumann faces it touches."""
-
-    region_id: int
-    factor: int               # 1, 2, or 4
-    base_measure: float
-    extended_measure: float
-
-
-def _partition(labels, granularity, cell_measure):
-    """Partition whose region ids are the labels 0, 1, ...; -1 marks unassigned.
-
-    One pass over the labelled entries: sizes from ``np.bincount``, bounding boxes from
-    ``np.minimum.at``/``np.maximum.at`` over their coordinates, wall contact from the
-    boxes and corner contact from the labels of the four corners.
-    """
-    flat = labels.ravel()
-    at = np.flatnonzero(flat >= 0)
-    ids = flat[at]
-    n_regions = int(ids.max()) + 1 if len(ids) else 0
-    sizes = np.bincount(ids, minlength=n_regions)
-    first = np.full((labels.ndim, n_regions), flat.size)   # per axis and region: lowest index
-    last = np.full((labels.ndim, n_regions), -1)           # and highest
-    for axis, coord in enumerate(np.unravel_index(at, labels.shape)):
-        np.minimum.at(first[axis], ids, coord)
-        np.maximum.at(last[axis], ids, coord)
-    corners = ({int(labels[i, j]) for i in (0, -1) for j in (0, -1)}
-               if labels.ndim == 2 else set())
-    regions = []
-    for rid, (size, lows, highs) in enumerate(zip(sizes.tolist(), first.T.tolist(),
-                                                  last.T.tolist())):
-        bbox = tuple(zip(lows, highs))
-        touches = tuple(t for (lo, hi), n in zip(bbox, labels.shape)
-                        for t in (lo == 0, hi == n - 1))
-        regions.append(Region(rid, size, bbox, touches, rid in corners, size * cell_measure))
-    return SubregionPartition(labels, granularity, tuple(regions))
+    @cached_property
+    def regions(self) -> tuple:
+        """One `Region` per label, from one pass over the labelled entries: sizes from
+        ``np.bincount``, bounding boxes from ``np.minimum.at``/``np.maximum.at`` over their
+        coordinates, wall contact from the boxes, corner contact from the four corners."""
+        labels = self.labels
+        flat = labels.ravel()
+        at = np.flatnonzero(flat >= 0)
+        ids = flat[at]
+        n_regions = self.n_regions
+        sizes = np.bincount(ids, minlength=n_regions)
+        first = np.full((labels.ndim, n_regions), flat.size)   # per axis and region: lowest index
+        last = np.full((labels.ndim, n_regions), -1)           # and highest
+        for axis, coord in enumerate(np.unravel_index(at, labels.shape)):
+            np.minimum.at(first[axis], ids, coord)
+            np.maximum.at(last[axis], ids, coord)
+        corners = ({int(labels[i, j]) for i in (0, -1) for j in (0, -1)}
+                   if labels.ndim == 2 else set())
+        regions = []
+        for rid, (size, lows, highs) in enumerate(zip(sizes.tolist(), first.T.tolist(),
+                                                      last.T.tolist())):
+            bbox = tuple(zip(lows, highs))
+            touches = tuple(t for (lo, hi), n in zip(bbox, labels.shape)
+                            for t in (lo == 0, hi == n - 1))
+            regions.append(Region(rid, size, bbox, touches, rid in corners,
+                                  size * self.cell_measure))
+        return tuple(regions)
 
 
 def zero_components(fieldv: PotentialField) -> SubregionPartition:
@@ -91,17 +80,4 @@ def zero_components(fieldv: PotentialField) -> SubregionPartition:
     from scipy import ndimage   # here, not at module level: only the valleys command needs it
     cell_measure = (1.0 / fieldv.grid.cells_per_side) ** fieldv.grid.dim
     labels, _ = ndimage.label(fieldv.cell_values == 0)   # default structure = 4-connectivity
-    return _partition(labels.astype(int) - 1, "cell", cell_measure)   # background -> -1
-
-
-def extended_subregion(region: Region, bc: BoundaryCondition) -> ExtendedSubregion:
-    """Extension factor from mirror reflection across touched reflective faces.
-
-    Dirichlet walls reflect nothing (factor 1).  Under Neumann/Robin faces the
-    measure doubles per touched direction: 2 for a side region, 4 for a 2D
-    region meeting two perpendicular sides.
-    """
-    t = region.touches
-    touched_axes = sum(t[i] or t[i + 1] for i in range(0, len(t), 2))
-    factor = 1 if bc.kind == "dirichlet" else 2 ** touched_axes
-    return ExtendedSubregion(region.id, factor, region.measure, factor * region.measure)
+    return SubregionPartition(labels.astype(int) - 1, cell_measure)   # background -> -1

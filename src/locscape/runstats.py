@@ -7,7 +7,8 @@ reflective wall, three desk-scale probabilities have closed forms evaluated
 here: the longest extended zero run sits strictly at a wall (which is where the
 ground mode localizes under strong disorder and reflective walls), and the
 longest plain/extended run is tied (so the ground mode splits over several
-runs) under absorbing/reflective walls respectively.
+runs) under absorbing/reflective walls respectively.  The doubled wall run is the paper's
+extended subregion; this module (closed forms, `_batch_flags`) holds that rule's one copy.
 
 `oracle_probabilities` samples the same idealized model, giving an independent
 transcription check of the series: both routes must agree to sampling error.

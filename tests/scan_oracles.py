@@ -70,14 +70,14 @@ def region_from_mask(rid, mask, cell_measure):
 
 def regions_by_masks(labels, cell_measure):
     """The regions of labels 0, 1, ..., one mask per region: the reference for
-    `regions._partition`."""
+    `SubregionPartition.regions`."""
     return tuple(region_from_mask(rid, labels == rid, cell_measure)
                  for rid in range(labels.max() + 1))
 
 
 def regions_by_find_objects(labels, cell_measure):
     """The regions of labels 0, 1, ..., boxes from ``ndimage.find_objects``: the
-    builder `regions._partition` used before it computed its boxes with numpy."""
+    builder `SubregionPartition.regions` used before it computed its boxes with numpy."""
     boxes = ndimage.find_objects(labels + 1)
     sizes = np.bincount(labels.ravel() + 1, minlength=len(boxes) + 1)[1:]
     corners = ({int(labels[i, j]) for i in (0, -1) for j in (0, -1)}

@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from locscape import (BoundaryCondition, DistributionSpec, ExperimentSpec, ParameterError, RunModel,
-                      boundary_localization_prob, distribution_study,
+from locscape import (BoundaryCondition, DistributionSpec, ExperimentSpec, GridSpec, ParameterError,
+                      RunModel, boundary_localization_prob, distribution_study,
                       experiments, grid_1d, is_boundary_localized, is_corner_localized,
                       is_multimodal, run_ensemble, sample_potential, wilson_interval)
-from locscape.regions import Region, SubregionPartition
+from locscape.regions import SubregionPartition
 from run_oracles import longest_extended_run_on_boundary
 
 
@@ -44,9 +44,7 @@ def test_corner_predicate():
 def _two_region_partition(n):
     labels = np.zeros(n, dtype=int)
     labels[n // 2:] = 1
-    regions = (Region(0, n // 2, ((0, n // 2 - 1),), (True, False), False, 0.5),
-               Region(1, n - n // 2, ((n // 2, n - 1),), (False, True), False, 0.5))
-    return SubregionPartition(labels, "node", regions)
+    return SubregionPartition(labels, 0.05)
 
 
 def test_multimodal_predicate():
@@ -60,7 +58,22 @@ def test_multimodal_predicate():
     double[15] = 0.9
     assert is_multimodal(double, part)
     with pytest.raises(ParameterError, match="empty partition"):
-        is_multimodal(double, SubregionPartition(np.full(20, -1), "node", ()))
+        is_multimodal(double, SubregionPartition(np.full(20, -1), 0.05))
+
+
+def _no_region(*args):
+    raise AssertionError("a Region was built")
+
+
+@pytest.mark.parametrize("grid, K", [(grid_1d(50), 3e6), (GridSpec(2, 8, 4), 8000.0)],
+                         ids=["1d", "2d"])
+def test_multimodal_trial_builds_no_region(grid, K, monkeypatch):
+    # the predicate reads the partition's labels alone; Region records wait for a reader
+    monkeypatch.setattr("locscape.regions.Region", _no_region)
+    spec = ExperimentSpec(grid, DistributionSpec.bernoulli(0.5), K, BoundaryCondition.neumann(),
+                          4, 2718, "multimodal")
+    records = [experiments.run_trial(spec, trial) for trial in range(spec.n_trials)]
+    assert not any(r.failed for r in records)
 
 
 def test_wilson_interval_basics():

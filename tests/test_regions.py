@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from locscape import (BoundaryCondition, DistributionSpec, GridSpec, ParameterError,
-                      PotentialField, extended_subregion, grid_2d, sample_potential,
-                      zero_components)
+from locscape import (DistributionSpec, GridSpec, ParameterError, PotentialField, grid_2d,
+                      sample_potential, zero_components)
 
 
 def _field_1d(cells):
@@ -47,29 +46,3 @@ def test_non_binary_field_rejected():
     with pytest.raises(ParameterError, match=r"defined for \{0,1\}-valued fields"):
         zero_components(fieldv)
 
-
-def test_extension_factors_1d():
-    part = zero_components(_field_1d([0, 1, 0, 0, 1, 0]))
-    neumann = BoundaryCondition.neumann()
-    left, middle, right = part.regions
-    assert extended_subregion(middle, neumann).factor == 1
-    ext_left = extended_subregion(left, neumann)
-    assert ext_left.factor == 2
-    assert ext_left.extended_measure == pytest.approx(2 * left.measure)
-    assert extended_subregion(right, neumann).factor == 2
-    # absorbing walls reflect nothing
-    assert extended_subregion(left, BoundaryCondition.dirichlet()).factor == 1
-
-
-def test_extension_factors_2d():
-    cells = np.ones((5, 5))
-    cells[0, 0] = 0.0          # corner region
-    cells[0, 2] = 0.0          # one-side region
-    cells[2, 2] = 0.0          # interior region
-    part = zero_components(PotentialField(GridSpec(2, 5, 2), cells, 0))
-    factors = {}
-    for region in part.regions:
-        factors[region.bbox] = extended_subregion(region, BoundaryCondition.robin(0.01)).factor
-    assert factors[((0, 0), (0, 0))] == 4
-    assert factors[((0, 0), (2, 2))] == 2
-    assert factors[((2, 2), (2, 2))] == 1

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from locscape import (BoundaryCondition, GridSpec, Landscape, PotentialField, assemble_line,
                       local_maxima_1d, run_decomposition, valley_partition, zero_components)
 from locscape.potential import runs_of_zeros
-from locscape.regions import _partition
+from locscape.regions import SubregionPartition
 
 import scan_oracles
 
@@ -77,20 +77,22 @@ def _label_arrays(draw):
 @settings(max_examples=300, deadline=None)
 @given(_label_arrays())
 def test_region_sweep_matches_mask_builder(labels):
-    part = _partition(labels, "cell", 0.25)
+    part = SubregionPartition(labels, 0.25)
     assert part.regions == scan_oracles.regions_by_masks(labels, 0.25)
+    assert part.n_regions == len(part.regions)
+    assert part.regions is part.regions     # built once, on first read
 
 
 @settings(max_examples=300, deadline=None)
 @given(_label_arrays())
 def test_region_boxes_match_find_objects(labels):
     # the reprs agree only if the types do: numpy 2 prints a numpy integer as np.int64(...)
-    part = _partition(labels, "cell", 0.25)
+    part = SubregionPartition(labels, 0.25)
     assert repr(part.regions) == repr(scan_oracles.regions_by_find_objects(labels, 0.25))
 
 
 @pytest.mark.parametrize("shape", [(1,), (7,), (1, 1), (3, 5)])
 def test_unlabelled_partition_has_no_regions(shape):
     labels = np.full(shape, -1)
-    part = _partition(labels, "cell", 0.25)
+    part = SubregionPartition(labels, 0.25)
     assert part.regions == scan_oracles.regions_by_find_objects(labels, 0.25) == ()
