@@ -12,7 +12,6 @@ condition's first pole), so one Brent solve on that bracket finds it.  The sweep
 of the full spectrum provides the independent numerical route to the same number.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -266,21 +265,27 @@ class CriticalPoint:
 
 
 def critical_point(params: TwoWellParams) -> CriticalPoint:
-    """Coupling in K_BOUNDS at which the two wells' ground energies cross, by Brent's
-    method in log K (an absolute tolerance K_RTOL there is a relative one in K)."""
-    @functools.cache   # _brentq evaluates both ends again after the sign check
+    """Coupling in K_BOUNDS where the two wells' ground energies cross: one Brent solve in
+    log K (its tolerance K_RTOL is relative in K).  lambda_c, their mean at the root, reuses
+    the energies of that point, which Brent's method evaluated.  Ends of equal sign raise
+    NoBifurcationError."""
+    energies = {}   # log K -> [long-well, split-well] ground energy
+
     def gap(u):
-        K = np.exp(u)
-        return subsystem_ground_energy(K, params, 1) - subsystem_ground_energy(K, params, 2)
+        energies[u] = [subsystem_ground_energy(np.exp(u), params, which) for which in (1, 2)]
+        return energies[u][0] - energies[u][1]
 
     a, b = K_BOUNDS
-    ga, gb = gap(np.log(a)), gap(np.log(b))
-    if not (ga < 0) != (gb < 0):
+    try:
+        u = _brentq(gap, np.log(a), np.log(b), K_RTOL)
+    except NoRootError:
+        if len(energies) != 2:   # a well's own solve failed, not the sign check at the ends
+            raise
+        ga, gb = (e1 - e2 for e1, e2 in energies.values())
         raise NoBifurcationError(
-            f"ground energies do not cross on [{a:g}, {b:g}] (gap {ga:.3g} -> {gb:.3g})")
-    Kc = np.exp(_brentq(gap, np.log(a), np.log(b), K_RTOL))
-    lam = 0.5 * (subsystem_ground_energy(Kc, params, 1) + subsystem_ground_energy(Kc, params, 2))
-    return CriticalPoint(float(Kc), float(lam))
+            f"ground energies do not cross on [{a:g}, {b:g}] (gap {ga:.3g} -> {gb:.3g})") from None
+    e1, e2 = energies[u]
+    return CriticalPoint(float(np.exp(u)), float(0.5 * (e1 + e2)))
 
 
 # --- numerical sweep ----------------------------------------------------------------

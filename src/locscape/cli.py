@@ -128,6 +128,13 @@ def _grid_dist(cfg):
     return grid, DistributionSpec(cfg["dist"], tuple(cfg["dist_params"]))
 
 
+def _problem(cfg, seed):
+    """The potential sampled at `seed` and its operator under the configured walls."""
+    grid, dist = _grid_dist(cfg)
+    fieldv = sample_potential(grid, dist, seed)
+    return fieldv, assemble(grid, fieldv, cfg["K"], BoundaryCondition(cfg["bc"], cfg["h"]))
+
+
 def _write_csv(path, header, rows):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -157,21 +164,15 @@ def _cmd_potential(cfg, seed, trials, threads, out):
 
 
 def _cmd_solve(cfg, seed, trials, threads, out):
-    grid, dist = _grid_dist(cfg)
-    bc = BoundaryCondition(cfg["bc"], cfg["h"])
-    fieldv = sample_potential(grid, dist, seed)
-    op = assemble(grid, fieldv, cfg["K"], bc)
+    _, op = _problem(cfg, seed)
     pairs = smallest_eigenpairs(op, k=cfg["n_modes"])
     ls = landscape.landscape_from_operator(op)
     rows = []
     for j, pair in enumerate(pairs, start=1):
         full = op.embed(pair.mode)
-        flat = int(np.argmax(np.abs(full)))
-        cell = tuple(min(int(c * grid.cells_per_side / (grid.nodes_per_axis - 1)),
-                         grid.cells_per_side - 1)
-                     for c in (np.unravel_index(flat, full.shape)))
-        rows.append((j, pair.eigenvalue, pair.residual,
-                     " ".join(str(c) for c in cell), pair.cluster))
+        node = np.unravel_index(np.argmax(np.abs(full)), full.shape)
+        cell = " ".join(str(min(c // cfg["nodes_per_cell"], cfg["n_cells"] - 1)) for c in node)
+        rows.append((j, pair.eigenvalue, pair.residual, cell, pair.cluster))
     _write_csv(out / "eigenpairs.csv", ["mode", "eigenvalue", "residual", "argmax_cell", "cluster"], rows)
     landscape.save_grid(op.embed(ls.w), out / "landscape.txt")
     modes = np.column_stack([op.embed(p.mode).ravel() for p in pairs])
@@ -181,19 +182,13 @@ def _cmd_solve(cfg, seed, trials, threads, out):
 
 
 def _cmd_landscape(cfg, seed, trials, threads, out):
-    grid, dist = _grid_dist(cfg)
-    fieldv = sample_potential(grid, dist, seed)
-    ls = landscape.landscape_from_operator(
-        assemble(grid, fieldv, cfg["K"], BoundaryCondition(cfg["bc"], cfg["h"])))
+    ls = landscape.landscape_from_operator(_problem(cfg, seed)[1])
     landscape.save_grid(ls.op.embed(ls.w), out / "landscape.txt")
 
 
 def _cmd_valleys(cfg, seed, trials, threads, out):
-    grid, dist = _grid_dist(cfg)
-    fieldv = sample_potential(grid, dist, seed)
-    ls = landscape.landscape_from_operator(
-        assemble(grid, fieldv, cfg["K"], BoundaryCondition(cfg["bc"], cfg["h"])))
-    part = landscape.valley_partition(ls)
+    fieldv, op = _problem(cfg, seed)
+    part = landscape.valley_partition(landscape.landscape_from_operator(op))
     landscape.save_grid(part.labels, out / "valley_labels.txt")
     rows = [(r.id, r.size, r.measure, " ".join("1" if t else "0" for t in r.touches),
              int(r.touches_corner)) for r in part.regions]
@@ -203,7 +198,8 @@ def _cmd_valleys(cfg, seed, trials, threads, out):
         landscape.save_grid(comp.labels, out / "zero_component_labels.txt")
 
 
-def _ensemble_cmd(cfg, seed, trials, threads, out, predicate):
+def _cmd_ensemble(cfg, seed, trials, threads, out):
+    predicate = cfg.get("predicate", "multimodal")     # multimodal-prob has no predicate key
     grid, dist = _grid_dist(cfg)
     bc = BoundaryCondition(cfg["bc"], cfg["h"])
     spec = experiments.ExperimentSpec(grid, dist, cfg["K"], bc, trials, seed, predicate)
@@ -231,14 +227,6 @@ def _ensemble_cmd(cfg, seed, trials, threads, out, predicate):
                  est.n_trials, est.n_hits, est.n_failures, analytic)])
 
 
-def _cmd_boundary_prob(cfg, seed, trials, threads, out):
-    _ensemble_cmd(cfg, seed, trials, threads, out, cfg.get("predicate", "boundary"))
-
-
-def _cmd_multimodal_prob(cfg, seed, trials, threads, out):
-    _ensemble_cmd(cfg, seed, trials, threads, out, "multimodal")
-
-
 def _cmd_dist_study(cfg, seed, trials, threads, out):
     rows = experiments.distribution_study(cfg["h_list"], dims=tuple(cfg["dims"]),
                                           K=cfg["K"], n_trials=trials, seed=seed,
@@ -254,20 +242,17 @@ def _cmd_dist_study(cfg, seed, trials, threads, out):
 
 
 def _cmd_fk_check(cfg, seed, trials, threads, out):
-    grid, dist = _grid_dist(cfg)
-    bc = BoundaryCondition(cfg["bc"], cfg["h"])
     pcfg = PathConfig(dt=cfg["dt"], n_paths=cfg["n_paths"], seed=seed)
-    fieldv = sample_potential(grid, dist, seed)
+    fieldv, op = _problem(cfg, seed)
     probes = np.asarray(cfg["probes"]) if cfg["probes"] else probe_points_for(fieldv)
     for x in probes:                        # probes and walls are checked before the solve
-        _start(x, grid.dim, bc)
-    op = assemble(grid, fieldv, cfg["K"], bc)
+        _start(x, op.dim, op.bc)
     w = landscape.landscape_from_operator(op).w
     # a probe x starts the walk at (x, ..., x): read w at that node
-    nodes = landscape._nearest_nodes(op, np.repeat(probes[:, None], grid.dim, axis=1))
+    nodes = landscape._nearest_nodes(op, np.repeat(probes[:, None], op.dim, axis=1))
     rows = []
     for x, node in zip(probes, nodes):
-        est = estimate_landscape_mc(x, fieldv, cfg["K"], bc, pcfg)
+        est = estimate_landscape_mc(x, fieldv, cfg["K"], op.bc, pcfg)
         rows.append((x, est.mean, est.std_error, w[node],
                      (est.mean - w[node]) / est.std_error if est.std_error else 0.0,
                      est.n_truncated))
@@ -310,8 +295,8 @@ _COMMANDS = {
     "solve": _cmd_solve,
     "landscape": _cmd_landscape,
     "valleys": _cmd_valleys,
-    "boundary-prob": _cmd_boundary_prob,
-    "multimodal-prob": _cmd_multimodal_prob,
+    "boundary-prob": _cmd_ensemble,
+    "multimodal-prob": _cmd_ensemble,
     "dist-study": _cmd_dist_study,
     "fk-check": _cmd_fk_check,
     "bifurcation": _cmd_bifurcation,
@@ -337,6 +322,7 @@ def _parser():
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    created = []
     try:
         overrides = {}
         for item in args.set:
@@ -355,11 +341,7 @@ def main(argv=None) -> int:
         if trials < 1 or threads < 1:
             raise ParameterError(f"trials and threads must be >= 1, got {trials} and {threads}")
         out = Path(args.out if args.out is not None else _env_default("OUT", str, "locscape-out"))
-    except ParameterError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    created = [d for d in (out, *out.parents) if not d.exists()]   # deepest first
-    try:
+        created = [d for d in (out, *out.parents) if not d.exists()]   # deepest first
         out.mkdir(parents=True, exist_ok=True)
         _COMMANDS[args.command](cfg, seed, trials, threads, out)
         _manifest(out, args.command, cfg, seed, trials, threads)

@@ -47,10 +47,13 @@ class EigenPair:
 
 
 def _assign_clusters(values):
+    """Cluster labels of non-decreasing eigenvalues: a value joins the cluster before it if
+    within DEGENERACY_RTOL of that cluster's lowest value, whose index is the label."""
     cluster = np.arange(len(values))
     for j in range(1, len(values)):
-        if abs(values[j] - values[j - 1]) < DEGENERACY_RTOL * max(abs(values[j]), 1e-300):
-            cluster[j] = cluster[j - 1]
+        low = cluster[j - 1]
+        if abs(values[j] - values[low]) < DEGENERACY_RTOL * max(abs(values[j]), 1e-300):
+            cluster[j] = low
     return cluster
 
 
@@ -154,9 +157,8 @@ def ground_cluster(op: DiscreteOperator) -> list[EigenPair]:
     """The ground cluster: the eigenpairs whose eigenvalues lie within DEGENERACY_RTOL of the
     smallest, lambda_1, at most 3 of them, eigenvalues non-decreasing.
 
-    A member is any lambda with |lambda - lambda_1| < DEGENERACY_RTOL |lambda|; the
-    ``cluster`` labels of `smallest_eigenpairs` chain neighbours instead, so the two rules
-    part only where a run of eigenvalues spreads over more than the tolerance.  A
+    A member is any lambda with |lambda - lambda_1| < DEGENERACY_RTOL |lambda|, the rule that
+    gives every pair its ``cluster`` label, so the members are the pairs of cluster 0.  A
     non-periodic 1D pencil is solved by bisection for lambda_1 alone (`dstebz`), then one
     Sturm count on the bracket (lambda_1 (1 - rtol), lambda_1 / (1 - rtol)], widened by the
     bisection's absolute tolerance; only when it holds more than lambda_1 does a second
@@ -186,8 +188,7 @@ def ground_cluster(op: DiscreteOperator) -> list[EigenPair]:
     if count > 1:
         w, iblock, isplit = _stebz(d, e, 1, vl, vu)
         order = np.argsort(w)
-        near = np.abs(w[order] - w[order[0]]) < rtol * np.maximum(np.abs(w[order]), 1e-300)
-        keep = np.sort(order[near][:3])     # back in block order, as dstein needs
+        keep = np.sort(order[_assign_clusters(w[order]) == 0][:3])   # block order, for dstein
         w, iblock[:len(keep)] = w[keep], iblock[keep]
     return _pairs(op, *_stein(d, e, s, w, iblock, isplit))
 

@@ -209,7 +209,7 @@ def test_critical_point_evaluation_budget_and_value(monkeypatch):
     monkeypatch.setattr(bifurcation, "subsystem_ground_energy", counted_solve)
     cp = critical_point(REFERENCE_PARAMS)
     assert 0 < len(calls) <= 400
-    assert len(solves) <= 32     # brentq reuses the two end values of the sign check
+    assert len(solves) <= 30     # two per Brent evaluation; lambda_c reuses the pair at the root
     # the value found by geometric bisection in K down to the same tolerance
     assert cp.K_c == pytest.approx(724.2871998063104, rel=1e-10)
 

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 import scipy
 
-from locscape import (BoundaryCondition, DistributionSpec, GridSpec, assemble, bifurcation,
-                      experiments, landscape, landscape_from_operator, load_potential,
+from locscape import (BoundaryCondition, ConvergenceError, DistributionSpec, GridSpec, assemble,
+                      bifurcation, experiments, landscape, landscape_from_operator, load_potential,
                       sample_potential, smallest_eigenpairs)
 from locscape.cli import main
 
@@ -286,6 +286,30 @@ def test_multimodal_summary_carries_series_value(tmp_path):
     assert abs(float(last[-1]) - 0.2785) < 1e-3
 
 
+def test_ensemble_aborts_when_over_one_percent_of_trials_fail(tmp_path, monkeypatch):
+    def unconverged(op):
+        raise ConvergenceError("forced", residual=None)
+
+    monkeypatch.setattr(experiments, "ground_cluster", unconverged)
+    out = tmp_path / "o"
+    assert run_cli("multimodal-prob", "--trials", "10", "--threads", "1", "--out", str(out)) == 3
+    assert not (out / "trials.csv").exists()
+
+
+def test_dist_study_table(tmp_path):
+    # 9 feasible (family, sigma) pairs per dimension; the corner column is 2D only
+    out = tmp_path / "o"
+    assert run_cli("dist-study", "--trials", "3", "--threads", "1", "--set", "dims=[1,2]",
+                   "--set", "h_list=[0.01]", "--out", str(out)) == 0
+    rows = (out / "dist_study.csv").read_text().splitlines()
+    assert rows[0].split(",")[-1] == "p_corner"
+    table = [r.split(",") for r in rows[1:]]
+    assert [r[0] for r in table] == ["1"] * 9 + ["2"] * 9
+    corner = np.array([float(r[-1]) for r in table])
+    assert np.all(np.isnan(corner[:9]))
+    assert np.all((corner[9:] >= 0) & (corner[9:] <= 1))
+
+
 def test_fk_check_table(tmp_path):
     out = tmp_path / "o"
     assert run_cli("fk-check", "--set", "n_cells=30", "--set", "n_paths=400",
@@ -326,6 +350,16 @@ def test_bifurcation_and_scaling_commands(tmp_path):
     assert axis == "P1" and model == "power"
     assert abs(float(slope) + 2.0) < 0.15
     assert (out2 / "scaling_P1.csv").exists()
+
+
+def test_bifurcation_sweep_brackets_its_crossing(tmp_path):
+    out = tmp_path / "o"
+    assert run_cli("bifurcation", "--out", str(out)) == 0
+    rows = [r.split(",") for r in (out / "critical.csv").read_text().splitlines()[1:]]
+    assert [r[0] for r in rows] == ["analytic", "sweep", "relative_gap"]
+    sweep = np.loadtxt(out / "sweep.csv", delimiter=",", skiprows=1)
+    i = np.flatnonzero((sweep[:-1, 1] < 0.5) & (sweep[1:, 1] >= 0.5))[0]
+    assert sweep[i, 0] < float(rows[1][1]) < sweep[i + 1, 0]
 
 
 @pytest.mark.parametrize("command,setting", [

@@ -64,6 +64,12 @@ def test_degenerate_pair_is_flagged():
     assert sorted(groups.values()) == [1, 2]
 
 
+def test_clusters_are_anchored_at_their_lowest_value():
+    # 1 + 1.2e-6 lies within the tolerance of its neighbour 1 + 6e-7 but not of 1, the
+    # cluster's lowest value, so it starts a cluster of its own instead of chaining on
+    assert list(solver._assign_clusters(np.array([1.0, 1.0 + 6e-7, 1.0 + 1.2e-6]))) == [0, 0, 2]
+
+
 def test_k_out_of_range_rejected(strong_disorder_1d):
     grid, fieldv, K, bc = strong_disorder_1d
     op = assemble(grid, fieldv, K, bc)
