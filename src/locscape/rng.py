@@ -10,8 +10,8 @@ makes trial-parallel execution and partial reruns exact.
 * Tagged streams, ``stream(seed, i, tag)`` with ``tag >= 1`` and ``0 <= i < 2**32``,
   are keyed ``[seed, tag * 2**32 + i]``.  Their second key word is non-zero, so they never
   coincide with an untagged stream, with a stream of another tag, or with a
-  stream of another seed.  ``TAG_WALK`` selects the lanes of the reflected-walk
-  estimator (``locscape.stochastic``).
+  stream of another seed.  ``TAG_WALK`` selects the lanes of the walk
+  estimators (``locscape.stochastic``).
 """
 
 import numpy as np

@@ -1,14 +1,42 @@
-"""Reflected-random-walk estimator for the landscape.
+"""Random-walk estimators of the landscape.
 
 Independent check on the finite-difference landscape: w(x) equals the expected
-discounted occupation of a diffusion with generator Laplacian (per-axis
-increments sqrt(2 dt) xi), reflected at the walls, discounted by
-exp(-K int V ds) in the bulk and exp(-h dF) on wall contact, where F is the
-boundary local time.  Under absorbing (Dirichlet) walls the integral runs to
-the first exit instead.
+discounted occupation of a diffusion with generator Laplacian, reflected at the
+walls, discounted by exp(-K int V ds) in the bulk and exp(-h dF) on wall contact,
+where F is the boundary local time.  Under absorbing (Dirichlet) walls the
+integral runs to the first exit instead.  A 1D estimate walks from cell boundary
+to cell boundary with exact exit laws; a 2D estimate takes time steps of ``dt``.
 
-Scheme notes, chosen so the module-level checks pass at their stated
-tolerances rather than for generality:
+The 1D cell-boundary walk.  V is constant on each cell, so from a cell-boundary
+node the diffusion's next visit to a neighbouring node, the discount on the way
+and the expected discounted occupation before it have closed forms: this is walk
+on spheres in 1D (M. E. Muller, Ann. Math. Stat. 27, 569, 1956).  A cell of width
+a with beta = sqrt(K v) carries c = beta coth(beta a), q = beta / sinh(beta a) and
+t = tanh(beta a / 2) / beta (1/a, 1/a and a/2 at beta = 0).  At a node between
+cells L and R,
+
+    P_L = q_L / (c_L + c_R),  P_R = q_R / (c_L + c_R),  G = (t_L + t_R) / (c_L + c_R).
+
+A reflecting or Robin wall acts as a cell with c = h and q = t = 0.  That gives
+P = 1 / (cosh(beta a) + (h / beta) sinh(beta a)) (1 / cosh(beta a) when h = 0)
+and G = t / (c + h), which solves g'' - beta^2 g = -1 with g'(0) = h g(0) and
+g(a) = 0.  A Dirichlet node absorbs.  From a start inside a cell [x_l, x_r],
+P_L = sinh(beta (x_r - x)) / sinh(beta a), P_R likewise, and
+G = 2 sinh(beta (x - x_l) / 2) sinh(beta (x_r - x) / 2) / (beta^2 cosh(beta a / 2))
+((x - x_l)(x_r - x) / 2 at beta = 0).  Every form is evaluated through exp(-beta a)
+and expm1, so none overflows at large beta a; below beta a = 1e-8 the beta = 0
+limits stand in, which agree with the forms to rounding there.
+
+Each hop adds Y G to the path's occupation, multiplies its weight Y by P_L + P_R
+and steps left with probability P_L / (P_L + P_R).  The expected occupation
+therefore solves w_j = G_j + P_L,j w_{j-1} + P_R,j w_{j+1} at the nodes, with no
+time-step bias, and ``dt`` plays no part.  A path stops at a Dirichlet node, once
+its weight falls below ``WEIGHT_CUTOFF``, or after ceil(2 t_max N^2) hops: a^2 / 2
+is a hop's mean exit time on the uniform grid of N cells, so the budget stands
+for ``t_max``.  The estimate reports how many paths the budget cut off and their
+largest remaining weight.
+
+The 2D stepped walk advances by increments sqrt(2 dt) xi per axis:
 
 * killing uses the per-step closed form Y * (1 - exp(-K v dt)) / (K v) with v
   the average of the cell values at the step endpoints; for constant
@@ -23,14 +51,18 @@ tolerances rather than for generality:
   paths the last cut off and their largest remaining weight.
 
 Lanes.  Paths [LANE j, LANE j + LANE) form lane j and share one counter-based
-stream, ``stream(seed, j, TAG_WALK)``.  Lanes are scanned one at a time: each
-block of B steps (BLOCK, fewer at ``t_max``) draws (B, n, d) normals, then under
-absorbing walls (B, n) uniforms, for the n paths of the lane still alive, in
-path order.  The tag keeps the lanes apart from the untagged streams of
-potentials and ensembles (lane 0 of seed s is not the potential stream of seed
-s) and from the lanes of every other seed.
+stream, ``stream(seed, j, TAG_WALK)``.  The tag keeps the lanes apart from the
+untagged streams of potentials and ensembles (lane 0 of seed s is not the
+potential stream of seed s) and from the lanes of every other seed.  Both walks
+advance in blocks of B hops or steps (BLOCK, fewer at the hop or step budget).
+In 1D each block draws (B, n) uniforms from each lane's stream for the n paths
+of the lane still alive, in path order, and then advances the alive paths of
+every lane together, so a path sees the same numbers as it would if the lanes
+were scanned one at a time.  In 2D the lanes are scanned one at a time: each
+block draws (B, n, d) normals, then under absorbing walls (B, n) uniforms, for
+the n paths of the lane still alive, in path order.
 
-Block scan.  A block advances every alive path by B steps with one pass of
+Block scan.  A 2D block advances every alive path by B steps with one pass of
 numpy calls.  Let u = x_0 + cumsum(dW) be the unfolded walk.  Under reflecting
 and Robin walls the positions are x_k = fold(u_k).  With s = +1 or -1 the
 orientation of the mirror sheet holding u_{k-1}, this is the per-step rule
@@ -43,7 +75,7 @@ and the bridge test is applied per step.  Weights are Y_0 cumprod(decay), and a
 path's occupation sums Y_{k-1} step_weight through its first death step; the
 steps a block computes after that are discarded.
 
-Workspace.  One estimate allocates its scan buffers once and drops them when
+Workspace.  One 2D estimate allocates its scan buffers once and drops them when
 it returns: one flat float64, intp or bool array per intermediate, sized for
 (BLOCK + 1) x LANE x d entries (fewer for those without a step row or an axis)
 by the first block, which is the largest.  Each block, the draws included,
@@ -57,8 +89,8 @@ case of the step weight adds a 0/1 mask, bridge exponents below -40 are clamped
 there (1 - exp rounds to 1 either way), and the steps after a path's death are
 set to 0 instead of multiplied by 0 (their terms are finite and >= 0).
 
-The step-start/step-end sampling of V cannot resolve potential features
-narrower than the walk step sqrt(2 dt); comparisons against the
+The 2D walk's step-start/step-end sampling of V cannot resolve potential
+features narrower than the walk step sqrt(2 dt); comparisons against the
 finite-difference landscape should probe cells at least that wide.
 """
 
@@ -76,10 +108,15 @@ LANE = 1024             # paths per random stream
 BLOCK = 32              # steps advanced per block scan
 WEIGHT_CUTOFF = 1e-10   # horizon: a path stops once its weight is below this
 N_PROBES = 5            # probes `probe_points_for` picks
+_SMALL_BA = 1e-8        # below this beta a the cell kernels take their beta = 0 limits
 
 
 @dataclass(frozen=True)
 class PathConfig:
+    """Walk settings.  ``dt`` is the 2D walk's time step; the 1D walk hops between cell
+    boundaries and ignores it.  ``t_max`` ends a 2D path after ceil(t_max / dt) steps and
+    a 1D path after ceil(2 t_max N^2) hops (see the module docstring)."""
+
     dt: float = 1e-4
     t_max: float = 10.0
     n_paths: int = 10_000
@@ -258,14 +295,111 @@ def _start(x, d: int, bc: BoundaryCondition) -> np.ndarray:
     return x0
 
 
-def estimate_landscape_mc(x, fieldv: PotentialField, K: float,
-                          bc: BoundaryCondition, cfg: PathConfig) -> FeynmanKacEstimate:
-    """Monte Carlo estimate of the landscape at a point."""
-    d = fieldv.grid.dim
-    x0 = _start(x, d, bc)
-    if K < 0:
-        raise ParameterError("disorder strength K must be >= 0")
-    walk = _Walk(fieldv.cell_values, K, cfg.dt, bc.h, bc.kind == "dirichlet")
+def _cell_kernels(beta, a: float):
+    """(c, q, t) = (beta coth(beta a), beta / sinh(beta a), tanh(beta a / 2) / beta) per cell,
+    written in exp(-beta a) so that none overflows (see the module docstring)."""
+    beta = np.asarray(beta, float)
+    small = beta * a < _SMALL_BA
+    b = np.where(small, 1.0 / a, beta)      # any beta whose forms are finite; replaced below
+    s = np.exp(-b * a)
+    m = -np.expm1(-2.0 * b * a)              # 1 - exp(-2 beta a)
+    c = np.where(small, 1.0 / a, b * (1.0 + s * s) / m)
+    q = np.where(small, 1.0 / a, 2.0 * b * s / m)
+    t = np.where(small, 0.5 * a, -np.expm1(-b * a) / ((1.0 + s) * b))
+    return c, q, t
+
+
+def _node_kernels(cells, K: float, h: float, absorbing: bool):
+    """P_L, P_R and G at the N + 1 nodes of a line of N cells of width 1/N; all three are 0
+    at an absorbing wall node."""
+    c, q, t = _cell_kernels(np.sqrt(K * np.asarray(cells, float)), 1.0 / len(cells))
+    wall, zero = [h], [0.0]                  # a wall acts as a cell with c = h, q = t = 0
+    den = np.concatenate((wall, c)) + np.concatenate((c, wall))
+    PL = np.concatenate((zero, q)) / den
+    PR = np.concatenate((q, zero)) / den
+    G = (np.concatenate((zero, t)) + np.concatenate((t, zero))) / den
+    if absorbing:
+        for k in (PL, PR, G):
+            k[[0, -1]] = 0.0
+    return PL, PR, G
+
+
+def _in_cell_kernels(dl: float, dr: float, beta: float, a: float):
+    """P_L, P_R and G from a start dl right of a cell's left node and dr left of its right
+    node (dl + dr = a)."""
+    if beta * a < _SMALL_BA:
+        return dr / a, dl / a, 0.5 * dl * dr
+    m = math.expm1(-2.0 * beta * a)
+    return (math.exp(-beta * dl) * math.expm1(-2.0 * beta * dr) / m,
+            math.exp(-beta * dr) * math.expm1(-2.0 * beta * dl) / m,
+            math.expm1(-beta * dl) * math.expm1(-beta * dr)
+            / ((1.0 + math.exp(-beta * a)) * beta * beta))
+
+
+def _hop_walk(x0, cells, K: float, bc: BoundaryCondition, cfg: PathConfig):
+    """Each path's occupation under the 1D cell-boundary walk from ``x0``, the number of
+    paths the hop budget cut off and their largest weight (see the module docstring)."""
+    N = len(cells)
+    absorbing = bc.kind == "dirichlet"
+    PL, PR, G = _node_kernels(cells, K, bc.h, absorbing)
+    D = PL + PR
+    pl = np.divide(PL, D, out=np.full(N + 1, 0.5), where=D > 0)
+    pl[0], pl[N] = 0.0, 1.0                  # a wall node steps inward, also at zero weight
+    kept = np.ones(N + 1)                    # weight factor on arrival at a node
+    if absorbing:
+        kept[[0, N]] = 0.0
+    u = float(x0[0]) * N
+    i = min(int(u), N - 1)                   # the cell holding x0, the last one at x0 = 1
+    in_cell = u != int(u)
+    if in_cell:
+        PL0, PR0, G0 = _in_cell_kernels((u - i) / N, (i + 1 - u) / N,
+                                        math.sqrt(K * cells[i]), 1.0 / N)
+    max_hops = math.ceil(2.0 * cfg.t_max * N * N)
+
+    n_lanes = -(-cfg.n_paths // LANE)
+    gens = [stream(cfg.seed, lane, TAG_WALK) for lane in range(n_lanes)]
+    acc = np.zeros(cfg.n_paths)
+    ids = np.arange(cfg.n_paths)
+    j = np.full(cfg.n_paths, i if in_cell else int(u), np.intp)
+    Y = np.ones(cfg.n_paths)
+    draws = np.empty(min(BLOCK, max_hops) * cfg.n_paths)   # every block's U is a view of it
+    hops = 0
+    while len(ids) and hops < max_hops:
+        B = min(BLOCK, max_hops - hops)
+        U = draws[:B * len(ids)].reshape(B, len(ids))
+        a = 0
+        for gen, n in zip(gens, np.bincount(ids // LANE, minlength=n_lanes)):
+            if n:                            # one lane's (B, n) draw at a time
+                U[:, a:a + n] = gen.random((B, n))
+                a += n
+        occupation = np.zeros(len(ids))
+        for k in range(B):
+            if in_cell and hops + k == 0:    # every path is at x0 with weight 1
+                occupation += G0
+                Y *= PL0 + PR0
+                j += U[0] * (PL0 + PR0) >= PL0
+            else:
+                occupation += Y * G[j]
+                Y *= D[j]
+                left = U[k] < pl[j]
+                j += 1
+                j -= left
+                j -= left
+            if absorbing:
+                Y *= kept[j]
+            Y *= Y >= WEIGHT_CUTOFF          # a stopped path adds 0 from here on
+        acc[ids] += occupation
+        live = Y > 0
+        ids, j, Y = ids[live], j[live], Y[live]
+        hops += B
+    return acc, len(ids), float(Y.max(initial=0.0))
+
+
+def _step_walk(x0, cells, K: float, bc: BoundaryCondition, cfg: PathConfig):
+    """Each path's occupation under the stepped walk from ``x0``, the number of paths
+    ``t_max`` cut off and their largest weight (see the module docstring)."""
+    d = x0.shape[0]
+    walk = _Walk(cells, K, cfg.dt, bc.h, bc.kind == "dirichlet")
     sdt = np.sqrt(2.0 * cfg.dt)
     max_steps = int(np.ceil(cfg.t_max / cfg.dt))
 
@@ -293,6 +427,19 @@ def estimate_landscape_mc(x, fieldv: PotentialField, K: float,
             steps_done += B
         n_truncated += len(ids)
         max_truncated_weight = max(max_truncated_weight, float(Y.max(initial=0.0)))
+    return acc, n_truncated, max_truncated_weight
+
+
+def estimate_landscape_mc(x, fieldv: PotentialField, K: float,
+                          bc: BoundaryCondition, cfg: PathConfig) -> FeynmanKacEstimate:
+    """Monte Carlo estimate of the landscape at a point: by the cell-boundary walk in 1D,
+    by the stepped walk in 2D."""
+    d = fieldv.grid.dim
+    x0 = _start(x, d, bc)
+    if K < 0:
+        raise ParameterError("disorder strength K must be >= 0")
+    walk = _hop_walk if d == 1 else _step_walk
+    acc, n_truncated, max_truncated_weight = walk(x0, fieldv.cell_values, K, bc, cfg)
     mean = float(acc.mean())
     se = float(acc.std(ddof=1) / np.sqrt(cfg.n_paths)) if cfg.n_paths > 1 else 0.0
     return FeynmanKacEstimate(mean, se, cfg.n_paths, n_truncated, max_truncated_weight)

@@ -1,8 +1,9 @@
 import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from locscape import (BoundaryCondition, DistributionSpec, ParameterError, PathConfig, assemble,
@@ -11,7 +12,8 @@ from locscape import (BoundaryCondition, DistributionSpec, ParameterError, PathC
 from locscape import stochastic
 from locscape.rng import TAG_WALK, stream
 
-from walk_oracles import scan_allocating, scan_by_steps, simulate_reflecting_path
+from walk_oracles import (boundary_value_at, boundary_values, richardson_fd_boundary_values,
+                          scan_allocating, scan_by_steps, simulate_reflecting_path)
 
 
 def test_reflected_path_stays_inside():
@@ -60,7 +62,8 @@ def test_constant_potential_estimate_is_exact():
     cfg = PathConfig(n_paths=10_000, seed=11)
     est = estimate_landscape_mc(0.5, fieldv, 100.0, BoundaryCondition.neumann(), cfg)
     assert abs(est.mean - 0.01) <= max(3 * est.std_error, 1e-12)
-    # per-step exponential killing makes every path identical here
+    # every node has the same hop discount P_L + P_R and occupation G here, so every
+    # path adds the same terms
     assert est.std_error < 1e-15
 
 
@@ -96,7 +99,8 @@ def test_stiff_robin_walls_approach_absorbing_walls():
 
 
 def test_halving_dt_moves_constant_estimate_less_than_one_se():
-    fieldv = sample_potential(grid_1d(10), DistributionSpec.bernoulli(1.0), 0)
+    # dt drives only the 2D walk; the 1D walk hops between cell boundaries
+    fieldv = sample_potential(grid_2d(10), DistributionSpec.bernoulli(1.0), 0)
     bc = BoundaryCondition.neumann()
     a = estimate_landscape_mc(0.3, fieldv, 50.0, bc, PathConfig(dt=1e-4, n_paths=2000, seed=15))
     b = estimate_landscape_mc(0.3, fieldv, 50.0, bc, PathConfig(dt=5e-5, n_paths=2000, seed=15))
@@ -115,8 +119,9 @@ def test_landscape_bound_holds_stochastically(strong_disorder_1d):
 
 
 def test_paths_cut_off_at_t_max_are_reported():
-    # uniform V=1, K=100: every path's weight is exp(-100 t), below the 1e-10 cutoff at t=0.23
-    fieldv = sample_potential(grid_1d(10), DistributionSpec.bernoulli(1.0), 0)
+    # 2D stepped walk, uniform V=1, K=100: every path's weight is exp(-100 t), below the
+    # 1e-10 cutoff at t=0.23
+    fieldv = sample_potential(grid_2d(10), DistributionSpec.bernoulli(1.0), 0)
     bc = BoundaryCondition.neumann()
     short = estimate_landscape_mc(0.5, fieldv, 100.0, bc,
                                   PathConfig(dt=1e-3, t_max=0.1, n_paths=300, seed=18))
@@ -125,6 +130,27 @@ def test_paths_cut_off_at_t_max_are_reported():
     long = estimate_landscape_mc(0.5, fieldv, 100.0, bc,
                                  PathConfig(dt=1e-3, t_max=1.0, n_paths=300, seed=18))
     assert long.n_truncated == 0 and long.max_truncated_weight == 0.0
+
+
+def test_hop_budget_cuts_off_1d_paths():
+    # uniform V=1, K=100, N=10: beta a = 1, so every hop multiplies the weight by
+    # 1/cosh(1); t_max=0.1 gives ceil(2 t_max N^2) = 20 hops
+    fieldv = sample_potential(grid_1d(10), DistributionSpec.bernoulli(1.0), 0)
+    bc = BoundaryCondition.neumann()
+    short = estimate_landscape_mc(0.5, fieldv, 100.0, bc,
+                                  PathConfig(t_max=0.1, n_paths=300, seed=18))
+    assert short.n_truncated == 300
+    assert np.isclose(short.max_truncated_weight, np.cosh(1.0) ** -20, rtol=1e-12, atol=0)
+    # 200 hops take the weight to 1e-38, so every path stops at the cutoff first
+    long = estimate_landscape_mc(0.5, fieldv, 100.0, bc,
+                                 PathConfig(t_max=1.0, n_paths=300, seed=18))
+    assert long.n_truncated == 0 and long.max_truncated_weight == 0.0
+    # a path absorbed on the budget's last hop has stopped, so it is not cut off: with V=0
+    # and N=2, t_max=0.1 gives one hop, from the middle node onto a Dirichlet wall
+    zeros = sample_potential(grid_1d(2), DistributionSpec.bernoulli(0.0), 0)
+    one = estimate_landscape_mc(0.5, zeros, 1.0, BoundaryCondition.dirichlet(),
+                                PathConfig(t_max=0.1, n_paths=300, seed=18))
+    assert one.n_truncated == 0 and one.mean == 0.125      # x(1-x)/2 at x = 1/2
 
 
 @pytest.mark.parametrize("bc", [BoundaryCondition.neumann(), BoundaryCondition.robin(5.0),
@@ -236,3 +262,77 @@ def test_walk_lanes_share_no_stream_with_potentials_or_other_seeds(monkeypatch):
     assert _key(stream(seed)) not in keys                 # fk-check's potential stream
     assert not set(keys) & set(_walk_stream_keys(monkeypatch, seed + 1, 2500))
     assert keys[0] == (seed, TAG_WALK << 32)
+
+
+def _kernel_references(ba, a, h):
+    """Interior, reflecting-wall, Robin-wall and in-cell (P_L, P_R, G) at beta a = ``ba`` from
+    their plain closed forms in 50-digit decimals, or their beta = 0 limits at ba = 0."""
+    dl, dr = a / 4, 3 * a / 4             # exact binary fractions that sum to a exactly
+    if ba == 0:
+        return [(0.5, 0.5, a * a / 2), (0.0, 1.0, a * a / 2),
+                (0.0, 1 / (1 + h * a), a * a / (2 * (1 + h * a))), (dr / a, dl / a, dl * dr / 2)]
+    with localcontext() as ctx:
+        ctx.prec = 50
+        z, b = Decimal(ba), Decimal(ba) / Decimal(a)
+        cosh = lambda v: (v.exp() + (-v).exp()) / 2
+        sinh = lambda v: (v.exp() - (-v).exp()) / 2
+        robin = cosh(z) + Decimal(h) / b * sinh(z)
+        in_cell = [sinh(b * Decimal(dr)) / sinh(z), sinh(b * Decimal(dl)) / sinh(z)]
+        refs = [(1 / (2 * cosh(z)),) * 2 + ((1 - 1 / cosh(z)) / b**2,),
+                (0, 1 / cosh(z), (1 - 1 / cosh(z)) / b**2),
+                (0, 1 / robin, (cosh(z) - 1) / (b**2 * robin)),
+                (*in_cell, (1 - sum(in_cell)) / b**2)]
+        return [tuple(float(v) for v in ref) for ref in refs]
+
+
+@pytest.mark.parametrize("ba", [0.0, 1e-9, 1e-7, 1e-3, 1.0, 40.0, 1e4])
+def test_hop_kernels_are_finite_and_match_closed_forms(ba):
+    N, h = 4, 5.0
+    a = 1.0 / N
+    beta = ba * N
+    interior, wall, robin_wall, in_cell = _kernel_references(ba, a, h)
+    got = []
+    for hh in (0.0, h):
+        PL, PR, G = stochastic._node_kernels(np.ones(N), beta * beta, hh, False)
+        assert np.isfinite(PL).all() and np.isfinite(PR).all() and np.isfinite(G).all()
+        assert PL[0] == 0.0 and PR[-1] == 0.0
+        got.append((PL[0], PR[0], G[0]))
+        if hh == 0.0:
+            interior_got = (PL[2], PR[2], G[2])
+    got = [interior_got, *got, stochastic._in_cell_kernels(a / 4, 3 * a / 4, beta, a)]
+    for g, ref in zip(got, [interior, wall, robin_wall, in_cell]):
+        np.testing.assert_allclose(g, ref, rtol=1e-12, atol=1e-300)
+
+
+@pytest.mark.parametrize("bc", _WALLS, ids=lambda bc: bc.kind)
+@pytest.mark.parametrize("dist", [DistributionSpec.bernoulli(0.5),
+                                  DistributionSpec.uniform(0.0, 2.0)], ids=lambda d: d.kind)
+def test_boundary_value_system_matches_richardson_fd(bc, dist):
+    for seed in (1, 2, 3):
+        cells = sample_potential(grid_1d(20), dist, seed).cell_values
+        np.testing.assert_allclose(boundary_values(cells, 300.0, bc),
+                                   richardson_fd_boundary_values(cells, 300.0, bc),
+                                   rtol=1e-6, atol=0)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(st.sampled_from(_WALLS),
+       st.sampled_from([DistributionSpec.bernoulli(0.5), DistributionSpec.uniform(0.0, 2.0)]),
+       st.sampled_from([30.0, 3000.0]), st.integers(0, 2**16),
+       st.one_of(st.integers(0, 12).map(lambda j: j / 12),
+                 st.tuples(st.integers(0, 11), st.floats(0.25, 0.75)).map(lambda c: sum(c) / 12)))
+def test_walk_mean_matches_boundary_value_system(bc, dist, K, seed, x):
+    # starts are nodes or the middle half of a cell: from within about 1e-5 of a node, the
+    # far node's branch has a probability near 1e-5, so 2,000 paths seldom take it and the
+    # sample standard error cannot see what it adds to the mean (exact in law all the same)
+    fieldv = sample_potential(grid_1d(12), dist, seed)
+    assume(fieldv.cell_values.any())
+    est = estimate_landscape_mc(x, fieldv, K, bc, PathConfig(n_paths=2000, seed=seed))
+    exact = boundary_value_at(x, fieldv.cell_values, K, bc)
+    assert est.n_truncated == 0
+    # 3.75 sigma per example is 3 sigma Bonferroni-corrected over the 15 examples: a 0.27%
+    # chance that some unbiased estimate fails.  Which examples run depends on what else
+    # the session imported (Hypothesis draws from constants found in loaded modules).
+    # Paths stop at weight 1e-10, which drops at most 1e-10 max(w) of an occupation.
+    tol = 3.75 * est.std_error + 1e-10 * boundary_values(fieldv.cell_values, K, bc).max()
+    assert abs(est.mean - exact) <= tol

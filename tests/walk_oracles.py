@@ -1,10 +1,44 @@
-"""References for the block scan in `locscape.stochastic`: per-step walks, and the scan
-written with a fresh array for every intermediate."""
+"""References for `locscape.stochastic`: the exact boundary values of the 1D cell-boundary
+walk, per-step walks, and the block scan written with a fresh array for every
+intermediate."""
 
 import numpy as np
 
-from locscape import ParameterError, PathConfig, stochastic
+from locscape import (ParameterError, PathConfig, PotentialField, assemble, grid_1d,
+                      landscape_from_operator, stochastic)
 from locscape.rng import stream
+
+
+def boundary_values(cells, K, bc):
+    """The cell-boundary walk's expected occupation at the N + 1 nodes: the dense solve of
+    w_j = G_j + P_L,j w_{j-1} + P_R,j w_{j+1}."""
+    PL, PR, G = stochastic._node_kernels(cells, K, bc.h, bc.kind == "dirichlet")
+    A = np.eye(len(G)) - np.diag(PL[1:], -1) - np.diag(PR[:-1], 1)
+    return np.linalg.solve(A, G)
+
+
+def boundary_value_at(x, cells, K, bc):
+    """The walk's expected occupation from ``x``: one exact hop to the nodes of its cell."""
+    w = boundary_values(cells, K, bc)
+    N = len(cells)
+    u = x * N
+    i = min(int(u), N - 1)
+    if u == int(u):
+        return w[int(u)]
+    PL, PR, G = stochastic._in_cell_kernels((u - i) / N, (i + 1 - u) / N,
+                                            np.sqrt(K * cells[i]), 1.0 / N)
+    return G + PL * w[i] + PR * w[i + 1]
+
+
+def richardson_fd_boundary_values(cells, K, bc, r=64):
+    """The FD landscape at the cell-boundary nodes, extrapolated from r and 2r nodes per cell
+    as (4 w_2r - w_r) / 3 (the scheme's error is O(spacing^2))."""
+    out = []
+    for rr in (r, 2 * r):
+        grid = grid_1d(len(cells), rr)
+        op = assemble(grid, PotentialField(grid, cells, 0), K, bc)
+        out.append(op.embed(landscape_from_operator(op).w)[::rr])
+    return (4.0 * out[1] - out[0]) / 3.0
 
 
 def fold(raw):
