@@ -5,13 +5,26 @@ Every 1D pencil is factored by LAPACK's LDL^T of an SPD tridiagonal matrix
 written A = T' + c w w^T with w = e_0 + e_{n-1}: T' drops both corner entries and adds
 |c| to its two end diagonals, which keeps it SPD whenever A is, and each solve is one
 `pttrs` plus a Sherman-Morrison correction.  2D operators are factored by SuperLU.
-`_factor` is the one place that factors A; it serves `solve_linear` and shift-invert
-Lanczos (ARPACK in standard mode) for the eigenpairs of rings and 2D operators.
+`_factor` is the one place that factors A, or in 1D A - sigma M; it serves `solve_linear`,
+the ground pair of a ring and shift-invert Lanczos (ARPACK in standard mode) for the other
+eigenpairs of rings and 2D operators.
+
 Non-periodic 1D pencils get their eigenpairs from LAPACK's tridiagonal routines instead,
 called directly: Sturm bisection (`dstebz`) for the eigenvalues and inverse iteration
 (`dstein`) for the vectors.  `ground_cluster` asks bisection only for the ground cluster
 that a multimodality trial reads: lambda_1 alone, then one Sturm count to show whether any
 other eigenvalue lies within DEGENERACY_RTOL of it.  No 1D path reads A as CSR.
+
+A ring's ground pair (k = 1) comes from certified shifted inverse iteration on its own
+factor, started from x = A^{-1} M 1.  Each step takes the Rayleigh quotient rho and
+eta = ||A x - rho M x||_{M^-1} / ||x||_M, so that some eigenvalue lies in
+[rho - eta, rho + eta], and tol = max(1e-10 max(1, rho), the round-off floor of eta).  A
+factor of A - sigma M at sigma = rho - max(eta, tol) whose LDL^T pivots and Sherman-Morrison
+denominator are all positive proves, as a Sturm count does, that lambda_1 > sigma, and the
+next solve uses the last shift so proven.  Once eta <= tol at a proven shift of at least
+rho - tol, |lambda_1 - rho| <= tol: the eigenvalue is the ground one.  One more solve at that
+shift polishes the vector, and the pair must still meet the residual bound.  A ring not
+certified within _RING_STEPS steps falls through to Lanczos.
 """
 
 from dataclasses import dataclass
@@ -27,6 +40,8 @@ from .rng import stream
 EIG_TOL = 1e-8        # eigenpair residual bound, relative to max(1, |lambda|)
 SOLVE_TOL = 1e-10     # linear-solve residual bound, relative to ||A|| ||w|| + ||M rhs||
 MAX_ITER = 10_000
+_RING_STEPS = 30      # shifted inverse-iteration steps for a ring's ground pair
+_RING_RTOL = 1e-10    # its certificate: eigenvalue within _RING_RTOL max(1, |lambda|)
 DEGENERACY_RTOL = 1e-6
 
 
@@ -57,13 +72,15 @@ def _assign_clusters(values):
     return cluster
 
 
-def _factor(op: DiscreteOperator):
-    """solve(b) = A^{-1} b from one factorization of A: `dpttrf` once and `dpttrs` per solve
-    in 1D, with a Sherman-Morrison correction for a ring's corner; SuperLU in 2D.
+def _factor(op: DiscreteOperator, shift: float = 0.0):
+    """solve(b) = (A - shift M)^{-1} b from one factorization: `dpttrf` once and `dpttrs` per
+    solve in 1D, with a Sherman-Morrison correction for a ring's corner; SuperLU of A in 2D,
+    where the shift is always 0.
 
-    A singular operator raises SingularOperatorError: reflecting or periodic walls with
-    K V = 0, a pivot or Sherman-Morrison denominator that is not positive, or an exactly
-    singular SuperLU factor.
+    A matrix that is not positive definite raises SingularOperatorError: reflecting or
+    periodic walls with K V = 0, a pivot or Sherman-Morrison denominator that is not
+    positive, or an exactly singular SuperLU factor.  In 1D a factor that returns is thus
+    a proof, as a Sturm count is, that every eigenvalue of the pencil exceeds the shift.
     """
     if op.bc.kind in ("neumann", "periodic") and np.max(op.coupling * op.vnode) == 0.0:
         raise SingularOperatorError("pure Neumann/periodic operator with K*V = 0 is singular")
@@ -73,8 +90,8 @@ def _factor(op: DiscreteOperator):
         except RuntimeError as exc:   # SuperLU reports an exactly singular factor this way
             raise SingularOperatorError(f"sparse LU failed: {exc}") from exc
     d, e, c = op.A
+    d = d - shift * op.mass
     if c:                                   # T' = A - c w w^T, both corners folded in
-        d = d.copy()
         d[[0, -1]] -= c
     d, e, info = sla.lapack.dpttrf(d, e)
     if info > 0:
@@ -98,18 +115,54 @@ def _factor(op: DiscreteOperator):
     return solve
 
 
+def _ring_ground_pair(op: DiscreteOperator, solve):
+    """The ground pair of a ring by certified shifted inverse iteration, or None when
+    _RING_STEPS steps do not certify one; ``solve`` is A^{-1} from `_factor` (see
+    `smallest_eigenpairs`)."""
+    # the round-off in eta: its floor where a ring's cells are short or K V m is small
+    noise = 8 * np.finfo(float).eps * np.max(op._abs_row_sums() / op.mass)
+    x, shift, certified = solve(op.mass), 0.0, False     # A^{-1} M 1
+    for _ in range(_RING_STEPS):
+        x /= np.sqrt(x @ (op.mass * x))     # ||x||_M = 1
+        Mx = op.mass * x
+        Ax = op._matvec(x)
+        rho = x @ Ax
+        if certified:
+            try:
+                return _pairs(op, np.array([rho]), x[:, None])
+            except ConvergenceError:
+                pass
+        r = Ax - rho * Mx
+        eta = np.sqrt(r @ (r / op.mass))    # some eigenvalue lies in [rho - eta, rho + eta]
+        tol = max(_RING_RTOL * max(1.0, rho), noise)
+        sigma = rho - max(eta, tol)
+        if sigma > shift:
+            try:                            # a factor proves lambda_1 > sigma
+                solve, shift = _factor(op, sigma), sigma
+            except SingularOperatorError:
+                pass
+        certified = eta <= tol and shift >= sigma     # so |lambda_1 - rho| <= tol
+        x = solve(Mx)
+    return None
+
+
 def smallest_eigenpairs(op: DiscreteOperator, k: int) -> list[EigenPair]:
     """The k smallest eigenpairs of A u = lambda M u, eigenvalues non-decreasing.
 
     Non-periodic 1D pencils are tridiagonal with diagonal M, so they are solved
     directly on M^{-1/2} A M^{-1/2}: bisection (`dstebz`) for the k eigenvalues, then
-    inverse iteration (`dstein`) for their vectors.  Rings and 2D
-    operators use shift-invert Lanczos at shift 0: ARPACK in standard mode on
+    inverse iteration (`dstein`) for their vectors.  A ring's ground pair (k = 1) is
+    certified shifted inverse iteration on the ring's LDL^T factor (module docstring): each
+    step proves a shift below lambda_1 by factoring at it, and the pair is returned once its
+    eigenvalue is certified to lie within 1e-10 max(1, lambda) of lambda_1 (or the round-off
+    floor of its residual) and it meets the residual bound.  A ring not certified within
+    _RING_STEPS steps, a ring with k > 1 and a 2D operator use shift-invert Lanczos at
+    shift 0: ARPACK in standard mode on
     x -> M^{1/2} A^{-1} M^{1/2} x, with A^{-1} from `_factor`, started from a vector
     drawn from a fixed counter-based stream; its eigenvalues theta give lambda = 1/theta,
     and its vectors y give u = M^{-1/2} y.  While a pair misses the residual bound (up to
     five times), one more solve per pair, A^{-1} M u, and Rayleigh-Ritz on those k vectors
-    refine them.  A singular operator raises SingularOperatorError.  Both routes are
+    refine them.  A singular operator raises SingularOperatorError.  Every route is
     deterministic, and the contract is the residual bound, not the method.
     """
     n = op.size
@@ -122,6 +175,10 @@ def smallest_eigenpairs(op: DiscreteOperator, k: int) -> list[EigenPair]:
         w, iblock, isplit = _stebz(d, e, 2, iu=k)
         return _pairs(op, *_stein(d, e, s, w, iblock, isplit))
     solve = _factor(op)
+    if k == 1 and op.dim == 1:
+        pairs = _ring_ground_pair(op, solve)
+        if pairs:
+            return pairs
     root_m = np.sqrt(op.mass)
     opinv = spla.LinearOperator((n, n), matvec=lambda x: root_m * solve(root_m * x.ravel()),
                                 dtype=float)

@@ -201,14 +201,12 @@ def _scan(walk: _Walk, x0, Y0, dW, U, ws: _Workspace):
     f, ci = ws("f", u.shape), ws("ci", u.shape, np.intp)
     np.multiply(x, N, out=f)
     np.copyto(ci, f, casting="unsafe")       # truncation toward 0, as astype(int)
-    idx = ci[..., 0]
-    if d > 1:
-        np.clip(ci, 0, N - 1, out=ci)
-        idx = ws("idx", (B + 1, n), np.intp)
-        np.copyto(idx, ci[..., 0])
-        for a in range(1, d):
-            idx *= N
-            idx += ci[..., a]
+    np.clip(ci, 0, N - 1, out=ci)
+    idx = ws("idx", (B + 1, n), np.intp)
+    np.copyto(idx, ci[..., 0])
+    for a in range(1, d):
+        idx *= N
+        idx += ci[..., a]
     vx = ws("vx", (B + 1, n))
     np.take(walk.cells.reshape(-1), idx, mode="clip", out=vx)
 

@@ -1,5 +1,6 @@
 from collections import Counter
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,9 +11,9 @@ from scipy.sparse.linalg import LinearOperator
 
 from locscape import (REFERENCE_PARAMS, BoundaryCondition, ConvergenceError, DiscreteOperator,
                       DistributionSpec, ExperimentSpec, GridSpec, ParameterError, PotentialField,
-                      SingularOperatorError, assemble, assemble_line, assemble_ring, experiments,
-                      grid_1d, grid_2d, sample_potential, smallest_eigenpairs, solve_linear, solver,
-                      toy_operator)
+                      SingularOperatorError, TwoWellParams, assemble, assemble_line, assemble_ring,
+                      experiments, grid_1d, grid_2d, peak_height_ratio, sample_potential,
+                      smallest_eigenpairs, solve_linear, solver, toy_operator)
 from conftest import CELLS, FIELD_DISTS, dense_eigenpairs, rayleigh_quotient
 
 
@@ -99,6 +100,36 @@ def test_solve_linear_residual_postcondition(strong_disorder_1d):
     w = solve_linear(op, rhs)
     res = np.max(np.abs(op.matrix @ w - op.mass * rhs))
     assert res <= 1e-10 * np.max(np.abs(op.mass * rhs))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: assemble(grid_1d(20), sample_potential(grid_1d(20), DistributionSpec.uniform(0.0, 1.0),
+                                                   5), 300.0, BoundaryCondition.robin(2.0)),
+    lambda: assemble_ring(np.full(40, 0.025), np.random.default_rng(6).uniform(0.0, 1.0, 40), 300.0),
+    lambda: assemble(grid_2d(5), sample_potential(grid_2d(5), DistributionSpec.uniform(0.0, 1.0), 5),
+                     300.0, BoundaryCondition.neumann()),
+], ids=["line", "ring", "2d"])
+def test_solve_linear_refines_a_perturbed_first_solve(make, monkeypatch):
+    # the first solve misses both residual tests by far, so only the refinement step
+    # w = w + solve(r) can bring w back to the dense solution
+    real, solves = solver._factor, []
+
+    def perturbed_factor(op, shift=0.0):
+        solve = real(op, shift)
+
+        def first_solve_off(b):
+            solves.append(b)
+            return solve(b) * (1.0 + 1e-3 * (len(solves) == 1))
+
+        return first_solve_off
+
+    monkeypatch.setattr(solver, "_factor", perturbed_factor)
+    op = make()
+    rhs = np.random.default_rng(7).uniform(-1.0, 1.0, op.size)
+    w = solve_linear(op, rhs)
+    assert len(solves) == 2                 # the perturbed first solve and one refinement
+    w_dense = np.linalg.solve(op.matrix.toarray(), op.mass * rhs)
+    assert np.max(np.abs(w - w_dense)) <= 1e-12 * np.max(np.abs(w_dense))
 
 
 def test_singular_pure_neumann_rejected():
@@ -344,6 +375,10 @@ def _ring_cases(draw):
     return op
 
 
+def _no_arpack_for_a_ring_ground_pair(*args, **kwargs):
+    raise AssertionError("a ring's ground pair must not reach ARPACK below the step cap")
+
+
 @settings(max_examples=200, deadline=None)
 @given(_ring_cases(), st.integers(0, 2**32))
 # K V m far below the round-off of A's diagonal: factored, but singular to working precision
@@ -364,8 +399,52 @@ def test_ring_solves_match_dense_solves(op, seed):
     # a mode moves by up to its residual over its gap (Davis-Kahan), so it is pinned to
     # 1e-6 only where the gap exceeds the residual bound 1e6-fold; equal cells make a
     # ring's modes degenerate, and then any basis will do
-    separated = np.min(np.diff(lam)) > solver.EIG_TOL / 1e-6 * max(1.0, lam[-1])
-    _assert_matches_oracle(op, smallest_eigenpairs(op, k), modes=separated)
+    separated = np.diff(lam) > solver.EIG_TOL / 1e-6 * max(1.0, lam[-1])
+    _assert_matches_oracle(op, smallest_eigenpairs(op, k), modes=separated.all())
+    # k = 1 is certified shifted inverse iteration on the ring's own factor, never ARPACK
+    with mock.patch.object(solver.spla, "eigsh", _no_arpack_for_a_ring_ground_pair):
+        _assert_matches_oracle(op, smallest_eigenpairs(op, 1), modes=separated[0])
+
+
+def test_ring_ground_mode_resolves_a_near_degenerate_crossover(monkeypatch):
+    # a two-well ring at its crossover coupling, 300 nodes/unit: lambda_2 - lambda_1 is
+    # 6e-6 lambda_1, so a vector whose eigenvalue is certified to 1e-10 lambda_1 can still
+    # carry up to eta / gap ~ 1e-5 of the second mode; the last solve at the proven shift
+    # damps it, and the peak ratio the sweep reads must agree with the dense mode's
+    monkeypatch.setattr(solver.spla, "eigsh", _no_arpack_for_a_ring_ground_pair)
+    params = TwoWellParams(0.08024914575701395, 0.40393389439772037, 0.05023549884468585,
+                           0.011412067758173551)
+    op = toy_operator(params, 1528.5684057112098, nodes_per_unit=300)
+    pair = smallest_eigenpairs(op, 1)[0]
+    (lam, u), (lam2, _) = dense_eigenpairs(op, 2)
+    assert lam2 - lam < 1e-5 * lam
+    assert abs(pair.eigenvalue - lam) <= 1e-12 * lam
+    x = op.axes[0]
+    assert abs(peak_height_ratio(pair.mode, x, params) - peak_height_ratio(u, x, params)) < 1e-8
+
+
+def test_ring_iteration_never_certifies_an_excited_pair():
+    # started on the second mode itself, the iteration meets the eta bound at once, but no
+    # factor proves a shift that close to lambda_2, so the pair is not certified: it returns
+    # only once inverse iteration has drawn x to the ground mode, or hands the ring on
+    op = assemble_ring(np.full(40, 0.025), np.random.default_rng(6).uniform(0.0, 1.0, 40), 300.0)
+    (lam1, _), (lam2, u2) = dense_eigenpairs(op, 2)
+    solve, starts = solver._factor(op), [u2]
+    pairs = solver._ring_ground_pair(op, lambda b: starts.pop().copy() if starts else solve(b))
+    assert pairs is None or abs(pairs[0].eigenvalue - lam1) <= 1e-10 * lam1
+
+
+@pytest.mark.parametrize("steps", [0, 2])
+def test_ring_ground_pair_past_the_step_cap_falls_through_to_lanczos(steps, monkeypatch):
+    # the toy ring's ground pair takes 5 to 8 steps to certify, so a cap of 0 or 2 hands
+    # it to shift-invert Lanczos, which must still meet the bound
+    monkeypatch.setattr(solver, "_RING_STEPS", steps)
+    calls = []
+    _recording(monkeypatch, calls, "eigsh")
+    op = toy_operator(REFERENCE_PARAMS, 700.0, nodes_per_unit=200)
+    _assert_matches_oracle(op, smallest_eigenpairs(op, 1))
+    assert [call[0] for call in calls] == ["eigsh"]
+    _assert_arpack_factors_nothing(calls[0])
 
 
 @pytest.mark.parametrize("op", [

@@ -153,11 +153,12 @@ def test_hop_budget_cuts_off_1d_paths():
     assert one.n_truncated == 0 and one.mean == 0.125      # x(1-x)/2 at x = 1/2
 
 
+# the block scan serves the stepped walk, which only 2D estimates take
 @pytest.mark.parametrize("bc", [BoundaryCondition.neumann(), BoundaryCondition.robin(5.0),
                                 BoundaryCondition.dirichlet()], ids=lambda bc: bc.kind)
-@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("dim", [2])
 def test_block_scan_matches_per_step_walk(bc, dim, monkeypatch):
-    grid = grid_1d(30) if dim == 1 else grid_2d(12)
+    grid = grid_2d(12)
     fieldv = sample_potential(grid, DistributionSpec.bernoulli(0.5), 7)
     monkeypatch.setattr(stochastic, "WEIGHT_CUTOFF", 1e-3)   # so that 100 steps reach it
     walk = stochastic._Walk(fieldv.cell_values, 100.0, 1e-3, bc.h, bc.kind == "dirichlet")
@@ -182,7 +183,7 @@ _WALLS = [BoundaryCondition.neumann(), BoundaryCondition.robin(5.0), BoundaryCon
 def _scan_inputs(bc, dim, B, n, seed):
     """A walk and one block's inputs: a quarter of the paths start on or near a wall, and
     weights range down to the cutoff.  Half the cells are 0, the others uniform in (0, 2)."""
-    grid = grid_1d(30) if dim == 1 else grid_2d(12)
+    grid = grid_2d(12)
     cells = (sample_potential(grid, DistributionSpec.uniform(0.0, 2.0), 7).cell_values
              * sample_potential(grid, DistributionSpec.bernoulli(0.5), 8).cell_values)
     walk = stochastic._Walk(cells, 100.0, 1e-3, bc.h, bc.kind == "dirichlet")
@@ -196,7 +197,7 @@ def _scan_inputs(bc, dim, B, n, seed):
 
 
 @pytest.mark.parametrize("bc", _WALLS, ids=lambda bc: bc.kind)
-@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("dim", [2])
 def test_scan_reuses_workspace_without_stale_state(bc, dim):
     ws = stochastic._Workspace()
     full = _scan_inputs(bc, dim, stochastic.BLOCK, stochastic.LANE, 21)
@@ -213,7 +214,7 @@ def test_scan_reuses_workspace_without_stale_state(bc, dim):
 @pytest.mark.parametrize("bc", _WALLS, ids=lambda bc: bc.kind)
 def test_full_block_scan_allocates_no_block_sized_array(bc):
     ws = stochastic._Workspace()
-    args = _scan_inputs(bc, 1, stochastic.BLOCK, stochastic.LANE, 23)
+    args = _scan_inputs(bc, 2, stochastic.BLOCK, stochastic.LANE, 23)
     stochastic._scan(*args, ws)                # the first block sizes the buffers
     tracemalloc.start()
     try:
