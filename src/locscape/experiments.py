@@ -79,11 +79,13 @@ def wilson_interval(hits: int, n: int) -> tuple[float, float]:
 
 # --- predicates -----------------------------------------------------------------
 
-def is_boundary_localized(mode_full: np.ndarray, dim: int) -> bool:
+def is_boundary_localized(mode_full: np.ndarray) -> bool:
     """Sup-normalized mode exceeds THRESHOLD somewhere on the domain boundary (strict)."""
     u = np.abs(np.asarray(mode_full))
-    if dim == 1:
+    if u.ndim == 1:
         return bool(max(u[0], u[-1]) > THRESHOLD)
+    if u.ndim != 2:
+        raise ParameterError("boundary localization needs a 1D or 2D mode")
     edge = max(u[0, :].max(), u[-1, :].max(), u[:, 0].max(), u[:, -1].max())
     return bool(edge > THRESHOLD)
 
@@ -121,7 +123,7 @@ def run_trial(spec: ExperimentSpec, trial: int) -> TrialRecord:
         return TrialRecord(trial, trial_seed, float("nan"), False, True)
     pair = pairs[0]
     if spec.predicate == "boundary":
-        hit = is_boundary_localized(op.embed(pair.mode), spec.grid.dim)
+        hit = is_boundary_localized(op.embed(pair.mode))
     elif spec.predicate == "corner":
         hit = is_corner_localized(op.embed(pair.mode))
     else:

@@ -14,20 +14,22 @@ from run_oracles import longest_extended_run_on_boundary
 def test_boundary_predicate_threshold_is_strict():
     u = np.zeros(11)
     u[5] = 1.0
-    assert not is_boundary_localized(u, 1)
+    assert not is_boundary_localized(u)
     u[0] = 0.5
-    assert not is_boundary_localized(u, 1)      # exactly 0.5 does not count
+    assert not is_boundary_localized(u)      # exactly 0.5 does not count
     u[0] = 0.5000001
-    assert is_boundary_localized(u, 1)
-    assert is_boundary_localized(np.ones(7), 1)  # constant mode sits on the wall
+    assert is_boundary_localized(u)
+    assert is_boundary_localized(np.ones(7))  # constant mode sits on the wall
 
 
 def test_boundary_predicate_2d_scans_all_edges():
     u = np.zeros((9, 9))
     u[4, 4] = 1.0
-    assert not is_boundary_localized(u, 2)
+    assert not is_boundary_localized(u)
     u[8, 3] = 0.7
-    assert is_boundary_localized(u, 2)
+    assert is_boundary_localized(u)
+    with pytest.raises(ParameterError, match="1D or 2D mode"):
+        is_boundary_localized(np.ones((3, 3, 3)))
 
 
 def test_corner_predicate():

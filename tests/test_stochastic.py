@@ -1,4 +1,3 @@
-import tracemalloc
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -13,39 +12,10 @@ from locscape import stochastic
 from locscape.rng import TAG_WALK, stream
 
 from walk_oracles import (boundary_value_at, boundary_values, richardson_fd_boundary_values,
-                          scan_allocating, scan_by_steps, simulate_reflecting_path)
-
-
-def test_reflected_path_stays_inside():
-    cfg = PathConfig(dt=1e-3, seed=4)
-    for dim in (1, 2):
-        pos, dF = simulate_reflecting_path(dim, 0.5, cfg, n_steps=2000)
-        assert pos.min() >= 0.0 and pos.max() <= 1.0
-        assert dF.sum() > 0.0      # a 2-time-unit path does hit the walls
-
-
-def test_local_time_zero_without_wall_contact():
-    # a short small-step path from the center cannot reach a wall
-    pos, dF = simulate_reflecting_path(1, 0.5, PathConfig(dt=1e-5, seed=5), n_steps=50)
-    assert 0.25 < pos.min() and pos.max() < 0.75
-    assert np.all(dF == 0.0)
-
-
-def test_mean_displacement_vanishes_by_symmetry():
-    cfg = PathConfig(dt=1e-4, seed=8)
-    n_paths, n_steps = 2000, 100     # t = 0.01 from the center
-    finals = np.empty(n_paths)
-    for i in range(n_paths):
-        pos, _ = simulate_reflecting_path(1, 0.5, PathConfig(dt=1e-4, seed=cfg.seed ^ i), n_steps)
-        finals[i] = pos[-1, 0]
-    disp = finals - 0.5
-    se = disp.std(ddof=1) / np.sqrt(n_paths)
-    assert abs(disp.mean()) < 3 * se
+                          scan_by_steps)
 
 
 def test_start_point_must_lie_in_domain():
-    with pytest.raises(ParameterError, match="start point .* outside the closed unit domain"):
-        simulate_reflecting_path(1, 1.5, PathConfig(), 10)
     fieldv = sample_potential(grid_1d(10), DistributionSpec.bernoulli(1.0), 0)
     with pytest.raises(ParameterError, match="probe .* outside the closed unit domain"):
         estimate_landscape_mc(-0.1, fieldv, 10.0, BoundaryCondition.neumann(), PathConfig())
@@ -153,79 +123,33 @@ def test_hop_budget_cuts_off_1d_paths():
     assert one.n_truncated == 0 and one.mean == 0.125      # x(1-x)/2 at x = 1/2
 
 
-# the block scan serves the stepped walk, which only 2D estimates take
-@pytest.mark.parametrize("bc", [BoundaryCondition.neumann(), BoundaryCondition.robin(5.0),
-                                BoundaryCondition.dirichlet()], ids=lambda bc: bc.kind)
-@pytest.mark.parametrize("dim", [2])
-def test_block_scan_matches_per_step_walk(bc, dim, monkeypatch):
-    grid = grid_2d(12)
-    fieldv = sample_potential(grid, DistributionSpec.bernoulli(0.5), 7)
-    monkeypatch.setattr(stochastic, "WEIGHT_CUTOFF", 1e-3)   # so that 100 steps reach it
-    walk = stochastic._Walk(fieldv.cell_values, 100.0, 1e-3, bc.h, bc.kind == "dirichlet")
-    rng = np.random.default_rng(19)
-    n, B = 60, 100
-    x0 = rng.uniform(0.0, 1.0, (n, dim))
-    Y0 = rng.uniform(0.5, 1.0, n)
-    dW = np.sqrt(2e-3) * rng.standard_normal((B, n, dim))
-    U = rng.random((B, n))
-    occ, Y, x, died = stochastic._scan(walk, x0, Y0, dW, U, stochastic._Workspace())
-    ref_occ, ref_Y, ref_x, ref_died = scan_by_steps(walk, x0, Y0, dW, U)
-    assert np.array_equal(died, ref_died)
-    assert 0 < died.sum() < n          # both endings are exercised
-    np.testing.assert_allclose(occ, ref_occ, rtol=1e-12, atol=0)
-    np.testing.assert_allclose(Y[~died], ref_Y[~died], rtol=1e-12, atol=0)
-    np.testing.assert_allclose(x[~died], ref_x[~died], rtol=1e-12, atol=1e-15)
-
-
 _WALLS = [BoundaryCondition.neumann(), BoundaryCondition.robin(5.0), BoundaryCondition.dirichlet()]
 
 
-def _scan_inputs(bc, dim, B, n, seed):
-    """A walk and one block's inputs: a quarter of the paths start on or near a wall, and
-    weights range down to the cutoff.  Half the cells are 0, the others uniform in (0, 2)."""
+# the block scan serves the stepped walk, which only 2D estimates take
+@pytest.mark.parametrize("bc", _WALLS, ids=lambda bc: bc.kind)
+def test_block_scan_matches_per_step_walk(bc):
+    # half the cells are 0, the others uniform in (0, 2); a quarter of the paths start
+    # within 0.05 of a wall, an eighth on one, and weights range down to the cutoff
     grid = grid_2d(12)
     cells = (sample_potential(grid, DistributionSpec.uniform(0.0, 2.0), 7).cell_values
              * sample_potential(grid, DistributionSpec.bernoulli(0.5), 8).cell_values)
     walk = stochastic._Walk(cells, 100.0, 1e-3, bc.h, bc.kind == "dirichlet")
-    rng = np.random.default_rng(seed)
-    x0 = rng.uniform(0.0, 1.0, (n, dim))
-    x0[: n // 4] = rng.uniform(0.0, 0.05, (n // 4, dim))
-    x0[: n // 8] = rng.choice([0.0, 1.0], (n // 8, dim))
-    Y0 = 10.0 ** rng.uniform(-10.0, 0.0, n)
-    dW = np.sqrt(2e-3) * rng.standard_normal((B, n, dim))
-    return walk, x0, Y0, dW, rng.random((B, n))
-
-
-@pytest.mark.parametrize("bc", _WALLS, ids=lambda bc: bc.kind)
-@pytest.mark.parametrize("dim", [2])
-def test_scan_reuses_workspace_without_stale_state(bc, dim):
-    ws = stochastic._Workspace()
-    full = _scan_inputs(bc, dim, stochastic.BLOCK, stochastic.LANE, 21)
-    stochastic._scan(*full, ws)
-    small = _scan_inputs(bc, dim, 7, 300, 22)
-    reused = stochastic._scan(*small, ws)
-    fresh = stochastic._scan(*small, stochastic._Workspace())
-    assert 0 < reused[3].sum() < 300          # paths die in the block, and others live
-    for got, want, ref in zip(reused, fresh, scan_allocating(*small)):
-        assert np.array_equal(got, want)
-        assert np.array_equal(got, ref)       # same operations in the same order: same bits
-
-
-@pytest.mark.parametrize("bc", _WALLS, ids=lambda bc: bc.kind)
-def test_full_block_scan_allocates_no_block_sized_array(bc):
-    ws = stochastic._Workspace()
-    args = _scan_inputs(bc, 2, stochastic.BLOCK, stochastic.LANE, 23)
-    stochastic._scan(*args, ws)                # the first block sizes the buffers
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        stochastic._scan(*args, ws)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    # the three results hold LANE entries each; one (BLOCK, LANE) float array is 8x this
-    assert peak < stochastic.BLOCK * stochastic.LANE * 8 // 4
+    rng = np.random.default_rng(19)
+    for B, n in ((32, 1024), (7, 300), (100, 60)):
+        x0 = rng.uniform(0.0, 1.0, (n, 2))
+        x0[: n // 4] = rng.uniform(0.0, 0.05, (n // 4, 2))
+        x0[: n // 8] = rng.choice([0.0, 1.0], (n // 8, 2))
+        Y0 = 10.0 ** rng.uniform(-10.0, 0.0, n)
+        dW = np.sqrt(2e-3) * rng.standard_normal((B, n, 2))
+        U = rng.random((B, n))
+        occ, Y, x, died = stochastic._scan(walk, x0, Y0, dW, U)
+        ref_occ, ref_Y, ref_x, ref_died = scan_by_steps(walk, x0, Y0, dW, U)
+        assert np.array_equal(died, ref_died)
+        assert 0 < died.sum() < n          # both endings are exercised
+        np.testing.assert_allclose(occ, ref_occ, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(Y[~died], ref_Y[~died], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(x[~died], ref_x[~died], rtol=1e-12, atol=1e-15)
 
 
 def _key(gen):

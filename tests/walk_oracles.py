@@ -1,12 +1,9 @@
 """References for `locscape.stochastic`: the exact boundary values of the 1D cell-boundary
-walk, per-step walks, and the block scan written with a fresh array for every
-intermediate."""
+walk, and the 2D block scan taken one step at a time."""
 
 import numpy as np
 
-from locscape import (ParameterError, PathConfig, PotentialField, assemble, grid_1d,
-                      landscape_from_operator, stochastic)
-from locscape.rng import stream
+from locscape import PotentialField, assemble, grid_1d, landscape_from_operator, stochastic
 
 
 def boundary_values(cells, K, bc):
@@ -47,63 +44,11 @@ def fold(raw):
     return np.where(y > 1.0, 2.0 - y, y)
 
 
-def simulate_reflecting_path(dim: int, x0, cfg: PathConfig, n_steps: int):
-    """One reflected path: positions (n_steps+1, dim) and local-time increments."""
-    x0 = np.broadcast_to(np.asarray(x0, float), (dim,)).copy()
-    if np.any(x0 < 0) or np.any(x0 > 1):
-        raise ParameterError(f"start point {x0} outside the closed unit domain")
-    rng = stream(cfg.seed)
-    sdt = np.sqrt(2.0 * cfg.dt)
-    pos = np.empty((n_steps + 1, dim))
-    dF = np.zeros(n_steps)
-    pos[0] = x0
-    for k in range(n_steps):
-        raw = pos[k] + sdt * rng.standard_normal(dim)
-        folded = fold(raw)
-        dF[k] = np.abs(folded - raw).sum()
-        pos[k + 1] = folded
-    return pos, dF
-
-
 def potential(walk, pts):
     """Cell value at each position of ``pts`` (..., d); outside points take the wall cell."""
     N = walk.cells.shape[0]
     ci = np.clip((pts * N).astype(int), 0, N - 1)
     return walk.cells[tuple(np.moveaxis(ci, -1, 0))]
-
-
-def scan_allocating(walk, x0, Y0, dW, U=None):
-    """`stochastic._scan` without a workspace: the same operations in the same order,
-    each into a fresh array, so its results must equal the scan's bit for bit."""
-    u = np.cumsum(np.concatenate([x0[None], dW]), axis=0)
-    if walk.absorbing:
-        x = u
-    else:
-        q = np.floor(0.5 * u)
-        r = u - 2.0 * q
-        odd = r > 1.0
-        x = np.where(odd, 2.0 - r, r)
-    vx = potential(walk, x)
-    kv = walk.K * (0.5 * (vx[:-1] + vx[1:]))
-    decay = np.exp(-kv * walk.dt)
-    step_weight = np.where(kv > 0, (1.0 - decay) / np.where(kv > 0, kv, 1.0), walk.dt)
-    if walk.h > 0:
-        s = 1.0 - 2.0 * odd
-        c = np.where(odd, 2.0 * q + 2.0, -2.0 * q)
-        push = np.abs(np.diff(s, axis=0) * u[1:] + np.diff(c, axis=0)).sum(axis=-1)
-        decay *= np.exp(-walk.h * push)
-    Y = np.cumprod(np.concatenate([Y0[None], decay]), axis=0)
-    dead = Y[1:] < stochastic.WEIGHT_CUTOFF
-    if walk.absorbing:
-        lo = np.maximum(u, 0.0)
-        hi = np.maximum(1.0 - u, 0.0)
-        dead |= U >= np.prod((1.0 - np.exp(-lo[:-1] * lo[1:] / walk.dt))
-                             * (1.0 - np.exp(-hi[:-1] * hi[1:] / walk.dt)), axis=-1)
-    died = dead.any(axis=0)
-    last = np.where(died, dead.argmax(axis=0), len(dW) - 1)
-    counted = np.arange(len(dW))[:, None] <= last
-    occupation = (Y[:-1] * step_weight * counted).sum(axis=0)
-    return occupation, Y[-1], x[-1], died
 
 
 def scan_by_steps(walk, x0, Y0, dW, U=None):
