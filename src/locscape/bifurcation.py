@@ -149,11 +149,11 @@ def _check_pole(trig, arg, label):
 def characteristic_left(K: float, lam: float, params: TwoWellParams) -> float:
     """alpha tan(alpha t0) - beta tanh(beta (1/2 - t0)); zero at long-well energies."""
     _check_lambda(K, lam)
-    a = np.sqrt(lam)
-    b = np.sqrt(K - lam)
-    t0 = params.half_widths[0]
-    _check_pole(np.cos, a * t0, "tan pole at alpha*t0")
-    return a * np.tan(a * t0) - b * np.tanh(b * (0.5 - t0))
+    a = math.sqrt(lam)
+    b = math.sqrt(K - lam)
+    t0 = params.L1 / 2
+    _check_pole(math.cos, a * t0, "tan pole at alpha*t0")
+    return a * math.tan(a * t0) - b * math.tanh(b * (0.5 - t0))
 
 
 def characteristic_right(K: float, lam: float, params: TwoWellParams) -> float:
@@ -165,15 +165,15 @@ def characteristic_right(K: float, lam: float, params: TwoWellParams) -> float:
     algebra, not an approximation.
     """
     _check_lambda(K, lam)
-    a = np.sqrt(lam)
-    b = np.sqrt(K - lam)
+    a = math.sqrt(lam)
+    b = math.sqrt(K - lam)
     t0, t1, t2, t3 = params.half_widths
-    _check_pole(np.sin, a * (t2 - t1), "cot pole at alpha*L3")
-    ea = np.exp(2 * b * (t2 - t1 - t3))
-    eb = np.exp(-2 * b * t1)
-    ec = np.exp(2 * b * (t2 - t3))
+    _check_pole(math.sin, a * (t2 - t1), "cot pole at alpha*L3")
+    ea = math.exp(2 * b * (t2 - t1 - t3))
+    eb = math.exp(-2 * b * t1)
+    ec = math.exp(2 * b * (t2 - t3))
     ratio = ((a * a - b * b) * (ea + 1.0) + (a * a + b * b) * (eb + ec)) / (1.0 - ea)
-    return ratio + 2 * a * b / np.tan(a * (t1 - t2))
+    return ratio + 2 * a * b / math.tan(a * (t1 - t2))
 
 
 def _brentq(f, xa, xb, xtol):
@@ -272,7 +272,8 @@ def critical_point(params: TwoWellParams) -> CriticalPoint:
     energies = {}   # log K -> [long-well, split-well] ground energy
 
     def gap(u):
-        energies[u] = [subsystem_ground_energy(np.exp(u), params, which) for which in (1, 2)]
+        K = float(np.exp(u))   # the conditions run on Python floats
+        energies[u] = [subsystem_ground_energy(K, params, which) for which in (1, 2)]
         return energies[u][0] - energies[u][1]
 
     a, b = K_BOUNDS
@@ -303,8 +304,8 @@ def peak_height_ratio(mode: np.ndarray, coords: np.ndarray, params: TwoWellParam
     return float(m1 / (m1 + m2))
 
 
-def _ratio_at(params, K, nodes_per_unit):
-    op = toy_operator(params, K, nodes_per_unit)
+def _ratio_at(ring, K, params):
+    op = ring._recoupled(K)
     pair = smallest_eigenpairs(op, k=1)[0]
     return peak_height_ratio(pair.mode, op.axes[0], params)
 
@@ -317,11 +318,13 @@ class SweepResult:
 
 
 def critical_coupling_sweep(params: TwoWellParams, nodes_per_unit: int = 3000) -> SweepResult:
-    """Independent route to the crossover: solve the full ring spectrum per K of
+    """Independent route to the crossover: solve the ring's ground pair per K of
     SWEEP_K_GRID and find where the peak-height ratio crosses 1/2, refining the
-    bracketing pair and finishing with linear interpolation."""
+    bracketing pair and finishing with linear interpolation.  The ring is built once,
+    at K = 0, and re-coupled at each K, which gives the ring `toy_operator` builds there."""
+    ring = toy_operator(params, 0.0, nodes_per_unit)
     K_grid = SWEEP_K_GRID
-    ratios = np.array([_ratio_at(params, K, nodes_per_unit) for K in K_grid])
+    ratios = np.array([_ratio_at(ring, K, params) for K in K_grid])
     cross = np.flatnonzero((ratios[:-1] < 0.5) & (ratios[1:] >= 0.5))
     if len(cross) == 0:
         raise LocscapeError("peak-height ratio does not cross 1/2 on the grid")
@@ -330,7 +333,7 @@ def critical_coupling_sweep(params: TwoWellParams, nodes_per_unit: int = 3000) -
     fa, fb = ratios[i], ratios[i + 1]
     while b - a > SWEEP_RTOL * a:
         mid = np.sqrt(a * b)
-        fm = _ratio_at(params, mid, nodes_per_unit)
+        fm = _ratio_at(ring, mid, params)
         if fm < 0.5:
             a, fa = mid, fm
         else:

@@ -20,7 +20,7 @@ arbitrary cell widths.  A 1D operator keeps A as its diagonal, off-diagonal and 
 corner and applies it by a matvec that sums each row in CSR's order; only 2D is CSR.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -163,12 +163,33 @@ class DiscreteOperator:
             s[0], s[-1] = d[0] + (e[0] + c), s[-1] + c
         return s
 
+    def _recoupled(self, K: float) -> "DiscreteOperator":
+        """This 1D pencil, assembled at K = 0, at coupling K.
+
+        A's diagonal gains the potential term as `_axis_1d` adds it, so the result is the
+        pencil assembled at K bit for bit, without rebuilding the stiffness and mass.  A ring
+        of one node is refused: `_axis_1d` folds its corner into the diagonal after that term,
+        so the sums would round in another order.
+        """
+        if self.dim != 1 or self.coupling != 0.0:
+            raise ParameterError("only a 1D pencil assembled at K = 0 can be re-coupled")
+        if self.size == 1 and self.bc.kind == "periodic":
+            raise ParameterError("a ring of one node cannot be re-coupled")
+        d, e, c = self.A
+        return replace(self, A=(_add_potential(d, K, self.vnode, self.mass), e, c),
+                       coupling=float(K))
+
     def embed(self, u: np.ndarray) -> np.ndarray:
         """Pad a vector on active nodes with zeros at eliminated Dirichlet nodes, giving the
         full lattice-node array, shape (nx,) or (nx, ny)."""
         arr = np.asarray(u).reshape(self.shape_active)
         pad = [(int(lo), int(hi)) for lo, hi in self.trimmed]
         return np.pad(arr, pad) if any(map(any, pad)) else arr
+
+
+def _add_potential(d, K, vnode, m):
+    """A 1D diagonal plus the potential term K*v*m, none at K = 0: the one place it is added."""
+    return d + K * vnode * m if K else d
 
 
 def _axis_1d(widths, values, ends, K):
@@ -203,8 +224,7 @@ def _axis_1d(widths, values, ends, K):
             d[-side] += h                   # d[0] or d[-1]
         elif kind == "dirichlet":
             trim[side] = True
-    if K:
-        d = d + K * vnode * m
+    d = _add_potential(d, K, vnode, m)
     if ends is None:
         e, c = -inv[1:-1], -inv[-1]         # the last cell joins node n-1 to node 0
         if n == 2:                          # the corner lies on the off-diagonal

@@ -27,6 +27,7 @@ shift polishes the vector, and the pair must still meet the residual bound.  A r
 certified within _RING_STEPS steps falls through to Lanczos.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,8 +82,13 @@ def _factor(op: DiscreteOperator, shift: float = 0.0):
     periodic walls with K V = 0, a pivot or Sherman-Morrison denominator that is not
     positive, or an exactly singular SuperLU factor.  In 1D a factor that returns is thus
     a proof, as a Sturm count is, that every eigenvalue of the pencil exceeds the shift.
+    The K V = 0 check runs at shift 0 only, where A is singular and round-off can leave every
+    pivot positive.  At a shift above 0, A - shift M of such an operator has the eigenvalue
+    -shift, so once the shift clears the round-off floor of `_ring_ground_pair`, a pivot or the
+    denominator is not positive and the factor raises without the check.
     """
-    if op.bc.kind in ("neumann", "periodic") and np.max(op.coupling * op.vnode) == 0.0:
+    if (not shift and op.bc.kind in ("neumann", "periodic")
+            and np.max(op.coupling * op.vnode) == 0.0):
         raise SingularOperatorError("pure Neumann/periodic operator with K*V = 0 is singular")
     if op.dim != 1:
         try:
@@ -92,7 +98,8 @@ def _factor(op: DiscreteOperator, shift: float = 0.0):
     d, e, c = op.A
     d = d - shift * op.mass
     if c:                                   # T' = A - c w w^T, both corners folded in
-        d[[0, -1]] -= c
+        d[0] -= c
+        d[-1] -= c
     d, e, info = sla.lapack.dpttrf(d, e)
     if info > 0:
         raise SingularOperatorError(
@@ -100,7 +107,7 @@ def _factor(op: DiscreteOperator, shift: float = 0.0):
     if not c:
         return lambda b: sla.lapack.dpttrs(d, e, b)[0]
     w = np.zeros(len(d))
-    w[[0, -1]] = 1.0
+    w[0] = w[-1] = 1.0
     z = sla.lapack.dpttrs(d, e, w)[0]       # T'^{-1} w
     denom = 1.0 + c * (z[0] + z[-1])        # Sherman-Morrison: A is SPD iff this is positive
     if not denom > 0.0:
@@ -123,7 +130,7 @@ def _ring_ground_pair(op: DiscreteOperator, solve):
     noise = 8 * np.finfo(float).eps * np.max(op._abs_row_sums() / op.mass)
     x, shift, certified = solve(op.mass), 0.0, False     # A^{-1} M 1
     for _ in range(_RING_STEPS):
-        x /= np.sqrt(x @ (op.mass * x))     # ||x||_M = 1
+        x /= math.sqrt(x @ (op.mass * x))   # ||x||_M = 1
         Mx = op.mass * x
         Ax = op._matvec(x)
         rho = x @ Ax
@@ -133,7 +140,7 @@ def _ring_ground_pair(op: DiscreteOperator, solve):
             except ConvergenceError:
                 pass
         r = Ax - rho * Mx
-        eta = np.sqrt(r @ (r / op.mass))    # some eigenvalue lies in [rho - eta, rho + eta]
+        eta = math.sqrt(r @ (r / op.mass))  # some eigenvalue lies in [rho - eta, rho + eta]
         tol = max(_RING_RTOL * max(1.0, rho), noise)
         sigma = rho - max(eta, tol)
         if sigma > shift:

@@ -36,6 +36,16 @@ def dense_eigenpairs(op, k):
     return out
 
 
+def assert_same_pencil(op, ref):
+    """op and ref hold the same 1D pencil, bit for bit: A's arrays, mass, node potential,
+    coupling, coordinates, trim and boundary condition."""
+    bits = lambda x: np.asarray(x, float).tobytes()
+    assert [bits(a) for a in op.A] == [bits(a) for a in ref.A]
+    assert (bits(op.mass), bits(op.vnode), bits(op.axes[0])) == (
+        bits(ref.mass), bits(ref.vnode), bits(ref.axes[0]))
+    assert (op.coupling, op.trimmed, op.bc) == (ref.coupling, ref.trimmed, ref.bc)
+
+
 def rayleigh_quotient(u, op) -> float:
     """<A u, u> / <M u, u>: the discrete energy per unit norm."""
     u = np.asarray(u, float)

@@ -15,6 +15,7 @@ from locscape import (REFERENCE_PARAMS, ConstraintError, ConvergenceError, Locsc
                       subsystem_ground_energy, toy_operator)
 from locscape.operator import assemble_ring
 from locscape.rng import stream
+from conftest import assert_same_pencil
 from twowell_oracles import (characteristic_right_raw, lengths_to_ratios, mirrored_ring_operator,
                              scaled_residual, subsystem_operator)
 
@@ -68,22 +69,27 @@ def test_lambda_domain_enforced():
 
 
 def test_stable_and_raw_right_conditions_agree():
-    K = 1e3
-    for lam in (50.0, 200.0, 600.0, 950.0):
-        a = characteristic_right(K, lam, REFERENCE_PARAMS)
-        b = characteristic_right_raw(K, lam, REFERENCE_PARAMS)
-        assert a == pytest.approx(b, rel=1e-10)
+    # the stable form on Python floats against the direct exponential form on numpy scalars
+    for K in (1e2, 1e3, 1e4):
+        for lam in K * np.array([0.05, 0.2, 0.6, 0.95]):
+            a = characteristic_right(K, float(lam), REFERENCE_PARAMS)
+            b = characteristic_right_raw(K, lam, REFERENCE_PARAMS)
+            assert type(a) is float
+            assert a == pytest.approx(b, rel=1e-10)
 
 
 def test_stable_right_condition_finite_at_huge_coupling():
+    # both conditions, the left one included, stay finite floats away from their poles
     K = 1e6
-    for lam in np.linspace(1.0, K - 1.0, 50):
-        try:
-            v = characteristic_right(K, lam, REFERENCE_PARAMS)
-        except ParameterError as exc:
-            assert str(exc).startswith("cot pole at alpha*L3")
-            continue
-        assert np.isfinite(v)
+    for f, pole in ((characteristic_left, "tan pole at alpha*t0"),
+                    (characteristic_right, "cot pole at alpha*L3")):
+        for lam in np.linspace(1.0, K - 1.0, 50):
+            try:
+                v = f(K, lam, REFERENCE_PARAMS)
+            except ParameterError as exc:
+                assert str(exc).startswith(pole)
+                continue
+            assert type(v) is float and math.isfinite(v)
 
 
 def test_ground_energies_match_fd_oracle():
@@ -109,6 +115,8 @@ def test_ground_energy_rejects_bad_arguments(K, which):
 @given(L3=st.floats(0.03, 0.055), f1=st.floats(1.3, 1.7), f4=st.floats(0.2, 0.4),
        logK=st.floats(math.log(200.0), math.log(1e6)), which=st.sampled_from([1, 2]))
 @example(L3=0.03, f1=1.5, f4=0.25, logK=9.302447062879413, which=2)   # FD alone: -3.1e-6
+@example(L3=0.054520883469405756, f1=1.574216793792278, f4=0.33009185525356327,
+         logK=8.10780270726658, which=2)   # K = lam_D: the 1000/2000 value alone, -8.5e-8
 def test_ground_energy_bracket_holds_the_ground_state_alone(L3, f1, f4, logK, which):
     # the route test's geometries; K stays >= 200, where the fine FD grid meets EIG_TOL
     L1, L4 = f1 * L3, f4 * L3
@@ -119,12 +127,15 @@ def test_ground_energy_bracket_holds_the_ground_state_alone(L3, f1, f4, logK, wh
     lam = subsystem_ground_energy(K, params, which)
     assert 0.0 < lam < bound
     assert f(K, lam * (1 - 1e-9), params) < 0.0 < f(K, lam * (1 + 1e-9), params)
-    # Neumann bracketing: lambda_2 >= min(K, lam_D).  Lumped-mass FD approaches lambda_2 from
-    # below at second order, by more than lambda_2 clears the bound where K is near lam_D, so
-    # the check reads the Richardson value of 1000 and 2000 nodes/unit
-    coarse, fine = (smallest_eigenpairs(subsystem_operator(params, K, which, npu), 2)[1].eigenvalue
-                    for npu in (1000, 2000))
-    assert (4 * fine - coarse) / 3 >= bound
+    # Neumann bracketing: lambda_2 >= min(K, lam_D), with equality for the split well at
+    # K = lam_D, where cos(pi x / L3) across the well, constant on the barriers, is an
+    # eigenfunction at lambda = K.  Lumped-mass FD approaches lambda_2 from below at second
+    # order, so the check reads the Richardson value of 2000 and 4000 nodes/unit and lets it
+    # fall short by its error estimate: its distance from the 1000/2000 value, which errs more
+    lam2 = [smallest_eigenpairs(subsystem_operator(params, K, which, npu), 2)[1].eigenvalue
+            for npu in (1000, 2000, 4000)]
+    coarse, fine = ((4 * b - a) / 3 for a, b in zip(lam2, lam2[1:]))
+    assert fine + abs(fine - coarse) >= bound
 
 
 def test_ground_energy_reaches_isolated_well_limit():
@@ -270,6 +281,25 @@ def test_sweep_brackets_and_interpolates(monkeypatch):
     assert 1e2 < sw.K_c < 1e5
     cp = critical_point(REFERENCE_PARAMS)
     assert abs(sw.K_c - cp.K_c) / sw.K_c < 5e-3    # tight agreement is acceptance-gated
+
+
+def test_sweep_recouples_one_ring_to_the_rings_it_would_build(monkeypatch):
+    # one ring per sweep, re-coupled at each K: bit for bit the ring toy_operator builds at K,
+    # at every grid value and every refinement midpoint
+    real_toy, real_ring, solved, built = toy_operator, bifurcation.assemble_ring, [], []
+    monkeypatch.setattr(bifurcation, "toy_operator",
+                        lambda *args: built.append("toy_operator") or real_toy(*args))
+    monkeypatch.setattr(bifurcation, "assemble_ring",
+                        lambda *args: built.append("assemble_ring") or real_ring(*args))
+    monkeypatch.setattr(bifurcation, "smallest_eigenpairs",
+                        lambda op, k: solved.append(op) or smallest_eigenpairs(op, k))
+    critical_coupling_sweep(REFERENCE_PARAMS)
+    assert built == ["toy_operator", "assemble_ring"]
+    assert len(solved) == 74
+    Ks = [op.coupling for op in solved]
+    assert Ks[:60] == bifurcation.SWEEP_K_GRID.tolist()
+    for op in solved:
+        assert_same_pencil(op, real_toy(REFERENCE_PARAMS, op.coupling, 3000))
 
 
 def test_periodic_spectrum_invariant_under_cell_rotation():

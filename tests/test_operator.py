@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from locscape import (BoundaryCondition, DistributionSpec, GridSpec, ParameterError,
                       assemble, assemble_line, assemble_ring, grid_1d, grid_2d,
                       sample_potential, smallest_eigenpairs)
-from conftest import CELLS, cells, dense_eigenpairs
+from conftest import CELLS, assert_same_pencil, cells, dense_eigenpairs
 from operator_oracles import axis_1d_by_diags, kron_sum_2d
 
 
@@ -298,3 +298,31 @@ def test_matvec_and_row_sums_are_bit_exact(cell_data, K, ends, k, seed):
     u = np.random.default_rng(seed).standard_normal(shape)
     assert np.array_equal(op._matvec(u), A @ u)
     assert np.array_equal(op._abs_row_sums(), np.asarray(abs(A).sum(axis=1)).ravel())
+
+
+# --- re-coupling a pencil assembled at K = 0 -----------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(cells(1), st.one_of(st.just(0.0), st.floats(0.0, 1e6)),
+       st.one_of(st.none(), st.tuples(_END, _END)))
+@example(([1.0], [0.5]), 10.0, None)                          # a ring of 1 node: refused
+@example(([0.3, 1.7], [0.5, 2.0]), 10.0, None)                # a ring of 2 nodes
+@example(([0.3, 1.7, 0.2], [0.5, 2.0, 0.0]), 10.0, None)      # and of 3, with a corner entry
+def test_recoupled_pencil_is_the_pencil_assembled_at_K(cell_data, K, ends):
+    if ends is not None and len(cell_data[0]) == 1 and ends[0][0] == ends[1][0] == "dirichlet":
+        return                              # no active node (test_matvec_and_row_sums_...)
+    base = _build(cell_data, 0.0, ends)
+    if ends is None and base.size == 1:     # its corner folds into d after the K term
+        with pytest.raises(ParameterError, match="ring of one node"):
+            base._recoupled(K)
+        return
+    assert_same_pencil(base._recoupled(K), _build(cell_data, K, ends))
+
+
+def test_only_a_1d_pencil_at_K_0_is_recoupled():
+    grid = grid_2d(4)
+    with pytest.raises(ParameterError, match="only a 1D pencil assembled at K = 0"):
+        assemble(grid, _one_field(grid), 0.0, BoundaryCondition.neumann())._recoupled(5.0)
+    ring = assemble_ring(np.full(5, 0.2), np.ones(5), 3.0)
+    with pytest.raises(ParameterError, match="only a 1D pencil assembled at K = 0"):
+        ring._recoupled(5.0)

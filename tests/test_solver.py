@@ -225,6 +225,26 @@ def test_singular_pencil_past_the_neumann_check_rejected(grid, bc):
         solve_linear(op, 1.0)
 
 
+@settings(max_examples=200, deadline=None)
+@given(CELLS, st.sampled_from(["ring", "neumann"]), st.booleans(),
+       st.floats(-6.0, 5.0), st.floats(0.0, 20.0))
+@example(([0.3, 0.7, 0.2], [0.0, 0.0, 0.0]), "ring", True, 0.0, 0.0)
+def test_shifted_factor_of_a_singular_operator_raises_without_the_pre_check(
+        cell_data, walls, zero_values, log_K, log_shift):
+    # K V = 0 under periodic or reflecting walls: A is singular, so A - shift M has the
+    # eigenvalue -shift, and once the shift clears the round-off floor of the ring iteration
+    # a pivot or the Sherman-Morrison denominator is not positive
+    widths, values = (np.array(c) for c in cell_data)
+    values, K = (0.0 * values, 10.0 ** log_K) if zero_values else (values, 0.0)
+    op = (assemble_ring(widths, values, K) if walls == "ring" else
+          assemble_line(widths, values, K, BoundaryCondition.neumann()))
+    with pytest.raises(SingularOperatorError, match="K\\*V = 0"):
+        solver._factor(op)
+    floor = 8 * np.finfo(float).eps * np.max(op._abs_row_sums() / op.mass)
+    with pytest.raises(SingularOperatorError, match="pivot|Sherman-Morrison denominator"):
+        solver._factor(op, floor * 10.0 ** log_shift)
+
+
 def test_rayleigh_quotient_properties(strong_disorder_1d):
     grid, fieldv, K, bc = strong_disorder_1d
     op = assemble(grid, fieldv, K, bc)
