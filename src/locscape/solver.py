@@ -21,7 +21,11 @@ eta = ||A x - rho M x||_{M^-1} / ||x||_M, so that some eigenvalue lies in
 [rho - eta, rho + eta], and tol = max(1e-10 max(1, rho), the round-off floor of eta).  A
 factor of A - sigma M at sigma = rho - max(eta, tol) whose LDL^T pivots and Sherman-Morrison
 denominator are all positive proves, as a Sturm count does, that lambda_1 > sigma, and the
-next solve uses the last shift so proven.  Once eta <= tol at a proven shift of at least
+next solve uses the last shift so proven.  A factor that fails proves lambda_1 < sigma, so
+the eigenvalue in [rho - eta, rho + eta] is a higher one, and inverse iteration far below
+lambda_1 turns the iterate away from it slowly when lambda_1 / lambda_2 is near 1.  The step
+then factors at the midpoint of (last proven shift, least failed shift), so each overshoot at
+least halves the bracket on lambda_1.  Once eta <= tol at a proven shift of at least
 rho - tol, |lambda_1 - rho| <= tol: the eigenvalue is the ground one.  One more solve at that
 shift polishes the vector, and the pair must still meet the residual bound.  A ring not
 certified within _RING_STEPS steps falls through to Lanczos.
@@ -128,7 +132,7 @@ def _ring_ground_pair(op: DiscreteOperator, solve):
     `smallest_eigenpairs`)."""
     # the round-off in eta: its floor where a ring's cells are short or K V m is small
     noise = 8 * np.finfo(float).eps * np.max(op._abs_row_sums() / op.mass)
-    x, shift, certified = solve(op.mass), 0.0, False     # A^{-1} M 1
+    x, shift, upper, certified = solve(op.mass), 0.0, math.inf, False     # A^{-1} M 1
     for _ in range(_RING_STEPS):
         x /= math.sqrt(x @ (op.mass * x))   # ||x||_M = 1
         Mx = op.mass * x
@@ -144,10 +148,12 @@ def _ring_ground_pair(op: DiscreteOperator, solve):
         tol = max(_RING_RTOL * max(1.0, rho), noise)
         sigma = rho - max(eta, tol)
         if sigma > shift:
-            try:                            # a factor proves lambda_1 > sigma
-                solve, shift = _factor(op, sigma), sigma
-            except SingularOperatorError:
-                pass
+            for trial in (sigma, 0.5 * (shift + min(sigma, upper))):
+                try:                        # a factor proves lambda_1 > trial
+                    solve, shift = _factor(op, trial), trial
+                    break
+                except SingularOperatorError:   # lambda_1 < trial: bisect (shift, upper)
+                    upper = min(upper, trial)
         certified = eta <= tol and shift >= sigma     # so |lambda_1 - rho| <= tol
         x = solve(Mx)
     return None
@@ -160,7 +166,8 @@ def smallest_eigenpairs(op: DiscreteOperator, k: int) -> list[EigenPair]:
     directly on M^{-1/2} A M^{-1/2}: bisection (`dstebz`) for the k eigenvalues, then
     inverse iteration (`dstein`) for their vectors.  A ring's ground pair (k = 1) is
     certified shifted inverse iteration on the ring's LDL^T factor (module docstring): each
-    step proves a shift below lambda_1 by factoring at it, and the pair is returned once its
+    step proves a shift below lambda_1 by factoring at it, or bisects the bracket on
+    lambda_1 when that factor fails, and the pair is returned once its
     eigenvalue is certified to lie within 1e-10 max(1, lambda) of lambda_1 (or the round-off
     floor of its residual) and it meets the residual bound.  A ring not certified within
     _RING_STEPS steps, a ring with k > 1 and a 2D operator use shift-invert Lanczos at

@@ -403,6 +403,9 @@ def _no_arpack_for_a_ring_ground_pair(*args, **kwargs):
 @given(_ring_cases(), st.integers(0, 2**32))
 # K V m far below the round-off of A's diagonal: factored, but singular to working precision
 @example(assemble_ring(np.array([0.5, 1.0, 2.0, 0.25, 3.0]), np.full(5, 1e-16), 1.0), 0)
+# lambda_1 / lambda_2 = 0.98: rho - eta overshoots lambda_1 for 28 steps at shift 0, so the
+# shift is found by bisecting the bracket that the failed factors leave
+@example(assemble_ring(np.array([1.0, 1.0, 4.0]), np.array([4.5, 4.5, 4.625]), 100.0), 0)
 def test_ring_solves_match_dense_solves(op, seed):
     rhs = np.random.default_rng(seed).uniform(-1.0, 1.0, op.size)
     A = op.matrix.toarray()
