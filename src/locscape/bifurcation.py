@@ -84,12 +84,6 @@ class TwoWellParams:
         x1, x2, x3, x4, x5, x6 = self.breakpoints
         return ((x1, x2), (x3, x5))
 
-    @property
-    def split_well(self) -> tuple:
-        """The full split well [x3, x6], both arms and the barrier."""
-        x1, x2, x3, x4, x5, x6 = self.breakpoints
-        return (x3, x6)
-
 
 REFERENCE_PARAMS = TwoWellParams(1 / 12, 2 / 5, 1 / 20, 1 / 60)
 
@@ -117,20 +111,6 @@ def toy_operator(params: TwoWellParams, K: float, nodes_per_unit: int = 3000) ->
         raise ParameterError(f"nodes_per_unit must be >= 1, got {nodes_per_unit}")
     widths, cells = _pieces_to_cells(*piecewise_potential(params), nodes_per_unit)
     return assemble_ring(widths, cells, K)
-
-
-def subsystem_half_pieces(params: TwoWellParams, which: int) -> tuple[np.ndarray, np.ndarray]:
-    """Half-period potential of the isolated well, folded about its center.
-
-    which=1: the long well occupies [0, t0) with walls beyond; which=2: half the
-    barrier [0, t1), the split-well arm [t1, t2), walls up to 1/2.
-    """
-    t0, t1, t2, t3 = params.half_widths
-    if which == 1:
-        return np.array([0.0, t0, t3]), np.array([0.0, 1.0])
-    if which == 2:
-        return np.array([0.0, t1, t2, t3]), np.array([1.0, 0.0, 1.0])
-    raise ParameterError("which must be 1 or 2")
 
 
 # --- transcendental matching conditions -------------------------------------------

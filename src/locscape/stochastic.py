@@ -41,9 +41,11 @@ The 2D stepped walk advances by increments sqrt(2 dt) xi per axis:
 * killing uses the per-step closed form Y * (1 - exp(-K v dt)) / (K v) with v
   the average of the cell values at the step endpoints; for constant
   potentials the estimator is then exact for any dt;
-* wall reflection folds the raw step back into the domain, and the fold
-  displacement |fold - raw| is the Skorokhod push, accumulated into the local
-  time F (half-space approximation, adequate for dt <= 1e-4 and h <= 1);
+* wall reflection folds the raw step x + dW back into the domain, to its
+  distance from the nearest even integer (the walls mirror the line with period
+  2), and the fold displacement |fold - raw| is the Skorokhod push, accumulated
+  into the local time F (half-space approximation, adequate for dt <= 1e-4 and
+  h <= 1);
 * absorbing walls use the Brownian-bridge crossing probability
   exp(-d_start d_end / dt) per axis, which removes the O(sqrt(dt)) exit bias;
 * a path stops at its first absorption, once its weight falls below
@@ -54,27 +56,13 @@ Lanes.  Paths [LANE j, LANE j + LANE) form lane j and share one counter-based
 stream, ``stream(seed, j, TAG_WALK)``.  The tag keeps the lanes apart from the
 untagged streams of potentials and ensembles (lane 0 of seed s is not the
 potential stream of seed s) and from the lanes of every other seed.  Both walks
-advance in blocks of B hops or steps (BLOCK, fewer at the hop or step budget).
-In 1D each block draws (B, n) uniforms from each lane's stream for the n paths
-of the lane still alive, in path order, and then advances the alive paths of
-every lane together, so a path sees the same numbers as it would if the lanes
-were scanned one at a time.  In 2D the lanes are scanned one at a time: each
-block draws (B, n, d) normals, then under absorbing walls (B, n) uniforms, for
-the n paths of the lane still alive, in path order.
-
-Block scan.  Only the 2D walk scans blocks.  A block advances every alive path
-by B steps with one pass of numpy calls, each into a fresh array.  Let
-u = x_0 + cumsum(dW) be the unfolded walk.  Under reflecting and Robin walls the
-positions are x_k = fold(u_k).  With s = +1 or -1 the orientation of the mirror
-sheet holding u_{k-1}, this is the per-step rule x_k = fold(x_{k-1} + s dW_k),
-with push |x_k - (x_{k-1} + s dW_k)|: the step law above with dW_k replaced by
-s dW_k.  Since s is fixed by the past and dW_k is a centred Gaussian independent
-of it, s dW_k has the same law as dW_k given the past, so the scanned walk
-equals the stepped one in law (not path by path).  Under absorbing walls an
-alive path is inside, so its positions are u itself and the bridge test is
-applied per step.  Weights are Y_0 cumprod(decay), and a path's occupation sums
-Y_{k-1} step_weight through its first death step; the steps a block computes
-after that are discarded.
+advance every alive path of every lane together, one hop or step at a time, in
+blocks of B (BLOCK, fewer at the hop or step budget).  Each block draws from each
+lane's stream, for the n paths of the lane still alive and in path order, (B, n)
+uniforms in 1D; in 2D (B, n, d) normals times sqrt(2 dt), then under absorbing
+walls (B, n) uniforms.  So a path sees the same numbers whatever the other lanes
+hold.  A path that stops takes weight 0 and adds nothing for the rest of its
+block; each block ends by dropping the stopped paths.
 
 The 2D walk's step-start/step-end sampling of V cannot resolve potential
 features narrower than the walk step sqrt(2 dt); comparisons against the
@@ -92,7 +80,7 @@ from .potential import PotentialField, runs_of_zeros
 from .rng import TAG_WALK, stream
 
 LANE = 1024             # paths per random stream
-BLOCK = 32              # steps advanced per block scan
+BLOCK = 32              # hops or steps drawn per block
 WEIGHT_CUTOFF = 1e-10   # horizon: a path stops once its weight is below this
 N_PROBES = 5            # probes `probe_points_for` picks
 _SMALL_BA = 1e-8        # below this beta a the cell kernels take their beta = 0 limits
@@ -123,65 +111,8 @@ class FeynmanKacEstimate:
     mean: float
     std_error: float             # sample std / sqrt(n_paths)
     n_paths: int
-    n_truncated: int             # paths still alive when t_max ran out
+    n_truncated: int             # paths cut off by t_max (in 1D, by the hop budget)
     max_truncated_weight: float  # their largest remaining weight Y (0 when none)
-
-
-@dataclass(frozen=True)
-class _Walk:
-    """What a block scan needs besides the paths' state."""
-
-    cells: np.ndarray
-    K: float
-    dt: float
-    h: float            # Robin wall strength; 0 for Neumann and Dirichlet walls
-    absorbing: bool
-
-
-def _scan(walk: _Walk, x0, Y0, dW, U):
-    """Advance n paths by B steps at once (see the module docstring).
-
-    ``x0`` (n, 2) positions, ``Y0`` (n,) weights, ``dW`` (B, n, 2) increments and, under
-    absorbing walls, ``U`` (B, n) uniforms for the bridge test (else None).  Returns each
-    path's occupation over the block through its death step, its weight and position after
-    step B, and whether it died.
-    """
-    u = np.cumsum(np.concatenate([x0[None], dW]), axis=0)      # the unfolded walk
-    if walk.absorbing:
-        x = u
-    else:
-        q = np.floor(0.5 * u)                # u lies in the mirror period [2q, 2q + 2)
-        r = u - 2.0 * q
-        odd = r > 1.0                        # on its mirrored sheet [2q + 1, 2q + 2]
-        x = np.where(odd, 2.0 - r, r)
-    # cell values at the positions; a point outside the domain takes the wall cell
-    N = walk.cells.shape[0]
-    ci = np.clip((x * N).astype(int), 0, N - 1)
-    vx = walk.cells[ci[..., 0], ci[..., 1]]
-    kv = walk.K * (0.5 * (vx[:-1] + vx[1:]))
-    decay = np.exp(-kv * walk.dt)
-    # (1 - decay) / kv, or dt where kv = 0 (kv >= 0 since K and V are)
-    step_weight = np.where(kv > 0, (1.0 - decay) / np.where(kv > 0, kv, 1.0), walk.dt)
-    if walk.h > 0:
-        # x = s u + c on each sheet, so x_k - (x_{k-1} + s_{k-1} dW_k) is
-        # (s_k - s_{k-1}) u_k + c_k - c_{k-1}: exactly 0 while the sheet is unchanged
-        s = 1.0 - 2.0 * odd
-        c = np.where(odd, 2.0 * q + 2.0, -2.0 * q)
-        push = np.abs(np.diff(s, axis=0) * u[1:] + np.diff(c, axis=0)).sum(axis=-1)
-        decay *= np.exp(-walk.h * push)
-    Y = np.cumprod(np.concatenate([Y0[None], decay]), axis=0)
-    dead = Y[1:] < WEIGHT_CUTOFF
-    if walk.absorbing:
-        # survival of both bridges per axis; 0 once a step ends on or beyond a wall.  1 - exp(z)
-        # rounds to 1 for every z <= -40, and exp is slow where it underflows
-        lo, hi = np.maximum(u, 0.0), np.maximum(1.0 - u, 0.0)
-        p_lo, p_hi = (1.0 - np.exp(np.maximum(-m[:-1] * m[1:] / walk.dt, -40.0)) for m in (lo, hi))
-        dead |= U >= np.prod(p_lo * p_hi, axis=-1)
-    died = dead.any(axis=0)
-    last = np.where(died, dead.argmax(axis=0), len(dW) - 1)
-    counted = np.arange(len(dW))[:, None] <= last      # steps through the death step
-    occupation = (Y[:-1] * step_weight * counted).sum(axis=0)
-    return occupation, Y[-1], x[-1], died
 
 
 def _start(x, d: int, bc: BoundaryCondition) -> np.ndarray:
@@ -298,30 +229,62 @@ def _hop_walk(x0, cells, K: float, bc: BoundaryCondition, cfg: PathConfig):
 def _step_walk(x0, cells, K: float, bc: BoundaryCondition, cfg: PathConfig):
     """Each path's occupation under the stepped walk from ``x0``, the number of paths
     ``t_max`` cut off and their largest weight (see the module docstring)."""
-    d = x0.shape[0]
-    walk = _Walk(cells, K, cfg.dt, bc.h, bc.kind == "dirichlet")
-    sdt = np.sqrt(2.0 * cfg.dt)
-    max_steps = int(np.ceil(cfg.t_max / cfg.dt))
+    N, d = cells.shape[0], x0.shape[0]
+    absorbing = bc.kind == "dirichlet"
+    sdt = math.sqrt(2.0 * cfg.dt)
+    max_steps = math.ceil(cfg.t_max / cfg.dt)
 
+    def cell_value(x):                       # a point outside the domain takes the wall cell
+        ci = np.clip((x * N).astype(int), 0, N - 1)
+        return cells[ci[:, 0], ci[:, 1]]
+
+    n_lanes = -(-cfg.n_paths // LANE)
+    gens = [stream(cfg.seed, lane, TAG_WALK) for lane in range(n_lanes)]
     acc = np.zeros(cfg.n_paths)
-    n_truncated, max_truncated_weight = 0, 0.0
-    for lane in range(-(-cfg.n_paths // LANE)):
-        gen = stream(cfg.seed, lane, TAG_WALK)
-        ids = np.arange(lane * LANE, min((lane + 1) * LANE, cfg.n_paths))
-        pos = np.tile(x0, (len(ids), 1))
-        Y = np.ones(len(ids))
-        steps_done = 0
-        while len(ids) and steps_done < max_steps:
-            B = min(BLOCK, max_steps - steps_done)
-            dW = sdt * gen.standard_normal((B, len(ids), d))
-            U = gen.random((B, len(ids))) if walk.absorbing else None
-            occupation, Y, pos, died = _scan(walk, pos, Y, dW, U)
-            acc[ids] += occupation
-            ids, pos, Y = ids[~died], pos[~died], Y[~died]
-            steps_done += B
-        n_truncated += len(ids)
-        max_truncated_weight = max(max_truncated_weight, float(Y.max(initial=0.0)))
-    return acc, n_truncated, max_truncated_weight
+    ids = np.arange(cfg.n_paths)
+    x = np.tile(x0, (cfg.n_paths, 1))
+    v = cell_value(x)
+    Y = np.ones(cfg.n_paths)
+    steps = 0
+    while len(ids) and steps < max_steps:
+        B = min(BLOCK, max_steps - steps)
+        dW = np.empty((B, len(ids), d))
+        U = np.empty((B, len(ids))) if absorbing else None
+        a = 0
+        for gen, n in zip(gens, np.bincount(ids // LANE, minlength=n_lanes)):
+            if n:                            # one lane's draws at a time
+                dW[:, a:a + n] = sdt * gen.standard_normal((B, n, d))
+                if absorbing:
+                    U[:, a:a + n] = gen.random((B, n))
+                a += n
+        occupation = np.zeros(len(ids))
+        for k in range(B):
+            raw = x + dW[k]
+            new = raw if absorbing else np.abs(raw - 2.0 * np.round(0.5 * raw))    # the fold
+            v_new = cell_value(new)
+            kv = K * (0.5 * (v + v_new))
+            decay = np.exp(-kv * cfg.dt)
+            # (1 - decay) / kv, or dt where kv = 0 (kv >= 0 since K and V are)
+            occupation += Y * np.where(kv > 0, (1.0 - decay) / np.where(kv > 0, kv, 1.0), cfg.dt)
+            if bc.h > 0:
+                decay *= np.exp(-bc.h * np.abs(new - raw).sum(axis=1))
+            Y *= decay
+            alive = Y >= WEIGHT_CUTOFF
+            if absorbing:
+                # survival of both bridges per axis; 0 once a step ends on or beyond a wall.
+                # 1 - exp(z) rounds to 1 for every z <= -40, and exp is slow where it underflows
+                p = 1.0
+                for m0, m1 in ((x, new), (1.0 - x, 1.0 - new)):
+                    z = -np.maximum(m0, 0.0) * np.maximum(m1, 0.0) / cfg.dt
+                    p = p * (1.0 - np.exp(np.maximum(z, -40.0)))
+                alive &= U[k] < np.prod(p, axis=1)
+            Y *= alive                       # a stopped path adds 0 from here on
+            x, v = new, v_new
+        acc[ids] += occupation
+        live = Y > 0
+        ids, x, v, Y = ids[live], x[live], v[live], Y[live]
+        steps += B
+    return acc, len(ids), float(Y.max(initial=0.0))
 
 
 def estimate_landscape_mc(x, fieldv: PotentialField, K: float,

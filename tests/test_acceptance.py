@@ -22,7 +22,7 @@ from locscape import (REFERENCE_PARAMS, BoundaryCondition, DistributionSpec, Exp
 from locscape.bifurcation import piecewise_potential
 from locscape.operator import assemble_ring
 from locscape.rng import stream
-from twowell_oracles import characteristic_right_raw, subsystem_operator
+from twowell_oracles import characteristic_right_raw, split_well, subsystem_operator
 
 
 class Gate:
@@ -183,7 +183,7 @@ def test_criterion_7b_mode_switches_wells():
     cp = critical_point(REFERENCE_PARAMS)
     (w1a, w1b), _ = REFERENCE_PARAMS.wells()
     peaks = {}
-    for tag, K, well in (("below", 0.8 * cp.K_c, REFERENCE_PARAMS.split_well),
+    for tag, K, well in (("below", 0.8 * cp.K_c, split_well(REFERENCE_PARAMS)),
                          ("above", 1.2 * cp.K_c, (w1a, w1b))):
         op = toy_operator(REFERENCE_PARAMS, K)
         pair = smallest_eigenpairs(op, 1)[0]

@@ -17,7 +17,7 @@ from locscape.operator import assemble_ring
 from locscape.rng import stream
 from conftest import assert_same_pencil
 from twowell_oracles import (characteristic_right_raw, lengths_to_ratios, mirrored_ring_operator,
-                             scaled_residual, subsystem_operator)
+                             scaled_residual, split_well, subsystem_operator)
 
 
 def test_reference_breakpoints():
@@ -266,7 +266,7 @@ def test_mode_peak_flips_wells_across_the_critical_coupling():
     cp = critical_point(REFERENCE_PARAMS)
     (w1a, w1b), _ = REFERENCE_PARAMS.wells()
     # the split-well mode peaks symmetrically in either arm -> test the full well
-    for K, well in ((0.8 * cp.K_c, REFERENCE_PARAMS.split_well), (1.2 * cp.K_c, (w1a, w1b))):
+    for K, well in ((0.8 * cp.K_c, split_well(REFERENCE_PARAMS)), (1.2 * cp.K_c, (w1a, w1b))):
         op = toy_operator(REFERENCE_PARAMS, K, nodes_per_unit=2000)
         pair = smallest_eigenpairs(op, 1)[0]
         x_peak = op.axes[0][np.argmax(np.abs(pair.mode))]

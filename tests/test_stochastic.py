@@ -5,14 +5,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from locscape import (BoundaryCondition, DistributionSpec, ParameterError, PathConfig, assemble,
-                      estimate_landscape_mc, grid_1d, grid_2d, landscape_from_operator,
-                      probe_points_for, sample_potential, smallest_eigenpairs)
+from locscape import (BoundaryCondition, DistributionSpec, ParameterError, PathConfig,
+                      PotentialField, assemble, estimate_landscape_mc, grid_1d, grid_2d,
+                      landscape_from_operator, probe_points_for, sample_potential,
+                      smallest_eigenpairs)
 from locscape import stochastic
 from locscape.rng import TAG_WALK, stream
 
-from walk_oracles import (boundary_value_at, boundary_values, richardson_fd_boundary_values,
-                          scan_by_steps)
+from walk_oracles import boundary_value_at, boundary_values, richardson_fd_boundary_values
 
 
 def test_start_point_must_lie_in_domain():
@@ -126,30 +126,50 @@ def test_hop_budget_cuts_off_1d_paths():
 _WALLS = [BoundaryCondition.neumann(), BoundaryCondition.robin(5.0), BoundaryCondition.dirichlet()]
 
 
-# the block scan serves the stepped walk, which only 2D estimates take
 @pytest.mark.parametrize("bc", _WALLS, ids=lambda bc: bc.kind)
-def test_block_scan_matches_per_step_walk(bc):
-    # half the cells are 0, the others uniform in (0, 2); a quarter of the paths start
-    # within 0.05 of a wall, an eighth on one, and weights range down to the cutoff
-    grid = grid_2d(12)
-    cells = (sample_potential(grid, DistributionSpec.uniform(0.0, 2.0), 7).cell_values
-             * sample_potential(grid, DistributionSpec.bernoulli(0.5), 8).cell_values)
-    walk = stochastic._Walk(cells, 100.0, 1e-3, bc.h, bc.kind == "dirichlet")
-    rng = np.random.default_rng(19)
-    for B, n in ((32, 1024), (7, 300), (100, 60)):
-        x0 = rng.uniform(0.0, 1.0, (n, 2))
-        x0[: n // 4] = rng.uniform(0.0, 0.05, (n // 4, 2))
-        x0[: n // 8] = rng.choice([0.0, 1.0], (n // 8, 2))
-        Y0 = 10.0 ** rng.uniform(-10.0, 0.0, n)
-        dW = np.sqrt(2e-3) * rng.standard_normal((B, n, 2))
-        U = rng.random((B, n))
-        occ, Y, x, died = stochastic._scan(walk, x0, Y0, dW, U)
-        ref_occ, ref_Y, ref_x, ref_died = scan_by_steps(walk, x0, Y0, dW, U)
-        assert np.array_equal(died, ref_died)
-        assert 0 < died.sum() < n          # both endings are exercised
-        np.testing.assert_allclose(occ, ref_occ, rtol=1e-12, atol=0)
-        np.testing.assert_allclose(Y[~died], ref_Y[~died], rtol=1e-12, atol=0)
-        np.testing.assert_allclose(x[~died], ref_x[~died], rtol=1e-12, atol=1e-15)
+@pytest.mark.parametrize("dim", [1, 2])
+def test_full_lane_occupations_do_not_depend_on_n_paths(dim, bc):
+    # a lane draws for its own alive paths only, so its paths see the same numbers
+    # whatever the other lanes hold
+    grid = grid_1d(12) if dim == 1 else grid_2d(6)
+    fieldv = sample_potential(grid, DistributionSpec.uniform(0.0, 2.0), 9)
+    walk = stochastic._hop_walk if dim == 1 else stochastic._step_walk
+    x0 = stochastic._start(0.3, dim, bc)
+    full, more = (walk(x0, fieldv.cell_values, 300.0, bc,
+                       PathConfig(dt=1e-3, n_paths=n, seed=23))[0]
+                  for n in (stochastic.LANE, 2500))
+    assert np.array_equal(full, more[:stochastic.LANE])
+
+
+def test_2d_walk_on_field_constant_along_y_matches_1d_boundary_values():
+    # V depends on x alone and Neumann walls reflect each axis apart, so the x coordinate is
+    # the 1D reflected walk and the 1D boundary values are exact.  3.5 SE per probe is a 0.23%
+    # chance over the five probes that an unbiased estimate fails
+    c = sample_potential(grid_1d(12), DistributionSpec.uniform(0.0, 2.0), 5).cell_values
+    fieldv = PotentialField(grid_2d(12), np.repeat(c[:, None], 12, axis=1), 5)
+    bc = BoundaryCondition.neumann()
+    for x in (0.0, 0.2, 0.45, 0.7, 1.0):
+        est = estimate_landscape_mc((x, 0.5), fieldv, 300.0, bc, PathConfig(n_paths=2000, seed=21))
+        assert est.n_truncated == 0
+        assert abs(est.mean - boundary_value_at(x, c, 300.0, bc)) <= 3.5 * est.std_error
+
+
+@pytest.mark.parametrize("bc", [BoundaryCondition.dirichlet(), BoundaryCondition.robin(1.0)],
+                         ids=lambda bc: bc.kind)
+def test_2d_walk_agrees_with_fd_landscape(bc):
+    # the FD landscape at 32 nodes per cell, allowing its change from 16 nodes per cell as
+    # its own error; 3.5 SE per probe is a 0.14% chance over the three probes
+    fieldv = sample_potential(grid_2d(6), DistributionSpec.uniform(0.0, 2.0), 4)
+    w = []
+    for r in (16, 32):
+        grid = grid_2d(6, r)
+        op = assemble(grid, PotentialField(grid, fieldv.cell_values, 4), 300.0, bc)
+        w.append(op.embed(landscape_from_operator(op).w)[::r // 16, ::r // 16])
+    for probe in ((0.5, 0.5), (1 / 12, 0.25), (0.25, 11 / 12)):
+        est = estimate_landscape_mc(probe, fieldv, 300.0, bc, PathConfig(n_paths=2000, seed=22))
+        node = tuple(round(p * 6 * 16) for p in probe)      # a node of both grids
+        assert est.n_truncated == 0
+        assert abs(est.mean - w[1][node]) <= 3.5 * est.std_error + abs(w[1][node] - w[0][node])
 
 
 def _key(gen):

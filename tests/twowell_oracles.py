@@ -2,9 +2,26 @@
 
 import numpy as np
 
-from locscape.bifurcation import (ShapeRatios, TwoWellParams, _check_lambda, _pieces_to_cells,
-                                  subsystem_half_pieces)
+from locscape.bifurcation import ShapeRatios, TwoWellParams, _check_lambda, _pieces_to_cells
 from locscape.operator import BoundaryCondition, DiscreteOperator, assemble_line, assemble_ring
+
+
+def split_well(params: TwoWellParams) -> tuple:
+    """The full split well [x3, x6], both arms and the barrier."""
+    x1, x2, x3, x4, x5, x6 = params.breakpoints
+    return (x3, x6)
+
+
+def subsystem_half_pieces(params: TwoWellParams, which: int) -> tuple[np.ndarray, np.ndarray]:
+    """Half-period potential of the isolated well, folded about its center.
+
+    which=1: the long well occupies [0, t0) with walls beyond; which=2: half the
+    barrier [0, t1), the split-well arm [t1, t2), walls up to 1/2.
+    """
+    t0, t1, t2, t3 = params.half_widths
+    if which == 1:
+        return np.array([0.0, t0, t3]), np.array([0.0, 1.0])
+    return np.array([0.0, t1, t2, t3]), np.array([1.0, 0.0, 1.0])
 
 
 def subsystem_operator(params: TwoWellParams, K: float, which: int,
