@@ -14,7 +14,7 @@ from .landscape import (Landscape, disorder_sweep, landscape_bound_violation,
                         landscape_from_operator, local_maxima_1d, save_grid, valley_partition)
 from .operator import BoundaryCondition, DiscreteOperator, assemble, assemble_line, assemble_ring
 from .potential import (DistributionSpec, GridSpec, PotentialField, grid_1d, grid_2d,
-                        load_potential, run_decomposition, sample_potential, save_potential)
+                        load_potential, sample_potential, save_potential)
 from .regions import Region, SubregionPartition, zero_components
 from .runstats import (OracleEstimate, RunModel, boundary_localization_prob,
                        multimodal_prob_dirichlet, multimodal_prob_neumann, oracle_probabilities)

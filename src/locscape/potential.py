@@ -151,20 +151,6 @@ def _runs(a) -> tuple[np.ndarray, np.ndarray]:
     return bounds[:-1], bounds[1:] - 1
 
 
-def run_decomposition(fieldv: PotentialField) -> list[tuple[int, int]]:
-    """Maximal runs of a 1D binary field as (value, length) pairs, left to right.
-
-    Runs alternate in value and their lengths sum to N.
-    """
-    if fieldv.grid.dim != 1:
-        raise ParameterError("run decomposition is defined for 1D fields")
-    if not fieldv.is_binary:
-        raise ParameterError("run decomposition needs a {0,1}-valued field")
-    cells = fieldv.cell_values.astype(int)
-    first, last = _runs(cells)
-    return [(int(cells[a]), int(b - a + 1)) for a, b in zip(first, last)]
-
-
 def runs_of_zeros(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Start indices and lengths of maximal zero runs in a 1D binary array."""
     z = np.asarray(cells) == 0

@@ -20,12 +20,11 @@ cells L and R,
 A reflecting or Robin wall acts as a cell with c = h and q = t = 0.  That gives
 P = 1 / (cosh(beta a) + (h / beta) sinh(beta a)) (1 / cosh(beta a) when h = 0)
 and G = t / (c + h), which solves g'' - beta^2 g = -1 with g'(0) = h g(0) and
-g(a) = 0.  A Dirichlet node absorbs.  From a start inside a cell [x_l, x_r],
-P_L = sinh(beta (x_r - x)) / sinh(beta a), P_R likewise, and
-G = 2 sinh(beta (x - x_l) / 2) sinh(beta (x_r - x) / 2) / (beta^2 cosh(beta a / 2))
-((x - x_l)(x_r - x) / 2 at beta = 0).  Every form is evaluated through exp(-beta a)
-and expm1, so none overflows at large beta a; below beta a = 1e-8 the beta = 0
-limits stand in, which agree with the forms to rounding there.
+g(a) = 0.  A Dirichlet node absorbs.  A start x inside a cell [x_l, x_r] is a node
+between two cells of widths x - x_l and x_r - x and the cell's beta, so its first
+hop takes the same forms.  Every form is evaluated through exp(-beta a) and expm1,
+so none overflows at large beta a; below beta a = 1e-8 the beta = 0 limits stand
+in, which agree with the forms to rounding there.
 
 Each hop adds Y G to the path's occupation, multiplies its weight Y by P_L + P_R
 and steps left with probability P_L / (P_L + P_R).  The expected occupation
@@ -55,14 +54,15 @@ The 2D stepped walk advances by increments sqrt(2 dt) xi per axis:
 Lanes.  Paths [LANE j, LANE j + LANE) form lane j and share one counter-based
 stream, ``stream(seed, j, TAG_WALK)``.  The tag keeps the lanes apart from the
 untagged streams of potentials and ensembles (lane 0 of seed s is not the
-potential stream of seed s) and from the lanes of every other seed.  Both walks
-advance every alive path of every lane together, one hop or step at a time, in
-blocks of B (BLOCK, fewer at the hop or step budget).  Each block draws from each
-lane's stream, for the n paths of the lane still alive and in path order, (B, n)
-uniforms in 1D; in 2D (B, n, d) normals times sqrt(2 dt), then under absorbing
-walls (B, n) uniforms.  So a path sees the same numbers whatever the other lanes
-hold.  A path that stops takes weight 0 and adds nothing for the rest of its
-block; each block ends by dropping the stopped paths.
+potential stream of seed s) and from the lanes of every other seed.  One lane loop
+drives both walks: it advances every alive path of every lane together, one hop or
+step at a time, in blocks of B (BLOCK, fewer at the hop or step budget).  Each block
+draws from each lane's stream, for the n paths of the lane still alive and in path
+order, (B, n) uniforms in 1D; in 2D (B, n, d) normals, scaled by sqrt(2 dt), then
+under absorbing walls (B, n) uniforms.  So a path sees the same numbers whatever
+the other lanes hold.  The draws land in flat buffers sized for the first block and
+reused by every later one.  A path that stops takes weight 0 and adds nothing for the
+rest of its block; each block ends by dropping the stopped paths.
 
 The 2D walk's step-start/step-end sampling of V cannot resolve potential
 features narrower than the walk step sqrt(2 dt); comparisons against the
@@ -126,9 +126,9 @@ def _start(x, d: int, bc: BoundaryCondition) -> np.ndarray:
     return x0
 
 
-def _cell_kernels(beta, a: float):
-    """(c, q, t) = (beta coth(beta a), beta / sinh(beta a), tanh(beta a / 2) / beta) per cell,
-    written in exp(-beta a) so that none overflows (see the module docstring)."""
+def _cell_kernels(beta, a):
+    """(c, q, t) = (beta coth(beta a), beta / sinh(beta a), tanh(beta a / 2) / beta) per cell
+    of width a, written in exp(-beta a) so that none overflows (see the module docstring)."""
     beta = np.asarray(beta, float)
     small = beta * a < _SMALL_BA
     b = np.where(small, 1.0 / a, beta)      # any beta whose forms are finite; replaced below
@@ -155,21 +155,38 @@ def _node_kernels(cells, K: float, h: float, absorbing: bool):
     return PL, PR, G
 
 
-def _in_cell_kernels(dl: float, dr: float, beta: float, a: float):
-    """P_L, P_R and G from a start dl right of a cell's left node and dr left of its right
-    node (dl + dr = a)."""
-    if beta * a < _SMALL_BA:
-        return dr / a, dl / a, 0.5 * dl * dr
-    m = math.expm1(-2.0 * beta * a)
-    return (math.exp(-beta * dl) * math.expm1(-2.0 * beta * dr) / m,
-            math.exp(-beta * dr) * math.expm1(-2.0 * beta * dl) / m,
-            math.expm1(-beta * dl) * math.expm1(-beta * dr)
-            / ((1.0 + math.exp(-beta * a)) * beta * beta))
+def _lanes(cfg: PathConfig, max_moves: int, draws, state, block):
+    """Each path's occupation, the number of paths that ``max_moves`` cut off and their
+    largest weight.  ``draws`` lists a (Generator method, per-path shape) pair for each
+    draw of a move, ``state`` the per-path arrays with the weight last, and
+    ``block(moves, views, state)`` makes one block of moves from the draws, sets the weight
+    of each path that stops to 0 and returns (occupation, state)."""
+    n_lanes = -(-cfg.n_paths // LANE)
+    gens = [stream(cfg.seed, lane, TAG_WALK) for lane in range(n_lanes)]
+    bufs = [np.empty((min(BLOCK, max_moves) * cfg.n_paths, *shape)) for _, shape in draws]
+    acc = np.zeros(cfg.n_paths)
+    ids = np.arange(cfg.n_paths)
+    moves = 0
+    while len(ids) and moves < max_moves:
+        B = min(BLOCK, max_moves - moves)
+        views = [buf[:B * len(ids)].reshape(B, len(ids), *buf.shape[1:]) for buf in bufs]
+        a = 0
+        for gen, n in zip(gens, np.bincount(ids // LANE, minlength=n_lanes)):
+            if n:                            # one lane's draws at a time
+                for view, (method, shape) in zip(views, draws):
+                    view[:, a:a + n] = getattr(gen, method)((B, n, *shape))
+                a += n
+        occupation, state = block(moves, views, state)
+        acc[ids] += occupation
+        live = state[-1] > 0
+        ids, state = ids[live], [s[live] for s in state]
+        moves += B
+    return acc, len(ids), float(state[-1].max(initial=0.0))
 
 
 def _hop_walk(x0, cells, K: float, bc: BoundaryCondition, cfg: PathConfig):
-    """Each path's occupation under the 1D cell-boundary walk from ``x0``, the number of
-    paths the hop budget cut off and their largest weight (see the module docstring)."""
+    """The lane loop's result for the 1D cell-boundary walk from ``x0``, with a budget of
+    ceil(2 t_max N^2) hops (see the module docstring)."""
     N = len(cells)
     absorbing = bc.kind == "dirichlet"
     PL, PR, G = _node_kernels(cells, K, bc.h, absorbing)
@@ -182,29 +199,14 @@ def _hop_walk(x0, cells, K: float, bc: BoundaryCondition, cfg: PathConfig):
     u = float(x0[0]) * N
     i = min(int(u), N - 1)                   # the cell holding x0, the last one at x0 = 1
     in_cell = u != int(u)
-    if in_cell:
-        PL0, PR0, G0 = _in_cell_kernels((u - i) / N, (i + 1 - u) / N,
-                                        math.sqrt(K * cells[i]), 1.0 / N)
-    max_hops = math.ceil(2.0 * cfg.t_max * N * N)
+    if in_cell:                              # x0 is a node between the two parts of cell i
+        c, q, t = _cell_kernels(math.sqrt(K * cells[i]), np.array([u - i, i + 1 - u]) / N)
+        PL0, PR0, G0 = np.append(q, t.sum()) / c.sum()
 
-    n_lanes = -(-cfg.n_paths // LANE)
-    gens = [stream(cfg.seed, lane, TAG_WALK) for lane in range(n_lanes)]
-    acc = np.zeros(cfg.n_paths)
-    ids = np.arange(cfg.n_paths)
-    j = np.full(cfg.n_paths, i if in_cell else int(u), np.intp)
-    Y = np.ones(cfg.n_paths)
-    draws = np.empty(min(BLOCK, max_hops) * cfg.n_paths)   # every block's U is a view of it
-    hops = 0
-    while len(ids) and hops < max_hops:
-        B = min(BLOCK, max_hops - hops)
-        U = draws[:B * len(ids)].reshape(B, len(ids))
-        a = 0
-        for gen, n in zip(gens, np.bincount(ids // LANE, minlength=n_lanes)):
-            if n:                            # one lane's (B, n) draw at a time
-                U[:, a:a + n] = gen.random((B, n))
-                a += n
-        occupation = np.zeros(len(ids))
-        for k in range(B):
+    def block(hops, views, state):
+        (U,), (j, Y) = views, state
+        occupation = np.zeros(len(Y))
+        for k in range(len(U)):
             if in_cell and hops + k == 0:    # every path is at x0 with weight 1
                 occupation += G0
                 Y *= PL0 + PR0
@@ -219,46 +221,30 @@ def _hop_walk(x0, cells, K: float, bc: BoundaryCondition, cfg: PathConfig):
             if absorbing:
                 Y *= kept[j]
             Y *= Y >= WEIGHT_CUTOFF          # a stopped path adds 0 from here on
-        acc[ids] += occupation
-        live = Y > 0
-        ids, j, Y = ids[live], j[live], Y[live]
-        hops += B
-    return acc, len(ids), float(Y.max(initial=0.0))
+        return occupation, (j, Y)
+
+    start = np.full(cfg.n_paths, i if in_cell else int(u), np.intp)
+    return _lanes(cfg, math.ceil(2.0 * cfg.t_max * N * N), [("random", ())],
+                  (start, np.ones(cfg.n_paths)), block)
 
 
 def _step_walk(x0, cells, K: float, bc: BoundaryCondition, cfg: PathConfig):
-    """Each path's occupation under the stepped walk from ``x0``, the number of paths
-    ``t_max`` cut off and their largest weight (see the module docstring)."""
+    """The lane loop's result for the stepped walk from ``x0``, with a budget of
+    ceil(t_max / dt) steps (see the module docstring)."""
     N, d = cells.shape[0], x0.shape[0]
     absorbing = bc.kind == "dirichlet"
     sdt = math.sqrt(2.0 * cfg.dt)
-    max_steps = math.ceil(cfg.t_max / cfg.dt)
 
     def cell_value(x):                       # a point outside the domain takes the wall cell
         ci = np.clip((x * N).astype(int), 0, N - 1)
         return cells[ci[:, 0], ci[:, 1]]
 
-    n_lanes = -(-cfg.n_paths // LANE)
-    gens = [stream(cfg.seed, lane, TAG_WALK) for lane in range(n_lanes)]
-    acc = np.zeros(cfg.n_paths)
-    ids = np.arange(cfg.n_paths)
-    x = np.tile(x0, (cfg.n_paths, 1))
-    v = cell_value(x)
-    Y = np.ones(cfg.n_paths)
-    steps = 0
-    while len(ids) and steps < max_steps:
-        B = min(BLOCK, max_steps - steps)
-        dW = np.empty((B, len(ids), d))
-        U = np.empty((B, len(ids))) if absorbing else None
-        a = 0
-        for gen, n in zip(gens, np.bincount(ids // LANE, minlength=n_lanes)):
-            if n:                            # one lane's draws at a time
-                dW[:, a:a + n] = sdt * gen.standard_normal((B, n, d))
-                if absorbing:
-                    U[:, a:a + n] = gen.random((B, n))
-                a += n
-        occupation = np.zeros(len(ids))
-        for k in range(B):
+    def block(steps, views, state):
+        dW, U = views[0], views[-1]          # U is drawn only under absorbing walls
+        dW *= sdt
+        x, v, Y = state
+        occupation = np.zeros(len(Y))
+        for k in range(len(dW)):
             raw = x + dW[k]
             new = raw if absorbing else np.abs(raw - 2.0 * np.round(0.5 * raw))    # the fold
             v_new = cell_value(new)
@@ -280,11 +266,12 @@ def _step_walk(x0, cells, K: float, bc: BoundaryCondition, cfg: PathConfig):
                 alive &= U[k] < np.prod(p, axis=1)
             Y *= alive                       # a stopped path adds 0 from here on
             x, v = new, v_new
-        acc[ids] += occupation
-        live = Y > 0
-        ids, x, v, Y = ids[live], x[live], v[live], Y[live]
-        steps += B
-    return acc, len(ids), float(Y.max(initial=0.0))
+        return occupation, (x, v, Y)
+
+    x = np.tile(x0, (cfg.n_paths, 1))
+    draws = [("standard_normal", (d,))] + [("random", ())] * absorbing
+    return _lanes(cfg, math.ceil(cfg.t_max / cfg.dt), draws,
+                  (x, cell_value(x), np.ones(cfg.n_paths)), block)
 
 
 def estimate_landscape_mc(x, fieldv: PotentialField, K: float,

@@ -1,11 +1,12 @@
-"""Per-draw run statistics: the references for the batched oracle in `locscape.runstats`."""
+"""Per-draw run statistics: the references for the batched oracle in `locscape.runstats`,
+and the run decomposition of a binary field."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
 from locscape import BoundaryCondition, PotentialField, ParameterError, RunModel
-from locscape.potential import runs_of_zeros
+from locscape.potential import _runs, runs_of_zeros
 from locscape.rng import stream
 from locscape.runstats import _batch_flags
 
@@ -57,3 +58,17 @@ def longest_extended_run_on_boundary(fieldv: PotentialField, bc: BoundaryConditi
     left = 0 if reflective and starts[0] == 0 else 1
     right = 0 if reflective and starts[-1] + lengths[-1] == N else 1
     return config_flags(RunConfig(left, right, tuple(lengths))).longest_extended_on_boundary
+
+
+def run_decomposition(fieldv: PotentialField) -> list[tuple[int, int]]:
+    """Maximal runs of a 1D binary field as (value, length) pairs, left to right.
+
+    Runs alternate in value and their lengths sum to N.
+    """
+    if fieldv.grid.dim != 1:
+        raise ParameterError("run decomposition is defined for 1D fields")
+    if not fieldv.is_binary:
+        raise ParameterError("run decomposition needs a {0,1}-valued field")
+    cells = fieldv.cell_values.astype(int)
+    first, last = _runs(cells)
+    return [(int(cells[a]), int(b - a + 1)) for a, b in zip(first, last)]

@@ -15,13 +15,14 @@ from locscape import (REFERENCE_PARAMS, BoundaryCondition, DistributionSpec, Exp
                       critical_coupling_sweep, critical_point, estimate_landscape_mc,
                       landscape_bound_violation, grid_1d, grid_2d, landscape_from_operator,
                       multimodal_prob_dirichlet, multimodal_prob_neumann, oracle_probabilities,
-                      peak_height_ratio, probe_points_for, run_decomposition, run_ensemble,
+                      peak_height_ratio, probe_points_for, run_ensemble,
                       sample_potential, scaling_study,
                       smallest_eigenpairs, solve_linear, subsystem_ground_energy,
                       toy_operator, valley_partition)
 from locscape.bifurcation import piecewise_potential
 from locscape.operator import assemble_ring
 from locscape.rng import stream
+from run_oracles import run_decomposition
 from twowell_oracles import characteristic_right_raw, split_well, subsystem_operator
 
 

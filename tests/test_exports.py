@@ -10,7 +10,6 @@ PACKAGE = ROOT / "src" / "locscape"
 # exports whose consumer is not (yet) in the library or a demo, each with its reason
 ALLOWED = {
     "assemble_line": "the planned half-period two-well sweep is to solve through it",
-    "run_decomposition": "criterion 9's round trip rebuilds a field from its runs",
     "load_potential": "the save/load round trip reads back what save_potential writes",
 }
 

@@ -5,10 +5,11 @@ from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from locscape import (DistributionSpec, GridSpec, ParameterError, PotentialField,
-                      grid_1d, grid_2d, load_potential, run_decomposition, sample_potential,
-                      save_potential)
+                      grid_1d, grid_2d, load_potential, sample_potential, save_potential)
 from locscape.potential import runs_of_zeros
 from locscape.rng import stream
+
+from run_oracles import run_decomposition
 
 
 def test_degenerate_bernoulli_fields():

@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from locscape import (BoundaryCondition, GridSpec, Landscape, PotentialField, assemble_line,
-                      local_maxima_1d, run_decomposition, valley_partition, zero_components)
+                      local_maxima_1d, valley_partition, zero_components)
 from locscape.potential import runs_of_zeros
 from locscape.regions import SubregionPartition
 
 import scan_oracles
+from run_oracles import run_decomposition
 
 # few distinct integer values, so equal-value plateaus are common
 _LEVELS = st.integers(0, 4).map(float)

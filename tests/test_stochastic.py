@@ -12,7 +12,8 @@ from locscape import (BoundaryCondition, DistributionSpec, ParameterError, PathC
 from locscape import stochastic
 from locscape.rng import TAG_WALK, stream
 
-from walk_oracles import boundary_value_at, boundary_values, richardson_fd_boundary_values
+from walk_oracles import (boundary_value_at, boundary_values, in_cell_hop,
+                          richardson_fd_boundary_values)
 
 
 def test_start_point_must_lie_in_domain():
@@ -141,6 +142,38 @@ def test_full_lane_occupations_do_not_depend_on_n_paths(dim, bc):
     assert np.array_equal(full, more[:stochastic.LANE])
 
 
+@pytest.mark.parametrize("bc", _WALLS, ids=lambda bc: bc.kind)
+def test_2d_step_pins_draw_order_fold_and_endpoint_average(bc):
+    # t_max = dt is one block of one step: rebuild each path's step from the lane streams,
+    # in lane order, and its occupation (1 - exp(-kv dt)) / kv with kv the average of K V
+    # over the step's endpoints.  K V dt is of order 1, and x0 lies within sqrt(2 dt) of the
+    # wall x = 0 and of the cell interfaces x = 1/12 and y = 1/2
+    N, K, dt, n_paths, seed = 12, 1000.0, 1e-3, 1500, 31
+    cells = sample_potential(grid_2d(N), DistributionSpec.uniform(0.0, 2.0), 3).cell_values
+    x0 = np.array([0.06, 0.49])
+    absorbing = bc.kind == "dirichlet"
+    acc, n_truncated, max_weight = stochastic._step_walk(
+        x0, cells, K, bc, PathConfig(dt=dt, t_max=dt, n_paths=n_paths, seed=seed))
+    raw, U = [], []
+    for lane in range(-(-n_paths // stochastic.LANE)):
+        gen = stream(seed, lane, TAG_WALK)
+        n = min(stochastic.LANE, n_paths - lane * stochastic.LANE)
+        raw.append(x0 + np.sqrt(2 * dt) * gen.standard_normal((n, 2)))
+        U.append(gen.random(n) if absorbing else np.zeros(n))
+    raw, U = np.concatenate(raw), np.concatenate(U)
+    new = raw if absorbing else np.abs(raw - 2 * np.round(raw / 2))
+    v0, v1 = (cells[tuple(np.clip((p * N).astype(int), 0, N - 1).T)] for p in (x0[None], new))
+    kv = K * (v0 + v1) / 2
+    np.testing.assert_allclose(acc, np.where(kv > 0, -np.expm1(-kv * dt) / np.maximum(kv, 1e-300),
+                                             dt), rtol=1e-13, atol=0)
+    Y = np.exp(-kv * dt - bc.h * np.abs(new - raw).sum(axis=1))
+    if absorbing:       # killed where a bridge may have crossed, or the step ends outside
+        Y *= U < np.prod(-np.expm1(-np.maximum(x0, 0) * np.maximum(new, 0) / dt)
+                         * -np.expm1(-np.maximum(1 - x0, 0) * np.maximum(1 - new, 0) / dt), axis=1)
+    assert n_truncated == np.count_nonzero(Y >= stochastic.WEIGHT_CUTOFF) > 0
+    assert max_weight == pytest.approx(Y.max(), rel=1e-13)
+
+
 def test_2d_walk_on_field_constant_along_y_matches_1d_boundary_values():
     # V depends on x alone and Neumann walls reflect each axis apart, so the x coordinate is
     # the 1D reflected walk and the 1D boundary values are exact.  3.5 SE per probe is a 0.23%
@@ -244,8 +277,11 @@ def test_hop_kernels_are_finite_and_match_closed_forms(ba):
         got.append((PL[0], PR[0], G[0]))
         if hh == 0.0:
             interior_got = (PL[2], PR[2], G[2])
-    got = [interior_got, *got, stochastic._in_cell_kernels(a / 4, 3 * a / 4, beta, a)]
-    for g, ref in zip(got, [interior, wall, robin_wall, in_cell]):
+    # a start a / 4 into a cell is a node between cells of widths a / 4 and 3 a / 4
+    c, q, t = stochastic._cell_kernels(beta, np.array([a / 4, 3 * a / 4]))
+    got = [interior_got, *got, (q[0] / c.sum(), q[1] / c.sum(), t.sum() / c.sum()),
+           in_cell_hop(a / 4, 3 * a / 4, beta, a)]
+    for g, ref in zip(got, [interior, wall, robin_wall, in_cell, in_cell]):
         np.testing.assert_allclose(g, ref, rtol=1e-12, atol=1e-300)
 
 

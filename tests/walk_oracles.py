@@ -1,6 +1,8 @@
 """References for `locscape.stochastic`: the exact boundary values of the 1D cell-boundary
 walk, and the FD landscape at the cell-boundary nodes that they are checked against."""
 
+import math
+
 import numpy as np
 
 from locscape import PotentialField, assemble, grid_1d, landscape_from_operator, stochastic
@@ -14,6 +16,20 @@ def boundary_values(cells, K, bc):
     return np.linalg.solve(A, G)
 
 
+def in_cell_hop(dl, dr, beta, a):
+    """P_L, P_R and G of the exact hop from dl right of a cell's left node and dr left of its
+    right node (dl + dr = a): P_L = sinh(beta dr) / sinh(beta a), P_R likewise, and
+    G = 2 sinh(beta dl / 2) sinh(beta dr / 2) / (beta^2 cosh(beta a / 2)), written in
+    exp(-beta a) and expm1 so that none overflows; (dr / a, dl / a, dl dr / 2) at beta = 0."""
+    if beta * a < 1e-8:
+        return dr / a, dl / a, 0.5 * dl * dr
+    m = math.expm1(-2.0 * beta * a)
+    return (math.exp(-beta * dl) * math.expm1(-2.0 * beta * dr) / m,
+            math.exp(-beta * dr) * math.expm1(-2.0 * beta * dl) / m,
+            math.expm1(-beta * dl) * math.expm1(-beta * dr)
+            / ((1.0 + math.exp(-beta * a)) * beta * beta))
+
+
 def boundary_value_at(x, cells, K, bc):
     """The walk's expected occupation from ``x``: one exact hop to the nodes of its cell."""
     w = boundary_values(cells, K, bc)
@@ -22,8 +38,7 @@ def boundary_value_at(x, cells, K, bc):
     i = min(int(u), N - 1)
     if u == int(u):
         return w[int(u)]
-    PL, PR, G = stochastic._in_cell_kernels((u - i) / N, (i + 1 - u) / N,
-                                            np.sqrt(K * cells[i]), 1.0 / N)
+    PL, PR, G = in_cell_hop((u - i) / N, (i + 1 - u) / N, math.sqrt(K * cells[i]), 1.0 / N)
     return G + PL * w[i] + PR * w[i + 1]
 
 
