@@ -8,8 +8,9 @@ two and the mode jumps to the long well.  The crossover coupling solves a pair
 of transcendental matching conditions, one per well, obtained by shifting each
 well to the center of the period and folding the half-interval.  Dirichlet-Neumann
 bracketing puts each well's ground energy, and no other root, below min(K, the
-condition's first pole), so one Brent solve on that bracket finds it.  The sweep
-of the full spectrum provides the independent numerical route to the same number.
+condition's first pole), so one Brent solve on that bracket finds it.  The sweep,
+which solves the discretized ring's ground pair at each K and reads where its peak
+heights cross, provides the independent numerical route to the same number.
 """
 
 import math

@@ -247,15 +247,15 @@ def _cmd_fk_check(cfg, seed, trials, threads, out):
     probes = np.asarray(cfg["probes"]) if cfg["probes"] else probe_points_for(fieldv)
     for x in probes:                        # probes and walls are checked before the solve
         _start(x, op.dim, op.bc)
-    w = landscape.landscape_from_operator(op).w
-    # a probe x starts the walk at (x, ..., x): read w at that node
-    nodes = landscape._nearest_nodes(op, np.repeat(probes[:, None], op.dim, axis=1))
+    # a probe x starts the walk at (x, ..., x): read w at the lattice node nearest it
+    fd = landscape._probe_values(landscape.landscape_from_operator(op),
+                                 np.repeat(probes[:, None], op.dim, axis=1))
     rows = []
-    for x, node in zip(probes, nodes):
+    for x, w in zip(probes, fd):
         est = estimate_landscape_mc(x, fieldv, cfg["K"], op.bc, pcfg)
-        rows.append((x, est.mean, est.std_error, w[node],
-                     (est.mean - w[node]) / est.std_error if est.std_error else 0.0,
-                     est.n_truncated))
+        # a standard error of 0 (every path alike) measures no agreement
+        dev = (est.mean - w) / est.std_error if est.std_error else float("nan")
+        rows.append((x, est.mean, est.std_error, w, dev, est.n_truncated))
     _write_csv(out / "fk_check.csv",
                ["probe_x", "mc_mean", "mc_std_error", "fd_landscape", "deviation_sigmas",
                 "n_truncated"], rows)

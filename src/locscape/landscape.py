@@ -153,21 +153,24 @@ def disorder_sweep(fieldv: PotentialField, bc: BoundaryCondition, K_list,
     """Landscape values at probe points for each disorder strength in K_list.
 
     Returns an array of shape (len(K_list), len(probe_x)).  Probes are read at
-    the nearest active node.
+    the nearest lattice node (see `_probe_values`).
     """
     probe_x = np.atleast_2d(np.asarray(probe_x, float).T).T  # (np, dim)
     out = np.empty((len(K_list), probe_x.shape[0]))
     for row, K in enumerate(K_list):
         ls = landscape_from_operator(assemble(fieldv.grid, fieldv, K, bc))
-        idx = _nearest_nodes(ls.op, probe_x)
-        out[row] = ls.w[idx]
+        out[row] = _probe_values(ls, probe_x)
     return out
 
 
-def _nearest_nodes(op: DiscreteOperator, pts: np.ndarray) -> np.ndarray:
-    per_axis = [np.argmin(np.abs(ax[None, :] - pts[:, d][:, None]), axis=1)
-                for d, ax in enumerate(op.axes)]
-    return np.ravel_multi_index(per_axis, op.shape_active)
+def _probe_values(ls: Landscape, pts: np.ndarray) -> np.ndarray:
+    """w at the lattice node nearest each probe (one row of ``pts`` per probe) of a landscape
+    on the unit lattice: a Dirichlet wall's eliminated node, at 0 or 1, reads w = 0."""
+    op = ls.op
+    lattice = [np.r_[[0.0] * lo, ax, [1.0] * hi] for ax, (lo, hi) in zip(op.axes, op.trimmed)]
+    per_axis = tuple(np.argmin(np.abs(ax[None, :] - pts[:, d][:, None]), axis=1)
+                     for d, ax in enumerate(lattice))
+    return op.embed(ls.w)[per_axis]
 
 
 def save_grid(values: np.ndarray, path) -> None:

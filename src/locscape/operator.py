@@ -45,7 +45,8 @@ class BoundaryCondition:
     """Boundary condition g du/dn + h u = 0: one kind applied on every side.
 
     ``h`` is nonzero on Robin walls only.  ``mixed`` (1D only) carries one
-    (kind, h) spec per end, used for the local eigenvalue problems on subintervals.
+    (kind, h) spec per end, so the two ends of a line may differ: a Dirichlet end beside
+    a Neumann or Robin one, say.
     """
 
     kind: str

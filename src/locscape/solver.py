@@ -7,7 +7,8 @@ written A = T' + c w w^T with w = e_0 + e_{n-1}: T' drops both corner entries an
 `pttrs` plus a Sherman-Morrison correction.  2D operators are factored by SuperLU.
 `_factor` is the one place that factors A, or in 1D A - sigma M; it serves `solve_linear`,
 the ground pair of a ring and shift-invert Lanczos (ARPACK in standard mode) for the other
-eigenpairs of rings and 2D operators.
+eigenpairs of rings and 2D operators.  Every solve `solve_linear` accepts also passes its
+certificate that A is not singular to working precision.
 
 Non-periodic 1D pencils get their eigenpairs from LAPACK's tridiagonal routines instead,
 called directly: Sturm bisection (`dstebz`) for the eigenvalues and inverse iteration
@@ -323,37 +324,35 @@ def _residual(op, lam, u):
 def solve_linear(op: DiscreteOperator, rhs) -> np.ndarray:
     """Solve A w = M rhs, i.e. the discrete form of (-Lap + K V) w = rhs.
 
-    ``rhs`` is the source sampled at active nodes (scalar broadcasts).  The
-    residual is checked in the mass-weighted form ||A w - M rhs||_inf <=
-    SOLVE_TOL * (||A||_inf ||w||_inf + ||M rhs||_inf), with a few steps of iterative
-    refinement if needed.  The ||A|| ||w|| term keeps a nearly singular operator (reflecting
-    walls with small K V + h, where w is large) from failing on round-off alone.  A solve
-    that only this term accepts must also have eps ||A||_inf ||A^{-1}||_inf < 1, or A is
-    singular to working precision; for the M-matrix A, ||A^{-1}||_inf = max(A^{-1} 1).
+    ``rhs`` is the source sampled at active nodes (scalar broadcasts).  A solve is accepted
+    by one residual bound, ||A w - M rhs||_inf <= SOLVE_TOL * (||A||_inf ||w||_inf +
+    ||M rhs||_inf), with a few steps of iterative refinement while it fails.  The
+    ||A|| ||w|| term keeps a nearly singular operator (reflecting walls with small K V + h,
+    where w is large) from failing on round-off alone.  Every accepted solve must also have
+    eps ||A||_inf ||A^{-1}||_inf < 1, or A is singular to working precision, where even a
+    zero residual can leave w off by a factor of 2; for the M-matrix A,
+    ||A^{-1}||_inf = max(A^{-1} 1).
 
     A is factored once by `_factor` (LDL^T for every 1D pencil, with a rank-one corner
-    correction on a ring; SuperLU in 2D), and that factor serves the first solve and
-    every refinement step.  A singular operator raises SingularOperatorError.
+    correction on a ring; SuperLU in 2D), and that factor serves the first solve, every
+    refinement step and the certificate.  A singular operator raises SingularOperatorError.
     """
     n = op.size
     solve = _factor(op)
     b = op.mass * np.broadcast_to(np.asarray(rhs, float), (n,))
     w = solve(b)
-    b_norm = np.max(np.abs(b))
+    a_norm, b_norm = op._abs_row_sums().max(), np.abs(b).max()
     for step in range(6):
         r = b - op._matvec(w)
-        res = np.max(np.abs(r))
-        if res <= SOLVE_TOL * b_norm:       # the cheap, stricter test first
-            return w
-        a_norm = op._abs_row_sums().max()
-        bound = SOLVE_TOL * (a_norm * np.max(np.abs(w)) + b_norm)
+        res = np.abs(r).max()
+        bound = SOLVE_TOL * (a_norm * np.abs(w).max() + b_norm)
         if res <= bound:
             break
         if step == 5:
             raise ConvergenceError(f"linear solve residual {res:.3e} above {bound:.3e}",
                                    residual=float(res))
         w = w + solve(r)
-    cond = np.finfo(float).eps * a_norm * np.max(np.abs(solve(np.ones(n))))
+    cond = np.finfo(float).eps * a_norm * np.abs(solve(np.ones(n))).max()
     if not cond < 1.0:
         raise SingularOperatorError(
             f"operator is singular to working precision: eps * cond_inf(A) = {cond:.3e}")

@@ -47,9 +47,10 @@ The 2D stepped walk advances by increments sqrt(2 dt) xi per axis:
   h <= 1);
 * absorbing walls use the Brownian-bridge crossing probability
   exp(-d_start d_end / dt) per axis, which removes the O(sqrt(dt)) exit bias;
-* a path stops at its first absorption, once its weight falls below
-  ``WEIGHT_CUTOFF``, or when ``t_max`` runs out; the estimate reports how many
-  paths the last cut off and their largest remaining weight.
+* a path stops at its first absorption (at once if it starts on an absorbing
+  wall, where w = 0), once its weight falls below ``WEIGHT_CUTOFF``, or when
+  ``t_max`` runs out; the estimate reports how many paths the last cut off and
+  their largest remaining weight.
 
 Lanes.  Paths [LANE j, LANE j + LANE) form lane j and share one counter-based
 stream, ``stream(seed, j, TAG_WALK)``.  The tag keeps the lanes apart from the
@@ -98,8 +99,9 @@ class PathConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.dt <= 0 or self.t_max <= 0 or self.n_paths < 1:
-            raise ParameterError("dt, t_max must be positive and n_paths >= 1")
+        if self.dt <= 0 or self.t_max <= 0 or self.n_paths < 2:
+            raise ParameterError("dt, t_max must be positive and n_paths >= 2 (a standard "
+                                 "error needs two samples)")
 
 
 @dataclass(frozen=True)
@@ -269,9 +271,10 @@ def _step_walk(x0, cells, K: float, bc: BoundaryCondition, cfg: PathConfig):
         return occupation, (x, v, Y)
 
     x = np.tile(x0, (cfg.n_paths, 1))
+    on_wall = absorbing and bool(np.any((x0 == 0.0) | (x0 == 1.0)))
     draws = [("standard_normal", (d,))] + [("random", ())] * absorbing
     return _lanes(cfg, math.ceil(cfg.t_max / cfg.dt), draws,
-                  (x, cell_value(x), np.ones(cfg.n_paths)), block)
+                  (x, cell_value(x), np.full(cfg.n_paths, float(not on_wall))), block)
 
 
 def estimate_landscape_mc(x, fieldv: PotentialField, K: float,
@@ -285,7 +288,7 @@ def estimate_landscape_mc(x, fieldv: PotentialField, K: float,
     walk = _hop_walk if d == 1 else _step_walk
     acc, n_truncated, max_truncated_weight = walk(x0, fieldv.cell_values, K, bc, cfg)
     mean = float(acc.mean())
-    se = float(acc.std(ddof=1) / np.sqrt(cfg.n_paths)) if cfg.n_paths > 1 else 0.0
+    se = float(acc.std(ddof=1) / np.sqrt(cfg.n_paths))
     return FeynmanKacEstimate(mean, se, cfg.n_paths, n_truncated, max_truncated_weight)
 
 

@@ -79,6 +79,7 @@ def test_bad_predicate_is_a_config_error(tmp_path, settings):
     ("dist-study", ["h_list=[-1]"]),
     ("dist-study", ["dims=[1,3]"]),
     ("fk-check", ["n_cells=6", "dim=2"]),       # automatic probes are 1D only
+    ("fk-check", ["n_cells=10", "n_paths=1"]),  # a standard error needs two paths
 ])
 def test_argument_the_library_rejects_exits_2_without_outputs(tmp_path, monkeypatch, command,
                                                               settings):
@@ -333,6 +334,23 @@ def test_fk_check_2d_reads_the_landscape_at_the_probe_node(tmp_path):
     fieldv = sample_potential(grid, DistributionSpec.bernoulli(0.5), 3)
     ls = landscape_from_operator(assemble(grid, fieldv, 200.0, BoundaryCondition.neumann()))
     assert fd == ls.w.reshape(25, 25)[12, 12]       # node 12 of 25 sits at 0.5 on each axis
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_fk_check_reads_a_dirichlet_wall_probe_at_the_wall_node(tmp_path, dim):
+    # probes on both walls, and one within half a spacing of the low wall, read w at the
+    # eliminated wall node, where w = 0; a walk started on a wall is absorbed at once, so
+    # every path is alike, and a standard error of 0 measures no deviation
+    out = tmp_path / "o"
+    assert run_cli("fk-check", "--set", f"dim={dim}", "--set", "n_cells=6", "--set",
+                   'bc="dirichlet"', "--set", "probes=[0.0,1.0,0.01]", "--set", "n_paths=20",
+                   "--seed", "3", "--out", str(out)) == 0
+    rows = [[float(v) for v in r.split(",")]
+            for r in (out / "fk_check.csv").read_text().splitlines()[1:]]
+    assert [r[3] for r in rows] == [0.0, 0.0, 0.0]          # fd_landscape
+    for r in rows[:2]:
+        assert r[1] == r[2] == 0.0 and np.isnan(r[4])       # mc_mean, mc_std_error
+    assert rows[2][1] > 0.0 and np.isfinite(rows[2][4])
 
 
 def test_bifurcation_and_scaling_commands(tmp_path):

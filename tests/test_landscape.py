@@ -229,6 +229,17 @@ def test_disorder_sweep_constant_case():
     assert np.all(np.diff(vals[:, 0]) < 0)
 
 
+def test_disorder_sweep_reads_a_dirichlet_wall_probe_at_the_wall_node():
+    # the spacing is 1/80: a probe within half of it of a wall reads the eliminated wall
+    # node, where w = 0, and a probe just beyond reads the first interior node
+    grid = grid_1d(10)
+    ones = sample_potential(grid, DistributionSpec.bernoulli(1.0), 0)
+    bc = BoundaryCondition.dirichlet()
+    vals = disorder_sweep(ones, bc, [100.0], [0.0, 0.006, 0.007, 0.5, 1.0])[0]
+    w = landscape_from_operator(assemble(grid, ones, 100.0, bc)).w
+    assert list(vals) == [0.0, 0.0, w[0], w[39], 0.0]     # active node 39 sits at 0.5
+
+
 def test_disorder_sweep_suppresses_barrier_landscape_and_modes():
     grid = grid_1d(100)
     fieldv = sample_potential(grid, DistributionSpec.bernoulli(0.5), 42)

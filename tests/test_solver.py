@@ -110,7 +110,7 @@ def test_solve_linear_residual_postcondition(strong_disorder_1d):
                      300.0, BoundaryCondition.neumann()),
 ], ids=["line", "ring", "2d"])
 def test_solve_linear_refines_a_perturbed_first_solve(make, monkeypatch):
-    # the first solve misses both residual tests by far, so only the refinement step
+    # the first solve misses the residual bound by far, so only the refinement step
     # w = w + solve(r) can bring w back to the dense solution
     real, solves = solver._factor, []
 
@@ -127,7 +127,8 @@ def test_solve_linear_refines_a_perturbed_first_solve(make, monkeypatch):
     op = make()
     rhs = np.random.default_rng(7).uniform(-1.0, 1.0, op.size)
     w = solve_linear(op, rhs)
-    assert len(solves) == 2                 # the perturbed first solve and one refinement
+    assert len(solves) == 3                 # the perturbed first solve, one refinement and
+                                            # the certificate's solve of A^{-1} 1
     w_dense = np.linalg.solve(op.matrix.toarray(), op.mass * rhs)
     assert np.max(np.abs(w - w_dense)) <= 1e-12 * np.max(np.abs(w_dense))
 
@@ -195,6 +196,10 @@ def _solve_unless_singular_to_working_precision(op, A, rhs):
 @given(_tridiagonal_solve_cases())
 # K V m far below the round-off of A's diagonal: factored, but singular to working precision
 @example((sample_potential(GridSpec(1, 4, 2), DistributionSpec.uniform(1e-14, 2e-14), 0), 1.0,
+          BoundaryCondition.neumann(), 1.0))
+# K V m = 7.1e-15 rounds up to one ulp of the diagonal 64: the residual is exactly 0, yet w is
+# half of 1 / (K V), and the dense eps cond_inf(A) is 2.06
+@example((PotentialField(GridSpec(1, 16, 2), np.full(16, 1e-16), 0), 2274.0,
           BoundaryCondition.neumann(), 1.0))
 def test_tridiagonal_solve_matches_dense_solve(case):
     fieldv, K, bc, rhs = case

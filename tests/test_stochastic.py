@@ -22,6 +22,11 @@ def test_start_point_must_lie_in_domain():
         estimate_landscape_mc(-0.1, fieldv, 10.0, BoundaryCondition.neumann(), PathConfig())
 
 
+def test_a_standard_error_needs_two_paths():
+    with pytest.raises(ParameterError, match="n_paths >= 2"):
+        PathConfig(n_paths=1)
+
+
 def test_negative_disorder_strength_rejected():
     fieldv = sample_potential(grid_1d(10), DistributionSpec.bernoulli(1.0), 0)
     with pytest.raises(ParameterError, match="K must be >= 0"):
