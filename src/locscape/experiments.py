@@ -105,9 +105,9 @@ def is_multimodal(envelope: np.ndarray, partition: SubregionPartition) -> bool:
     """
     if partition.n_regions == 0:
         raise ParameterError("empty partition")
-    labels = partition.labels.ravel()
-    hot = np.unique(labels[np.abs(np.asarray(envelope)).ravel() > THRESHOLD])
-    return int((hot >= 0).sum()) >= 2
+    hot = partition.labels.ravel()[np.abs(np.asarray(envelope)).ravel() > THRESHOLD]
+    hot = hot[hot >= 0]                     # -1 marks an unassigned node
+    return hot.size > 0 and bool(hot.min() < hot.max())   # two labels or more
 
 
 # --- the ensemble pipeline -------------------------------------------------------
@@ -127,7 +127,8 @@ def run_trial(spec: ExperimentSpec, trial: int) -> TrialRecord:
     elif spec.predicate == "corner":
         hit = is_corner_localized(op.embed(pair.mode))
     else:
-        envelope = np.max(np.abs([p.mode for p in pairs]), axis=0)
+        envelope = (np.abs(pair.mode) if len(pairs) == 1
+                    else np.max(np.abs([p.mode for p in pairs]), axis=0))
         partition = valley_partition(landscape_from_operator(op))
         hit = is_multimodal(envelope, partition)
     return TrialRecord(trial, trial_seed, pair.eigenvalue, hit, False)

@@ -76,9 +76,8 @@ def valley_partition(ls: Landscape) -> SubregionPartition:
     identical labels.
     """
     w = ls.w
-    shape = ls.op.shape_active
-    spacing = np.prod([ax[1] - ax[0] for ax in ls.op.axes])
     if ls.op.dim == 1:
+        x = ls.op.axes[0]
         first, last = _runs(w)
         v = w[first]
         k = np.flatnonzero((v[:-2] > v[1:-1]) & (v[1:-1] < v[2:])) + 1   # interior minima
@@ -86,7 +85,9 @@ def valley_partition(ls: Landscape) -> SubregionPartition:
         split = (first[k] + last[k]) // 2 + (v[k - 1] >= v[k + 1])
         labels = np.zeros(len(w), dtype=int)
         labels[split] = 1
-        return SubregionPartition(np.cumsum(labels), spacing)
+        return SubregionPartition(np.cumsum(labels), x[1] - x[0])
+    shape = ls.op.shape_active
+    spacing = np.prod([ax[1] - ax[0] for ax in ls.op.axes])
     return SubregionPartition(_watershed(w.reshape(shape)).reshape(shape), spacing)
 
 

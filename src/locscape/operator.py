@@ -18,9 +18,13 @@ across a face, 4 at an interior corner in 2D, where the Kronecker sum of two
 axes gives the 2D pencil), and the same builder serves lines and rings with
 arbitrary cell widths.  A 1D operator keeps A as its diagonal, off-diagonal and ring
 corner and applies it by a matvec that sums each row in CSR's order; only 2D is CSR.
+A 1D lattice pencil is built once per (grid, boundary condition), at K = 0 on a zero
+field, and each field re-couples it with its own node potential: the same bits as a
+fresh build, for the cost of one node average and one diagonal.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -156,29 +160,32 @@ class DiscreteOperator:
         """Row sums of |A| as CSR forms them: a row's first entry plus the sum of the rest."""
         if self.dim != 1:
             return np.asarray(abs(self.A).sum(axis=1)).ravel()
-        d, e, c = (np.abs(x) for x in self.A)
-        s = d.copy()
+        d, e, c = self.A
+        s, e = np.abs(d), np.abs(e)
         s[:-1] += e
         s[1:] += e                          # |e_{i-1}| + (|d_i| + |e_i|)
         if c:
-            s[0], s[-1] = d[0] + (e[0] + c), s[-1] + c
+            c = abs(c)
+            s[0], s[-1] = abs(d[0]) + (e[0] + c), s[-1] + c
         return s
 
-    def _recoupled(self, K: float) -> "DiscreteOperator":
-        """This 1D pencil, assembled at K = 0, at coupling K.
+    def _recoupled(self, K: float, vnode: np.ndarray | None = None) -> "DiscreteOperator":
+        """This 1D pencil, assembled at K = 0, at coupling K on the node potential ``vnode``
+        (its own by default).
 
         A's diagonal gains the potential term as `_axis_1d` adds it, so the result is the
-        pencil assembled at K bit for bit, without rebuilding the stiffness and mass.  A ring
-        of one node is refused: `_axis_1d` folds its corner into the diagonal after that term,
-        so the sums would round in another order.
+        pencil assembled at K on that potential bit for bit, without rebuilding the stiffness
+        and mass.  A ring of one node is refused: `_axis_1d` folds its corner into the
+        diagonal after that term, so the sums would round in another order.
         """
         if self.dim != 1 or self.coupling != 0.0:
             raise ParameterError("only a 1D pencil assembled at K = 0 can be re-coupled")
         if self.size == 1 and self.bc.kind == "periodic":
             raise ParameterError("a ring of one node cannot be re-coupled")
         d, e, c = self.A
-        return replace(self, A=(_add_potential(d, K, self.vnode, self.mass), e, c),
-                       coupling=float(K))
+        v = self.vnode if vnode is None else vnode
+        return DiscreteOperator((_add_potential(d, K, v, self.mass), e, c), self.mass, self.bc,
+                                float(K), self.axes, self.trimmed, v)
 
     def embed(self, u: np.ndarray) -> np.ndarray:
         """Pad a vector on active nodes with zeros at eliminated Dirichlet nodes, giving the
@@ -193,6 +200,33 @@ def _add_potential(d, K, vnode, m):
     return d + K * vnode * m if K else d
 
 
+def _pad(x, ring):
+    """Cell widths or values, one row per cell, padded so that node i lies between rows i
+    and i + 1: a ring's last cell comes before node 0, a line gains a zero row beyond each
+    end (a zero-width cell, which adds no stiffness, mass or potential)."""
+    if ring:
+        return np.concatenate((x[-1:], x))
+    pad = np.zeros((1,) + x.shape[1:])
+    return np.concatenate((pad, x, pad))
+
+
+def _node_weights(wp):
+    """The weights of the cells before and after each node in its potential: each cell's
+    share of the node's span, on padded widths ``wp`` (see `_pad`).  They are 1/2 on equal
+    cells and 0, 1 at an end, so the lattice's node potential is the plain average, exactly."""
+    span = wp[:-1] + wp[1:]
+    return wp[:-1] / span, wp[1:] / span
+
+
+def _node_potential(weights, vp):
+    """The potential at each node: the width-weighted average (`_node_weights`) of the
+    padded cell values ``vp`` on either side of it; extra trailing axes of ``vp`` are
+    averaged alongside."""
+    col = (-1,) + (1,) * (vp.ndim - 1)
+    before, after = weights
+    return before.reshape(col) * vp[:-1] + after.reshape(col) * vp[1:]
+
+
 def _axis_1d(widths, values, ends, K):
     """One axis of the lumped-FE pencil on cells of the given widths.
 
@@ -204,20 +238,12 @@ def _axis_1d(widths, values, ends, K):
     average of the adjacent cells) and the (low, high) Dirichlet trim, restricted to
     the active nodes.
     """
-    w = np.asarray(widths, float)
-    v = np.asarray(values, float)
-    if ends is None:
-        wp, vp = np.concatenate((w[-1:], w)), np.concatenate((v[-1:], v))
-    else:                                   # zero-width cells beyond both ends
-        pad = np.zeros_like(v[:1])
-        wp, vp = np.concatenate(([0.0], w, [0.0])), np.concatenate((pad, v, pad))
+    ring = ends is None
+    wp = _pad(np.asarray(widths, float), ring)
+    vnode = _node_potential(_node_weights(wp), _pad(np.asarray(values, float), ring))
     n = len(wp) - 1                         # node i joins cells wp[i] and wp[i + 1]
     inv = 1.0 / np.where(wp > 0, wp, np.inf)   # the zero-width cells add no stiffness
-    span = wp[:-1] + wp[1:]
-    m = 0.5 * span
-    # weights are 1/2 on equal cells and 0, 1 at an end: the lattice's plain average, exactly
-    col = (-1,) + (1,) * (v.ndim - 1)
-    vnode = (wp[:-1] / span).reshape(col) * vp[:-1] + (wp[1:] / span).reshape(col) * vp[1:]
+    m = 0.5 * (wp[:-1] + wp[1:])
     d = inv[:-1] + inv[1:]
     trim = [False, False]
     for side, (kind, h) in enumerate(ends or ()):
@@ -226,7 +252,7 @@ def _axis_1d(widths, values, ends, K):
         elif kind == "dirichlet":
             trim[side] = True
     d = _add_potential(d, K, vnode, m)
-    if ends is None:
+    if ring:
         e, c = -inv[1:-1], -inv[-1]         # the last cell joins node n-1 to node 0
         if n == 2:                          # the corner lies on the off-diagonal
             e, c = e + c, 0.0
@@ -251,23 +277,42 @@ def assemble(grid: GridSpec, fieldv: PotentialField, K: float,
         raise ParameterError("mixed per-end conditions are 1D only")
 
     r = grid.nodes_per_cell
+    if grid.dim == 1:
+        base, weights = _lattice_pencil(grid, bc)
+        (lo, hi), = base.trimmed
+        v = _node_potential(weights, _pad(np.repeat(fieldv.cell_values, r), periodic))
+        return base._recoupled(K, v[int(lo):len(v) - int(hi)])
+
     n = grid.nodes_per_axis
     widths = np.full(n - 1, grid.spacing)
-    ends = None if periodic else bc.end_specs()
-    coords = np.linspace(0.0, 1.0, n)
+    ends = bc.end_specs()
     A, m, v, (lo, hi) = _axis_1d(widths, np.repeat(fieldv.cell_values, r, axis=0), ends,
-                                 K if grid.dim == 1 else 0.0)   # 2D adds K*V after the kron
-    coords = coords[:-1] if periodic else coords[int(lo):n - int(hi)]
-
-    if grid.dim == 1:
-        return DiscreteOperator(A, m, bc, K, (coords,), ((lo, hi),), v)
-
+                                 0.0)                   # K*V is added after the kron
+    coords = np.linspace(0.0, 1.0, n)[int(lo):n - int(hi)]
     # v is (active x, cells y); average along y as well, then index it [x, y]
     v = _axis_1d(widths, np.repeat(v.T, r, axis=0), ends, 0.0)[2].T
     d, e, _ = A
     S, M, m2 = sp.diags([e, d, e], [-1, 0, 1]), sp.diags(m), np.multiply.outer(m, m).ravel()
     A = (sp.kron(S, M) + sp.kron(M, S) + sp.diags(K * v.ravel() * m2)).tocsr()
     return DiscreteOperator(A, m2, bc, K, (coords, coords), ((lo, hi), (lo, hi)), v.ravel())
+
+
+@lru_cache(maxsize=16)
+def _lattice_pencil(grid: GridSpec, bc: BoundaryCondition):
+    """The 1D lattice pencil of (grid, bc) at K = 0 on a zero field, built once by
+    `_axis_1d`, and its node weights (`_node_weights`): `assemble` re-couples it with each
+    field's node potential.  Its arrays are read-only, since every operator shares them."""
+    periodic = bc.kind == "periodic"
+    n = grid.nodes_per_axis
+    widths = np.full(n - 1, grid.spacing)
+    A, m, v, (lo, hi) = _axis_1d(widths, np.zeros(n - 1), None if periodic else bc.end_specs(),
+                                 0.0)
+    coords = np.linspace(0.0, 1.0, n)
+    coords = coords[:-1] if periodic else coords[int(lo):n - int(hi)]
+    weights = _node_weights(_pad(widths, periodic))
+    for x in (*A[:2], m, v, coords, *weights):
+        x.flags.writeable = False
+    return DiscreteOperator(A, m, bc, 0.0, (coords,), ((lo, hi),), v), weights
 
 
 # --- 1D operators on arbitrary cell widths ---------------------------------------

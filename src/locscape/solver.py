@@ -21,15 +21,17 @@ factor, started from x = A^{-1} M 1.  Each step takes the Rayleigh quotient rho 
 eta = ||A x - rho M x||_{M^-1} / ||x||_M, so that some eigenvalue lies in
 [rho - eta, rho + eta], and tol = max(1e-10 max(1, rho), the round-off floor of eta).  A
 factor of A - sigma M at sigma = rho - max(eta, tol) whose LDL^T pivots and Sherman-Morrison
-denominator are all positive proves, as a Sturm count does, that lambda_1 > sigma, and the
-next solve uses the last shift so proven.  A factor that fails proves lambda_1 < sigma, so
-the eigenvalue in [rho - eta, rho + eta] is a higher one, and inverse iteration far below
-lambda_1 turns the iterate away from it slowly when lambda_1 / lambda_2 is near 1.  The step
-then factors at the midpoint of (last proven shift, least failed shift), so each overshoot at
-least halves the bracket on lambda_1.  Once eta <= tol at a proven shift of at least
-rho - tol, |lambda_1 - rho| <= tol: the eigenvalue is the ground one.  One more solve at that
-shift polishes the vector, and the pair must still meet the residual bound.  A ring not
-certified within _RING_STEPS steps falls through to Lanczos.
+denominator are all positive proves, as a Sturm count does, that lambda_1 > sigma (to within
+that floor; see `_factor`), and the next solve uses the last shift so proven.  Below the
+floor a factor proves nothing, so a shift proposed there is raised to the floor.  A factor
+that fails proves lambda_1 < sigma, so the eigenvalue in [rho - eta, rho + eta] is a higher
+one, and inverse iteration far below lambda_1 turns the iterate away from it slowly when
+lambda_1 / lambda_2 is near 1.  The step then factors at the midpoint of (last proven shift,
+least failed shift), so each overshoot at least halves the bracket on lambda_1.  Once
+eta <= tol at a proven shift of at least rho - tol, |lambda_1 - rho| <= tol up to the floor:
+the eigenvalue is the ground one.  One more solve at that shift polishes the vector, and the
+pair must still meet the residual bound.  A ring not certified within _RING_STEPS steps
+falls through to Lanczos.
 """
 
 import math
@@ -49,6 +51,7 @@ MAX_ITER = 10_000
 _RING_STEPS = 30      # shifted inverse-iteration steps for a ring's ground pair
 _RING_RTOL = 1e-10    # its certificate: eigenvalue within _RING_RTOL max(1, |lambda|)
 DEGENERACY_RTOL = 1e-6
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -85,15 +88,21 @@ def _factor(op: DiscreteOperator, shift: float = 0.0):
 
     A matrix that is not positive definite raises SingularOperatorError: reflecting or
     periodic walls with K V = 0, a pivot or Sherman-Morrison denominator that is not
-    positive, or an exactly singular SuperLU factor.  In 1D a factor that returns is thus
-    a proof, as a Sturm count is, that every eigenvalue of the pencil exceeds the shift.
-    The K V = 0 check runs at shift 0 only, where A is singular and round-off can leave every
-    pivot positive.  At a shift above 0, A - shift M of such an operator has the eigenvalue
-    -shift, so once the shift clears the round-off floor of `_ring_ground_pair`, a pivot or the
-    denominator is not positive and the factor raises without the check.
+    positive, or an exactly singular SuperLU factor.  In 1D a factor that returns at a shift
+    at or above the round-off floor f = 8 eps max_i(sum_j |A_ij| / m_i) of
+    `_ring_ground_pair` is thus a proof, as a Sturm count is, that every eigenvalue of the
+    pencil exceeds the shift, to within f: the pivots' round-off acts as a perturbation of
+    A - shift M smaller than f M, so a factor can return at a shift up to a fraction of f
+    above lambda_1.  Below the floor it proves nothing: round-off can leave every pivot and
+    the denominator positive although A - shift M is indefinite, as for a ring with K V = 0
+    at shifts of 1e-20 to 1e-17 of the floor, so no caller asks for such a shift.  The K V = 0
+    check runs at shift 0 only, where A is singular and round-off can leave every pivot
+    positive.  At a shift at or above the floor, A - shift M of such an operator has the
+    eigenvalue -shift, and a pivot or the denominator is not positive, so the factor raises
+    without the check.
     """
     if (not shift and op.bc.kind in ("neumann", "periodic")
-            and np.max(op.coupling * op.vnode) == 0.0):
+            and (op.coupling * op.vnode).max() == 0.0):
         raise SingularOperatorError("pure Neumann/periodic operator with K*V = 0 is singular")
     if op.dim != 1:
         try:
@@ -101,11 +110,13 @@ def _factor(op: DiscreteOperator, shift: float = 0.0):
         except RuntimeError as exc:   # SuperLU reports an exactly singular factor this way
             raise SingularOperatorError(f"sparse LU failed: {exc}") from exc
     d, e, c = op.A
-    d = d - shift * op.mass
+    if shift or c:                          # a line at shift 0 passes d as it is, since the
+        d = d - shift * op.mass             # wrapper copies it; a ring folds its corners in
     if c:                                   # T' = A - c w w^T, both corners folded in
         d[0] -= c
         d[-1] -= c
-    d, e, info = sla.lapack.dpttrf(d, e)
+    # scipy's wrapper refuses an empty off-diagonal, so a one-node pencil passes one zero
+    d, e, info = sla.lapack.dpttrf(d, e if len(e) else np.zeros(1))
     if info > 0:
         raise SingularOperatorError(
             f"operator is not positive definite: LDL^T pivot {info} is not > 0")
@@ -132,7 +143,7 @@ def _ring_ground_pair(op: DiscreteOperator, solve):
     _RING_STEPS steps do not certify one; ``solve`` is A^{-1} from `_factor` (see
     `smallest_eigenpairs`)."""
     # the round-off in eta: its floor where a ring's cells are short or K V m is small
-    noise = 8 * np.finfo(float).eps * np.max(op._abs_row_sums() / op.mass)
+    noise = 8 * _EPS * np.max(op._abs_row_sums() / op.mass)
     x, shift, upper, certified = solve(op.mass), 0.0, math.inf, False     # A^{-1} M 1
     for _ in range(_RING_STEPS):
         x /= math.sqrt(x @ (op.mass * x))   # ||x||_M = 1
@@ -150,6 +161,10 @@ def _ring_ground_pair(op: DiscreteOperator, solve):
         sigma = rho - max(eta, tol)
         if sigma > shift:
             for trial in (sigma, 0.5 * (shift + min(sigma, upper))):
+                if trial < noise:           # below the floor a factor proves nothing,
+                    if upper <= noise:      # so try the floor, unless it has failed
+                        break
+                    trial = noise
                 try:                        # a factor proves lambda_1 > trial
                     solve, shift = _factor(op, trial), trial
                     break
@@ -250,7 +265,7 @@ def ground_cluster(op: DiscreteOperator) -> list[EigenPair]:
     r = np.abs(d)
     r[:-1] += np.abs(e)
     r[1:] += np.abs(e)
-    atol = np.finfo(float).eps * r.max()
+    atol = _EPS * r.max()
     vl = lam - rtol * abs(lam) - atol
     vu = lam + rtol / (1.0 - rtol) * abs(lam) + atol
     count = len(_stebz(d, e, 1, vl, vu, tol=np.inf)[0])   # an infinite tol only counts
@@ -291,14 +306,21 @@ def _stein(d, e, s, w, iblock, isplit):
     if info:
         raise ConvergenceError(f"tridiagonal inverse iteration (dstein) failed: info {info}",
                                residual=None)
-    order = np.argsort(w)
-    return w[order], vecs[:, order] * s[:, None]
+    w, vecs = _ascending(w, vecs)
+    return w, vecs * s[:, None]
+
+
+def _ascending(vals, vecs):
+    """vals in ascending order and the columns of vecs in theirs; one pair as it is."""
+    if len(vals) < 2:
+        return vals, vecs
+    order = np.argsort(vals)
+    return vals[order], vecs[:, order]
 
 
 def _pairs(op, vals, vecs):
     """EigenPairs sorted by eigenvalue, each checked against the residual bound."""
-    order = np.argsort(vals)
-    vals, vecs = vals[order], vecs[:, order]
+    vals, vecs = _ascending(vals, vecs)
     clusters = _assign_clusters(vals)
     pairs = []
     for j in range(len(vals)):
@@ -312,13 +334,15 @@ def _pairs(op, vals, vecs):
 
 
 def _sup_normalized(u):
-    return u / u[np.argmax(np.abs(u))]      # sign fix and ||u||_inf = 1 in one step
+    return u / u[np.abs(u).argmax()]        # sign fix and ||u||_inf = 1 in one step
 
 
 def _residual(op, lam, u):
     """||M^{-1}(A u - lam M u)||_inf."""
-    r = op._matvec(u) - lam * (op.mass * u)
-    return float(np.max(np.abs(r / op.mass)))
+    r = op._matvec(u)
+    r -= lam * (op.mass * u)
+    r /= op.mass
+    return float(np.abs(r, out=r).max())
 
 
 def solve_linear(op: DiscreteOperator, rhs) -> np.ndarray:
@@ -339,11 +363,12 @@ def solve_linear(op: DiscreteOperator, rhs) -> np.ndarray:
     """
     n = op.size
     solve = _factor(op)
-    b = op.mass * np.broadcast_to(np.asarray(rhs, float), (n,))
+    b = np.multiply(op.mass, np.asarray(rhs, float), out=np.empty(n))   # rhs broadcasts to n
     w = solve(b)
     a_norm, b_norm = op._abs_row_sums().max(), np.abs(b).max()
     for step in range(6):
-        r = b - op._matvec(w)
+        r = op._matvec(w)
+        r = np.subtract(b, r, out=r)        # b - A w
         res = np.abs(r).max()
         bound = SOLVE_TOL * (a_norm * np.abs(w).max() + b_norm)
         if res <= bound:
@@ -352,7 +377,8 @@ def solve_linear(op: DiscreteOperator, rhs) -> np.ndarray:
             raise ConvergenceError(f"linear solve residual {res:.3e} above {bound:.3e}",
                                    residual=float(res))
         w = w + solve(r)
-    cond = np.finfo(float).eps * a_norm * np.abs(solve(np.ones(n))).max()
+    x = solve(np.ones(n))                   # A^{-1} 1
+    cond = _EPS * a_norm * np.abs(x, out=x).max()
     if not cond < 1.0:
         raise SingularOperatorError(
             f"operator is singular to working precision: eps * cond_inf(A) = {cond:.3e}")

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import locscape.operator as operator_mod
 from locscape import (BoundaryCondition, DistributionSpec, ExperimentSpec, GridSpec, ParameterError,
                       RunModel, boundary_localization_prob, distribution_study,
                       experiments, grid_1d, is_boundary_localized, is_corner_localized,
@@ -188,3 +189,43 @@ def test_infeasible_family_sigma_pairs_are_skipped(monkeypatch):
     assert ("bernoulli", round(0.5 / 3.0, 6)) not in combos
     assert ("uniform", 0.5) not in combos
     assert ("uniform", round(0.5 / np.sqrt(3.0), 6)) in combos
+
+
+def _multimodal_by_unique(envelope, partition):
+    """`is_multimodal` as np.unique states it: the distinct labels of the nodes whose
+    envelope exceeds THRESHOLD, -1 left out, number at least two."""
+    labels = partition.labels.ravel()
+    hot = np.unique(labels[np.abs(np.asarray(envelope)).ravel() > experiments.THRESHOLD])
+    return int((hot >= 0).sum()) >= 2
+
+
+_AMPLITUDE = st.one_of(st.floats(-1.0, 1.0), st.sampled_from([0.5, -0.5]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 40).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(-1, 4), min_size=n, max_size=n),
+    st.lists(_AMPLITUDE, min_size=n, max_size=n))))
+def test_multimodal_predicate_matches_the_unique_formulation(case):
+    labels, envelope = (np.array(x) for x in case)
+    partition = SubregionPartition(labels, 1.0)
+    if partition.n_regions == 0:            # every node unassigned
+        with pytest.raises(ParameterError, match="empty partition"):
+            is_multimodal(envelope, partition)
+        return
+    assert is_multimodal(envelope, partition) is _multimodal_by_unique(envelope, partition)
+
+
+def test_an_ensemble_builds_its_lattice_pencil_once(monkeypatch):
+    # a count names a cause: one (grid, walls) pencil per process, whatever the trial count
+    # and the predicate, since each trial re-couples it with its own field
+    calls = []
+    axis_1d = operator_mod._axis_1d
+    monkeypatch.setattr(operator_mod, "_axis_1d", lambda *args: calls.append(1) or axis_1d(*args))
+    operator_mod._lattice_pencil.cache_clear()
+    grid, bc = grid_1d(12), BoundaryCondition.dirichlet()
+    for predicate in ("boundary", "multimodal"):
+        est = run_ensemble(ExperimentSpec(grid, DistributionSpec.bernoulli(0.5), 3e4, bc, 30, 7,
+                                          predicate))[0]
+        assert est.n_trials == 30
+    assert len(calls) == 1

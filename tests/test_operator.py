@@ -3,9 +3,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from locscape import (BoundaryCondition, DistributionSpec, GridSpec, ParameterError,
-                      assemble, assemble_line, assemble_ring, grid_1d, grid_2d,
-                      sample_potential, smallest_eigenpairs)
+import locscape.operator as operator_mod
+from locscape import (BoundaryCondition, DiscreteOperator, DistributionSpec, GridSpec,
+                      ParameterError, PotentialField, assemble, assemble_line, assemble_ring,
+                      grid_1d, grid_2d, sample_potential, smallest_eigenpairs)
 from conftest import CELLS, assert_same_pencil, cells, dense_eigenpairs
 from operator_oracles import axis_1d_by_diags, kron_sum_2d
 
@@ -326,3 +327,38 @@ def test_only_a_1d_pencil_at_K_0_is_recoupled():
     ring = assemble_ring(np.full(5, 0.2), np.ones(5), 3.0)
     with pytest.raises(ParameterError, match="only a 1D pencil assembled at K = 0"):
         ring._recoupled(5.0)
+
+
+# --- the lattice pencil built once per (grid, walls) ---------------------------------
+
+_LATTICE_BC = st.one_of(
+    st.sampled_from([BoundaryCondition.dirichlet(), BoundaryCondition.neumann(),
+                     BoundaryCondition.periodic()]),
+    st.floats(0.0, 100.0).map(BoundaryCondition.robin),
+    st.tuples(_END, _END).map(lambda ends: BoundaryCondition.mixed(
+        ends[0][0], ends[1][0], ends[0][1], ends[1][1])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 30), st.integers(2, 10), _LATTICE_BC,
+       st.one_of(st.just(0.0), st.floats(0.0, 1e7)), st.data())
+def test_cached_lattice_pencil_assembles_a_fresh_build(n_cells, nodes_per_cell, bc, K, data):
+    # every field re-couples the (grid, walls) pencil built once at K = 0: the bits of a
+    # fresh `_axis_1d` build at K, and no operator can write to the arrays they all share
+    grid = GridSpec(1, n_cells, nodes_per_cell)
+    values = np.array(data.draw(st.lists(st.floats(0.0, 10.0), min_size=n_cells,
+                                         max_size=n_cells)))
+    op = assemble(grid, PotentialField(grid, values, 0), K, bc)
+    n = grid.nodes_per_axis
+    ends = None if bc.kind == "periodic" else bc.end_specs()
+    A, m, v, (lo, hi) = operator_mod._axis_1d(np.full(n - 1, grid.spacing),
+                                              np.repeat(values, nodes_per_cell), ends, K)
+    coords = np.linspace(0.0, 1.0, n)
+    coords = coords[:-1] if ends is None else coords[int(lo):n - int(hi)]
+    assert_same_pencil(op, DiscreteOperator(A, m, bc, K, (coords,), ((lo, hi),), v))
+    other = assemble(grid, PotentialField(grid, values[::-1].copy(), 1), K, bc)
+    shared = [op.A[1], op.mass, op.axes[0]] + ([op.A[0]] if K == 0 else [])
+    for x, y in zip(shared, [other.A[1], other.mass, other.axes[0], other.A[0]]):
+        assert x is y
+        with pytest.raises(ValueError, match="read-only"):
+            x[0] = 1.0

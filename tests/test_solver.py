@@ -14,7 +14,7 @@ from locscape import (REFERENCE_PARAMS, BoundaryCondition, ConvergenceError, Dis
                       SingularOperatorError, TwoWellParams, assemble, assemble_line, assemble_ring,
                       experiments, grid_1d, grid_2d, peak_height_ratio, sample_potential,
                       smallest_eigenpairs, solve_linear, solver, toy_operator)
-from conftest import CELLS, FIELD_DISTS, dense_eigenpairs, rayleigh_quotient
+from conftest import CELLS, FIELD_DISTS, cells, dense_eigenpairs, rayleigh_quotient
 
 
 def test_constant_potential_ground_state_is_constant():
@@ -230,6 +230,23 @@ def test_singular_pencil_past_the_neumann_check_rejected(grid, bc):
         solve_linear(op, 1.0)
 
 
+def _floor(op):
+    """The round-off floor of `_ring_ground_pair`: 8 eps max_i(sum_j |A_ij| / m_i)."""
+    return 8 * np.finfo(float).eps * np.max(op._abs_row_sums() / op.mass)
+
+
+@pytest.mark.parametrize("op", [
+    assemble_line(np.array([1.0]), np.array([0.5]), 10.0,
+                  BoundaryCondition.mixed("dirichlet", "neumann")),
+    assemble_line(np.array([1.0, 1.0]), np.array([0.0, 0.0]), 0.0, BoundaryCondition.dirichlet()),
+    assemble_ring(np.array([1.0]), np.array([0.5]), 10.0),
+], ids=["one-cell-line", "two-cell-dirichlet-line", "one-cell-ring"])
+def test_a_one_node_pencil_is_factored(op):
+    # scipy's dpttrf wrapper refuses the empty off-diagonal of a one-node pencil
+    assert op.size == 1
+    assert solve_linear(op, 1.0) == pytest.approx(op.mass / op.A[0], rel=1e-15)
+
+
 @settings(max_examples=200, deadline=None)
 @given(CELLS, st.sampled_from(["ring", "neumann"]), st.booleans(),
        st.floats(-6.0, 5.0), st.floats(0.0, 20.0))
@@ -245,9 +262,37 @@ def test_shifted_factor_of_a_singular_operator_raises_without_the_pre_check(
           assemble_line(widths, values, K, BoundaryCondition.neumann()))
     with pytest.raises(SingularOperatorError, match="K\\*V = 0"):
         solver._factor(op)
-    floor = 8 * np.finfo(float).eps * np.max(op._abs_row_sums() / op.mass)
     with pytest.raises(SingularOperatorError, match="pivot|Sherman-Morrison denominator"):
-        solver._factor(op, floor * 10.0 ** log_shift)
+        solver._factor(op, _floor(op) * 10.0 ** log_shift)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cells(2), st.one_of(st.none(), st.tuples(_WALL, _WALL)), _LOG_SCALE,
+       st.one_of(st.just(0.0), st.floats(-6.0, 5.0).map(lambda t: 10.0 ** t)),
+       st.floats(0.0, 17.0))
+@example(([0.3, 0.7, 0.2], [0.5, 2.0, 1.0]), None, 0.0, 0.0, 0.0)   # K V = 0 at the floor
+@example(([1.0, 1.0], [0.0, 0.0]), (("dirichlet", 0.0), ("dirichlet", 0.0)), 0.0, 0.0, 0.0)
+def test_a_factor_at_or_above_the_floor_proves_lambda_1_above_its_shift(
+        cell_data, ends, log_scale, K, log_shift):
+    # the shift is drawn from the floor up, without regard to lambda_1: a factor that returns
+    # proves lambda_1 > shift to within the floor, which also covers the dense eigensolve's
+    # own round-off
+    widths, values = (np.array(c) for c in cell_data)
+    values = values * 10.0 ** log_scale
+    if ends is None:
+        op = assemble_ring(widths, values, K)
+    else:
+        (left, h_left), (right, h_right) = ends
+        op = assemble_line(widths, values, K,
+                           BoundaryCondition.mixed(left, right, h_left, h_right))
+    floor = _floor(op)
+    shift = floor * 10.0 ** log_shift
+    try:
+        solver._factor(op, shift)
+    except SingularOperatorError:
+        return
+    lam1 = scipy.linalg.eigh(op.matrix.toarray(), np.diag(op.mass), eigvals_only=True)[0]
+    assert lam1 > shift - floor
 
 
 def test_rayleigh_quotient_properties(strong_disorder_1d):
@@ -385,6 +430,12 @@ def test_shift_invert_runs_on_the_solvers_own_factor(strong_disorder_1d, monkeyp
     _assert_arpack_factors_nothing(calls[1])
 
 
+# lambda_1 = 1.1e-10, within the floor 7.0e-9 of tol: rho - tol lies below the floor, where
+# a factor proves nothing, so the ring's shift is raised to the floor
+_RING_NEAR_THE_FLOOR = assemble_ring(np.array([2.0**-9, 0.25, 0.75]), np.array([2.0, 1.0, 2.0]),
+                                     6.221994754486938e-11)
+
+
 @st.composite
 def _ring_cases(draw):
     """A ring on random cells, their values scaled by 10**uniform(-200, 1) in about half
@@ -411,6 +462,8 @@ def _no_arpack_for_a_ring_ground_pair(*args, **kwargs):
 # lambda_1 / lambda_2 = 0.98: rho - eta overshoots lambda_1 for 28 steps at shift 0, so the
 # shift is found by bisecting the bracket that the failed factors leave
 @example(assemble_ring(np.array([1.0, 1.0, 4.0]), np.array([4.5, 4.5, 4.625]), 100.0), 0)
+# lambda_1 within the floor of tol: certified at the floor, not by a shift below it
+@example(_RING_NEAR_THE_FLOOR, 0)
 def test_ring_solves_match_dense_solves(op, seed):
     rhs = np.random.default_rng(seed).uniform(-1.0, 1.0, op.size)
     A = op.matrix.toarray()
@@ -432,6 +485,25 @@ def test_ring_solves_match_dense_solves(op, seed):
     # k = 1 is certified shifted inverse iteration on the ring's own factor, never ARPACK
     with mock.patch.object(solver.spla, "eigsh", _no_arpack_for_a_ring_ground_pair):
         _assert_matches_oracle(op, smallest_eigenpairs(op, 1), modes=separated[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ring_cases())
+@example(_RING_NEAR_THE_FLOOR)
+def test_ring_iteration_never_factors_below_the_floor(op):
+    shifts, factor = [], solver._factor
+
+    def recording_factor(op, shift=0.0):
+        shifts.append(shift)
+        return factor(op, shift)
+
+    try:
+        solve = factor(op)
+    except SingularOperatorError:           # singular to working precision: no iteration
+        return
+    with mock.patch.object(solver, "_factor", recording_factor):
+        solver._ring_ground_pair(op, solve)
+    assert all(shift >= _floor(op) for shift in shifts)
 
 
 def test_ring_ground_mode_resolves_a_near_degenerate_crossover(monkeypatch):
