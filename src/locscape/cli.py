@@ -13,6 +13,7 @@ valid arguments).
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import os
@@ -304,6 +305,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache            # built on first use, so importing the CLI does not pay for it
 def _parser():
     ap = argparse.ArgumentParser(prog="locscape",
                                  description="Localization-landscape experiments")

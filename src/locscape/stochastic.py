@@ -29,11 +29,11 @@ in, which agree with the forms to rounding there.
 Each hop adds Y G to the path's occupation, multiplies its weight Y by P_L + P_R
 and steps left with probability P_L / (P_L + P_R).  The expected occupation
 therefore solves w_j = G_j + P_L,j w_{j-1} + P_R,j w_{j+1} at the nodes, with no
-time-step bias, and ``dt`` plays no part.  A path stops at a Dirichlet node, once
-its weight falls below ``WEIGHT_CUTOFF``, or after ceil(2 t_max N^2) hops: a^2 / 2
-is a hop's mean exit time on the uniform grid of N cells, so the budget stands
-for ``t_max``.  The estimate reports how many paths the budget cut off and their
-largest remaining weight.
+time-step bias, and ``dt`` plays no part.  A path stops at a Dirichlet node, by
+Russian roulette (below), or after ceil(2 t_max N^2) hops: a^2 / 2 is a hop's mean
+exit time on the uniform grid of N cells, so the budget stands for ``t_max``.  The
+estimate reports how many paths the budget cut off and their largest remaining
+weight.
 
 The 2D stepped walk advances by increments sqrt(2 dt) xi per axis:
 
@@ -48,9 +48,20 @@ The 2D stepped walk advances by increments sqrt(2 dt) xi per axis:
 * absorbing walls use the Brownian-bridge crossing probability
   exp(-d_start d_end / dt) per axis, which removes the O(sqrt(dt)) exit bias;
 * a path stops at its first absorption (at once if it starts on an absorbing
-  wall, where w = 0), once its weight falls below ``WEIGHT_CUTOFF``, or when
-  ``t_max`` runs out; the estimate reports how many paths the last cut off and
-  their largest remaining weight.
+  wall, where w = 0), by Russian roulette (below), or when ``t_max`` runs out; the
+  estimate reports how many paths the last cut off and their largest remaining
+  weight.
+
+Russian roulette (I. Lux and L. Koblinger, Monte Carlo Particle Transport Methods,
+CRC 1991) stops a path once its weight no longer matters, without bias.  At the end
+of every block but the budget's last, a path whose weight Y is below
+``ROULETTE_WEIGHT`` plays once with a uniform u: it goes on with weight
+``ROULETTE_WEIGHT`` if u ``ROULETTE_WEIGHT`` < Y and stops otherwise.  So E[Y'] = Y,
+the paths stay independent and identically distributed, and ``std_error`` holds.  A
+play at weight Y adds (``ROULETTE_WEIGHT`` - Y) Y times the second moment of the
+occupation still to come at unit weight to the path's variance.  After the budget's
+last block no path plays, so the paths the budget cut off report the weights it left
+them.
 
 Lanes.  Paths [LANE j, LANE j + LANE) form lane j and share one counter-based
 stream, ``stream(seed, j, TAG_WALK)``.  The tag keeps the lanes apart from the
@@ -60,10 +71,11 @@ drives both walks: it advances every alive path of every lane together, one hop 
 step at a time, in blocks of B (BLOCK, fewer at the hop or step budget).  Each block
 draws from each lane's stream, for the n paths of the lane still alive and in path
 order, (B, n) uniforms in 1D; in 2D (B, n, d) normals, scaled by sqrt(2 dt), then
-under absorbing walls (B, n) uniforms.  So a path sees the same numbers whatever
-the other lanes hold.  The draws land in flat buffers sized for the first block and
-reused by every later one.  A path that stops takes weight 0 and adds nothing for the
-rest of its block; each block ends by dropping the stopped paths.
+under absorbing walls (B, n) uniforms; and last, in both, n roulette uniforms, one
+per path.  So a path sees the same numbers whatever the other lanes hold.  The draws
+land in flat buffers sized for the first block and reused by every later one.  A
+path that stops takes weight 0 and adds nothing for the rest of its block; each block
+ends with the roulette and then drops the stopped paths.
 
 The 2D walk's step-start/step-end sampling of V cannot resolve potential
 features narrower than the walk step sqrt(2 dt); comparisons against the
@@ -82,7 +94,7 @@ from .rng import TAG_WALK, stream
 
 LANE = 1024             # paths per random stream
 BLOCK = 32              # hops or steps drawn per block
-WEIGHT_CUTOFF = 1e-10   # horizon: a path stops once its weight is below this
+ROULETTE_WEIGHT = 1e-5  # a path below this weight plays Russian roulette between blocks
 N_PROBES = 5            # probes `probe_points_for` picks
 _SMALL_BA = 1e-8        # below this beta a the cell kernels take their beta = 0 limits
 
@@ -162,27 +174,35 @@ def _lanes(cfg: PathConfig, max_moves: int, draws, state, block):
     largest weight.  ``draws`` lists a (Generator method, per-path shape) pair for each
     draw of a move, ``state`` the per-path arrays with the weight last, and
     ``block(moves, views, state)`` makes one block of moves from the draws, sets the weight
-    of each path that stops to 0 and returns (occupation, state)."""
+    of each path that stops to 0 and returns (occupation, state).  Between blocks the
+    light paths play Russian roulette (see the module docstring)."""
     n_lanes = -(-cfg.n_paths // LANE)
     gens = [stream(cfg.seed, lane, TAG_WALK) for lane in range(n_lanes)]
     bufs = [np.empty((min(BLOCK, max_moves) * cfg.n_paths, *shape)) for _, shape in draws]
+    roulette = np.empty(cfg.n_paths)
     acc = np.zeros(cfg.n_paths)
     ids = np.arange(cfg.n_paths)
     moves = 0
     while len(ids) and moves < max_moves:
         B = min(BLOCK, max_moves - moves)
         views = [buf[:B * len(ids)].reshape(B, len(ids), *buf.shape[1:]) for buf in bufs]
+        u = roulette[:len(ids)]
         a = 0
         for gen, n in zip(gens, np.bincount(ids // LANE, minlength=n_lanes)):
             if n:                            # one lane's draws at a time
                 for view, (method, shape) in zip(views, draws):
                     view[:, a:a + n] = getattr(gen, method)((B, n, *shape))
+                gen.random(out=u[a:a + n])
                 a += n
         occupation, state = block(moves, views, state)
         acc[ids] += occupation
-        live = state[-1] > 0
-        ids, state = ids[live], [s[live] for s in state]
         moves += B
+        Y = state[-1]
+        if moves < max_moves:                # the budget's last block leaves its weights
+            light = np.flatnonzero(Y < ROULETTE_WEIGHT)
+            Y[light] = ROULETTE_WEIGHT * (u[light] * ROULETTE_WEIGHT < Y[light])
+        live = Y > 0
+        ids, state = ids[live], [s[live] for s in state]
     return acc, len(ids), float(state[-1].max(initial=0.0))
 
 
@@ -221,8 +241,7 @@ def _hop_walk(x0, cells, K: float, bc: BoundaryCondition, cfg: PathConfig):
                 j -= left
                 j -= left
             if absorbing:
-                Y *= kept[j]
-            Y *= Y >= WEIGHT_CUTOFF          # a stopped path adds 0 from here on
+                Y *= kept[j]                 # a stopped path adds 0 from here on
         return occupation, (j, Y)
 
     start = np.full(cfg.n_paths, i if in_cell else int(u), np.intp)
@@ -257,7 +276,6 @@ def _step_walk(x0, cells, K: float, bc: BoundaryCondition, cfg: PathConfig):
             if bc.h > 0:
                 decay *= np.exp(-bc.h * np.abs(new - raw).sum(axis=1))
             Y *= decay
-            alive = Y >= WEIGHT_CUTOFF
             if absorbing:
                 # survival of both bridges per axis; 0 once a step ends on or beyond a wall.
                 # 1 - exp(z) rounds to 1 for every z <= -40, and exp is slow where it underflows
@@ -265,8 +283,7 @@ def _step_walk(x0, cells, K: float, bc: BoundaryCondition, cfg: PathConfig):
                 for m0, m1 in ((x, new), (1.0 - x, 1.0 - new)):
                     z = -np.maximum(m0, 0.0) * np.maximum(m1, 0.0) / cfg.dt
                     p = p * (1.0 - np.exp(np.maximum(z, -40.0)))
-                alive &= U[k] < np.prod(p, axis=1)
-            Y *= alive                       # a stopped path adds 0 from here on
+                Y *= U[k] < np.prod(p, axis=1)      # a stopped path adds 0 from here on
             x, v = new, v_new
         return occupation, (x, v, Y)
 
