@@ -302,7 +302,8 @@ def critical_coupling_sweep(params: TwoWellParams, nodes_per_unit: int = 3000) -
     """Independent route to the crossover: solve the ring's ground pair per K of
     SWEEP_K_GRID and find where the peak-height ratio crosses 1/2, refining the
     bracketing pair and finishing with linear interpolation.  The ring is built once,
-    at K = 0, and re-coupled at each K, which gives the ring `toy_operator` builds there."""
+    at K = 0, and re-coupled at each K: the one coupling step of every operator, so each K
+    solves the ring `toy_operator` builds there."""
     ring = toy_operator(params, 0.0, nodes_per_unit)
     K_grid = SWEEP_K_GRID
     ratios = np.array([_ratio_at(ring, K, params) for K in K_grid])

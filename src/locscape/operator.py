@@ -18,9 +18,13 @@ across a face, 4 at an interior corner in 2D, where the Kronecker sum of two
 axes gives the 2D pencil), and the same builder serves lines and rings with
 arbitrary cell widths.  A 1D operator keeps A as its diagonal, off-diagonal and ring
 corner and applies it by a matvec that sums each row in CSR's order; only 2D is CSR.
-A 1D lattice pencil is built once per (grid, boundary condition), at K = 0 on a zero
-field, and each field re-couples it with its own node potential: the same bits as a
-fresh build, for the cost of one node average and one diagonal.
+
+The builder knows only the geometry (stiffness with its wall terms, lumped mass,
+Dirichlet trim and node weights), so every pencil is built at K = 0 and then coupled
+by `DiscreteOperator._recoupled`: the one place K*v*m joins A and the one check of K.
+A lattice pencil is built once per (grid, boundary condition), in 1D and, as the
+Kronecker sum, in 2D, and each field re-couples it with its own node potential;
+lines and rings build theirs on each call.
 """
 
 from dataclasses import dataclass
@@ -38,8 +42,8 @@ _END_KINDS = ("dirichlet", "neumann", "robin")
 def _check_wall(kind, h, kinds):
     if kind not in kinds:
         raise ParameterError(f"unknown boundary kind {kind!r}, expected one of {kinds}")
-    if kind == "robin" and not h >= 0:
-        raise ParameterError(f"robin h must be >= 0, got {h}")
+    if kind == "robin" and not 0 <= h < np.inf:
+        raise ParameterError(f"robin h must be >= 0 and finite, got {h}")
     if kind != "robin" and h != 0:
         raise ParameterError(f"h={h} needs robin walls, not {kind}")
 
@@ -170,22 +174,20 @@ class DiscreteOperator:
         return s
 
     def _recoupled(self, K: float, vnode: np.ndarray | None = None) -> "DiscreteOperator":
-        """This 1D pencil, assembled at K = 0, at coupling K on the node potential ``vnode``
-        (its own by default).
-
-        A's diagonal gains the potential term as `_axis_1d` adds it, so the result is the
-        pencil assembled at K on that potential bit for bit, without rebuilding the stiffness
-        and mass.  A ring of one node is refused: `_axis_1d` folds its corner into the
-        diagonal after that term, so the sums would round in another order.
-        """
-        if self.dim != 1 or self.coupling != 0.0:
-            raise ParameterError("only a 1D pencil assembled at K = 0 can be re-coupled")
-        if self.size == 1 and self.bc.kind == "periodic":
-            raise ParameterError("a ring of one node cannot be re-coupled")
-        d, e, c = self.A
+        """This pencil, assembled at K = 0, at coupling K on the node potential ``vnode`` (its
+        own by default): the one place the potential term K*v*m joins A, on the diagonal
+        array in 1D and as a CSR diagonal in 2D, and the one check of K."""
+        if self.coupling != 0.0:
+            raise ParameterError("only a pencil assembled at K = 0 can be re-coupled")
+        if not 0.0 <= K < np.inf:
+            raise ParameterError(f"disorder strength K must be >= 0 and finite, got {K}")
         v = self.vnode if vnode is None else vnode
-        return DiscreteOperator((_add_potential(d, K, v, self.mass), e, c), self.mass, self.bc,
-                                float(K), self.axes, self.trimmed, v)
+        if self.dim != 1:
+            A = (self.A + sp.diags(K * v * self.mass)).tocsr()
+        else:
+            d, e, c = self.A
+            A = (d + K * v * self.mass if K else d, e, c)
+        return DiscreteOperator(A, self.mass, self.bc, float(K), self.axes, self.trimmed, v)
 
     def embed(self, u: np.ndarray) -> np.ndarray:
         """Pad a vector on active nodes with zeros at eliminated Dirichlet nodes, giving the
@@ -193,11 +195,6 @@ class DiscreteOperator:
         arr = np.asarray(u).reshape(self.shape_active)
         pad = [(int(lo), int(hi)) for lo, hi in self.trimmed]
         return np.pad(arr, pad) if any(map(any, pad)) else arr
-
-
-def _add_potential(d, K, vnode, m):
-    """A 1D diagonal plus the potential term K*v*m, none at K = 0: the one place it is added."""
-    return d + K * vnode * m if K else d
 
 
 def _pad(x, ring):
@@ -218,29 +215,29 @@ def _node_weights(wp):
     return wp[:-1] / span, wp[1:] / span
 
 
-def _node_potential(weights, vp):
-    """The potential at each node: the width-weighted average (`_node_weights`) of the
-    padded cell values ``vp`` on either side of it; extra trailing axes of ``vp`` are
-    averaged alongside."""
+def _node_potential(weights, trim, values, ring):
+    """The potential at the active nodes of an axis: the width-weighted average
+    (`_node_weights`) of the cell values on either side of each node, then the (low, high)
+    Dirichlet trim.  ``values`` holds one row per cell; extra trailing axes are averaged
+    alongside."""
+    vp = _pad(np.asarray(values, float), ring)
     col = (-1,) + (1,) * (vp.ndim - 1)
     before, after = weights
-    return before.reshape(col) * vp[:-1] + after.reshape(col) * vp[1:]
+    v = before.reshape(col) * vp[:-1] + after.reshape(col) * vp[1:]
+    return v[int(trim[0]):len(v) - int(trim[1])]
 
 
-def _axis_1d(widths, values, ends, K):
-    """One axis of the lumped-FE pencil on cells of the given widths.
+def _axis_1d(widths, ends):
+    """One axis of the lumped-FE pencil at K = 0 on cells of the given widths.
 
-    ``values`` holds one row per cell; extra trailing axes are averaged alongside.
-    ``ends`` is the (kind, h) pair of the low and high end, or None for a ring
-    whose last cell closes onto node 0; K must be 0 if ``values`` has trailing
-    axes.  Returns A = stiffness + K*diag(v*m) as its pieces (d, e, c) (see
-    `DiscreteOperator`), the lumped mass m, the node potential v (the width-weighted
-    average of the adjacent cells) and the (low, high) Dirichlet trim, restricted to
-    the active nodes.
+    ``ends`` is the (kind, h) pair of the low and high end, or None for a ring whose last
+    cell closes onto node 0.  Returns the stiffness with its wall terms as its pieces
+    (d, e, c) (see `DiscreteOperator`) and the lumped mass m, both restricted to the
+    active nodes, the (low, high) Dirichlet trim, and the node weights of
+    `_node_potential`.
     """
     ring = ends is None
     wp = _pad(np.asarray(widths, float), ring)
-    vnode = _node_potential(_node_weights(wp), _pad(np.asarray(values, float), ring))
     n = len(wp) - 1                         # node i joins cells wp[i] and wp[i + 1]
     inv = 1.0 / np.where(wp > 0, wp, np.inf)   # the zero-width cells add no stiffness
     m = 0.5 * (wp[:-1] + wp[1:])
@@ -251,68 +248,57 @@ def _axis_1d(widths, values, ends, K):
             d[-side] += h                   # d[0] or d[-1]
         elif kind == "dirichlet":
             trim[side] = True
-    d = _add_potential(d, K, vnode, m)
+    weights = _node_weights(wp)
     if ring:
         e, c = -inv[1:-1], -inv[-1]         # the last cell joins node n-1 to node 0
         if n == 2:                          # the corner lies on the off-diagonal
             e, c = e + c, 0.0
         elif n == 1:                        # and on the diagonal
             d, c = d + c + c, 0.0
-        return (d, e, c), m, vnode, (False, False)
+        return (d, e, c), m, (False, False), weights
     sl = slice(int(trim[0]), n - int(trim[1]))
-    return (d[sl], -inv[sl][1:], 0.0), m[sl], vnode[sl], tuple(trim)
+    return (d[sl], -inv[sl][1:], 0.0), m[sl], tuple(trim), weights
 
 
 def assemble(grid: GridSpec, fieldv: PotentialField, K: float,
              bc: BoundaryCondition) -> DiscreteOperator:
     """Assemble -Laplacian + K*V on the lattice under the given boundary condition."""
-    if K < 0:
-        raise ParameterError("disorder strength K must be >= 0")
     if fieldv.grid != grid:
         raise ParameterError("field was sampled on a different grid")
+    base, weights = _lattice_pencil(grid, bc)
+    r, ring, trim = grid.nodes_per_cell, bc.kind == "periodic", base.trimmed[0]
+    v = _node_potential(weights, trim, np.repeat(fieldv.cell_values, r, axis=0), ring)
+    if grid.dim == 2:       # v is (active x, cells y): average along y too, then index it [x, y]
+        v = _node_potential(weights, trim, np.repeat(v.T, r, axis=0), ring).T
+    return base._recoupled(K, v.ravel())
+
+
+@lru_cache(maxsize=16)
+def _lattice_pencil(grid: GridSpec, bc: BoundaryCondition):
+    """The lattice pencil of (grid, bc) at K = 0 on a zero field and the node weights of its
+    axis: `assemble` re-couples it with each field's node potential.  One `_axis_1d` build
+    gives the 1D pencil, and the Kronecker sum of two such axes the 2D one.  Its arrays are
+    read-only, since every operator of the lattice shares them."""
     periodic = bc.kind == "periodic"
     if periodic and grid.dim != 1:
         raise ParameterError("periodic conditions are implemented in 1D only")
     if bc.kind == "mixed" and grid.dim != 1:
         raise ParameterError("mixed per-end conditions are 1D only")
-
-    r = grid.nodes_per_cell
-    if grid.dim == 1:
-        base, weights = _lattice_pencil(grid, bc)
-        (lo, hi), = base.trimmed
-        v = _node_potential(weights, _pad(np.repeat(fieldv.cell_values, r), periodic))
-        return base._recoupled(K, v[int(lo):len(v) - int(hi)])
-
     n = grid.nodes_per_axis
-    widths = np.full(n - 1, grid.spacing)
-    ends = bc.end_specs()
-    A, m, v, (lo, hi) = _axis_1d(widths, np.repeat(fieldv.cell_values, r, axis=0), ends,
-                                 0.0)                   # K*V is added after the kron
-    coords = np.linspace(0.0, 1.0, n)[int(lo):n - int(hi)]
-    # v is (active x, cells y); average along y as well, then index it [x, y]
-    v = _axis_1d(widths, np.repeat(v.T, r, axis=0), ends, 0.0)[2].T
-    d, e, _ = A
-    S, M, m2 = sp.diags([e, d, e], [-1, 0, 1]), sp.diags(m), np.multiply.outer(m, m).ravel()
-    A = (sp.kron(S, M) + sp.kron(M, S) + sp.diags(K * v.ravel() * m2)).tocsr()
-    return DiscreteOperator(A, m2, bc, K, (coords, coords), ((lo, hi), (lo, hi)), v.ravel())
-
-
-@lru_cache(maxsize=16)
-def _lattice_pencil(grid: GridSpec, bc: BoundaryCondition):
-    """The 1D lattice pencil of (grid, bc) at K = 0 on a zero field, built once by
-    `_axis_1d`, and its node weights (`_node_weights`): `assemble` re-couples it with each
-    field's node potential.  Its arrays are read-only, since every operator shares them."""
-    periodic = bc.kind == "periodic"
-    n = grid.nodes_per_axis
-    widths = np.full(n - 1, grid.spacing)
-    A, m, v, (lo, hi) = _axis_1d(widths, np.zeros(n - 1), None if periodic else bc.end_specs(),
-                                 0.0)
+    A, m, trim, weights = _axis_1d(np.full(n - 1, grid.spacing),
+                                   None if periodic else bc.end_specs())
     coords = np.linspace(0.0, 1.0, n)
-    coords = coords[:-1] if periodic else coords[int(lo):n - int(hi)]
-    weights = _node_weights(_pad(widths, periodic))
-    for x in (*A[:2], m, v, coords, *weights):
+    coords = coords[:-1] if periodic else coords[int(trim[0]):n - int(trim[1])]
+    if grid.dim == 2:
+        d, e, _ = A
+        S, M = sp.diags([e, d, e], [-1, 0, 1]), sp.diags(m)
+        A, m = sp.kron(S, M) + sp.kron(M, S), np.multiply.outer(m, m).ravel()
+    base = DiscreteOperator(A, m, bc, 0.0, (coords,) * grid.dim, (trim,) * grid.dim,
+                            np.zeros(len(m)))
+    for x in (*(A[:2] if grid.dim == 1 else (A.data, A.indices, A.indptr)), m, base.vnode,
+              coords, *weights):
         x.flags.writeable = False
-    return DiscreteOperator(A, m, bc, 0.0, (coords,), ((lo, hi),), v), weights
+    return base, weights
 
 
 # --- 1D operators on arbitrary cell widths ---------------------------------------
@@ -320,9 +306,10 @@ def _lattice_pencil(grid: GridSpec, bc: BoundaryCondition):
 
 def assemble_ring(widths, values, K: float) -> DiscreteOperator:
     """Periodic 1D operator from cell widths and cell values (sum of widths = circumference)."""
-    A, m, v, trim = _axis_1d(widths, values, None, K)
+    A, m, trim, weights = _axis_1d(widths, None)
     coords = np.concatenate(([0.0], np.cumsum(widths)))[:-1]
-    return DiscreteOperator(A, m, BoundaryCondition.periodic(), float(K), (coords,), (trim,), v)
+    return DiscreteOperator(A, m, BoundaryCondition.periodic(), 0.0, (coords,), (trim,),
+                            _node_potential(weights, trim, values, True))._recoupled(K)
 
 
 def assemble_line(widths, values, K: float, bc: BoundaryCondition) -> DiscreteOperator:
@@ -331,10 +318,11 @@ def assemble_line(widths, values, K: float, bc: BoundaryCondition) -> DiscreteOp
     A line must keep at least one active node: one cell between two Dirichlet walls has
     none and is rejected.
     """
-    A, m, v, (lo, hi) = _axis_1d(widths, values, bc.end_specs(), K)
+    A, m, (lo, hi), weights = _axis_1d(widths, bc.end_specs())
     if not len(m):
         raise ParameterError(f"a line of {len(widths)} cell with Dirichlet walls at both ends "
                              "has no active node")
     coords = np.concatenate(([0.0], np.cumsum(widths)))
     coords = coords[int(lo):len(coords) - int(hi)]
-    return DiscreteOperator(A, m, bc, float(K), (coords,), ((lo, hi),), v)
+    return DiscreteOperator(A, m, bc, 0.0, (coords,), ((lo, hi),),
+                            _node_potential(weights, (lo, hi), values, False))._recoupled(K)

@@ -300,27 +300,20 @@ def _stebz(d, e, rng, vl=0.0, vu=0.0, iu=1, tol=0.0):
 
 
 def _stein(d, e, s, w, iblock, isplit):
-    """(w, modes) sorted by w: inverse-iteration vectors of the tridiagonal (d, e) at its
-    eigenvalues w (`dstein`), mapped back to modes by s."""
+    """(w, modes) in dstebz's block order: inverse-iteration vectors of the tridiagonal
+    (d, e) at its eigenvalues w (`dstein`), mapped back to modes by s; `_pairs` sorts them."""
     vecs, info = sla.lapack.dstein(d, e, w, iblock, isplit)
     if info:
         raise ConvergenceError(f"tridiagonal inverse iteration (dstein) failed: info {info}",
                                residual=None)
-    w, vecs = _ascending(w, vecs)
     return w, vecs * s[:, None]
-
-
-def _ascending(vals, vecs):
-    """vals in ascending order and the columns of vecs in theirs; one pair as it is."""
-    if len(vals) < 2:
-        return vals, vecs
-    order = np.argsort(vals)
-    return vals[order], vecs[:, order]
 
 
 def _pairs(op, vals, vecs):
     """EigenPairs sorted by eigenvalue, each checked against the residual bound."""
-    vals, vecs = _ascending(vals, vecs)
+    if len(vals) > 1:
+        order = np.argsort(vals)
+        vals, vecs = vals[order], vecs[:, order]
     clusters = _assign_clusters(vals)
     pairs = []
     for j in range(len(vals)):

@@ -111,9 +111,9 @@ class PathConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.dt <= 0 or self.t_max <= 0 or self.n_paths < 2:
-            raise ParameterError("dt, t_max must be positive and n_paths >= 2 (a standard "
-                                 "error needs two samples)")
+        if not (0 < self.dt < np.inf and 0 < self.t_max < np.inf) or self.n_paths < 2:
+            raise ParameterError("dt, t_max must be positive and finite and n_paths >= 2 (a "
+                                 "standard error needs two samples)")
 
 
 @dataclass(frozen=True)
@@ -135,7 +135,7 @@ def _start(x, d: int, bc: BoundaryCondition) -> np.ndarray:
     if bc.kind not in ("neumann", "robin", "dirichlet"):
         raise ParameterError(f"estimator supports neumann/robin/dirichlet, not {bc.kind}")
     x0 = np.broadcast_to(np.asarray(x, float), (d,)).copy()
-    if np.any(x0 < 0) or np.any(x0 > 1):
+    if not np.all((0 <= x0) & (x0 <= 1)):   # a NaN probe fails too
         raise ParameterError(f"probe {x0} outside the closed unit domain")
     return x0
 
@@ -300,8 +300,8 @@ def estimate_landscape_mc(x, fieldv: PotentialField, K: float,
     by the stepped walk in 2D."""
     d = fieldv.grid.dim
     x0 = _start(x, d, bc)
-    if K < 0:
-        raise ParameterError("disorder strength K must be >= 0")
+    if not 0 <= K < np.inf:
+        raise ParameterError(f"disorder strength K must be >= 0 and finite, got {K}")
     walk = _hop_walk if d == 1 else _step_walk
     acc, n_truncated, max_truncated_weight = walk(x0, fieldv.cell_values, K, bc, cfg)
     mean = float(acc.mean())

@@ -102,6 +102,28 @@ def test_argument_the_library_rejects_exits_2_without_outputs(tmp_path, monkeypa
     assert calls == []
 
 
+_SMALL_1D, _SMALL_2D = ["n_cells=6"], ["dim=2", "n_cells=3"]
+
+
+@pytest.mark.parametrize("command,settings", [
+    ("fk-check", ["dim=2", "n_cells=6", "probes=[0.5]", "dt=NaN"]),
+    ("fk-check", ["dim=2", "n_cells=6", "probes=[0.5]", "dt=Infinity"]),
+    ("fk-check", ["n_cells=6", "probes=[NaN]"]),
+    ("solve", [*_SMALL_1D, 'bc="robin"', "h=Infinity"]),
+    ("boundary-prob", [*_SMALL_1D, 'bc="robin"', "h=Infinity"]),
+    ("dist-study", ["h_list=[Infinity]"]),
+    *[(command, [*small, f"K={K}"]) for K in ("NaN", "Infinity", "1e400")
+      for command, small in [("solve", _SMALL_1D), ("landscape", _SMALL_1D),
+                             ("multimodal-prob", _SMALL_1D), ("multimodal-prob", _SMALL_2D)]],
+], ids=str)
+def test_a_non_finite_number_is_a_config_error(tmp_path, capsys, command, settings):
+    out = tmp_path / "o"
+    args = [a for s in settings for a in ("--set", s)]
+    assert run_cli(command, *args, "--trials", "2", "--threads", "1", "--out", str(out)) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_import_leaves_scipy_stats_unloaded(tmp_path):
     # scipy.stats alone took about 0.5 s of every command's start-up, and scipy.optimize and
     # scipy.ndimage together about 40% of `import locscape.cli`; no benchmarked command needs

@@ -4,10 +4,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import locscape.operator as operator_mod
-from locscape import (BoundaryCondition, DiscreteOperator, DistributionSpec, GridSpec,
-                      ParameterError, PotentialField, assemble, assemble_line, assemble_ring,
-                      grid_1d, grid_2d, sample_potential, smallest_eigenpairs)
-from conftest import CELLS, assert_same_pencil, cells, dense_eigenpairs
+from locscape import (BoundaryCondition, DistributionSpec, GridSpec, ParameterError,
+                      PotentialField, assemble, assemble_line, assemble_ring, grid_1d, grid_2d,
+                      sample_potential, smallest_eigenpairs)
+from conftest import CELLS, cells, dense_eigenpairs
 from operator_oracles import axis_1d_by_diags, kron_sum_2d
 
 
@@ -114,8 +114,11 @@ def test_periodic_2d_rejected_and_bad_K():
     lambda: BoundaryCondition.mixed("periodic", "neumann"),
     lambda: BoundaryCondition.mixed("neumann", "dirichlet", h_right=2.0),
     lambda: BoundaryCondition("neumann", ends=(("neumann", 0.0), ("neumann", 0.0))),
+    lambda: BoundaryCondition.robin(np.inf),
+    lambda: BoundaryCondition.mixed("robin", "neumann", h_left=np.nan),
 ], ids=["mixed-without-ends", "h-on-neumann", "h-on-dirichlet", "negative-robin-h",
-        "unknown-kind", "periodic-end", "h-on-dirichlet-end", "ends-without-mixed"])
+        "unknown-kind", "periodic-end", "h-on-dirichlet-end", "ends-without-mixed",
+        "infinite-robin-h", "nan-robin-end-h"])
 def test_inconsistent_boundary_condition_rejected(make):
     with pytest.raises(ParameterError):
         make()
@@ -301,32 +304,29 @@ def test_matvec_and_row_sums_are_bit_exact(cell_data, K, ends, k, seed):
     assert np.array_equal(op._abs_row_sums(), np.asarray(abs(A).sum(axis=1)).ravel())
 
 
-# --- re-coupling a pencil assembled at K = 0 -----------------------------------------
+# --- re-coupling a pencil assembled at K = 0: the one step that adds K*V*m ------------
 
-@settings(max_examples=200, deadline=None)
-@given(cells(1), st.one_of(st.just(0.0), st.floats(0.0, 1e6)),
-       st.one_of(st.none(), st.tuples(_END, _END)))
-@example(([1.0], [0.5]), 10.0, None)                          # a ring of 1 node: refused
-@example(([0.3, 1.7], [0.5, 2.0]), 10.0, None)                # a ring of 2 nodes
-@example(([0.3, 1.7, 0.2], [0.5, 2.0, 0.0]), 10.0, None)      # and of 3, with a corner entry
-def test_recoupled_pencil_is_the_pencil_assembled_at_K(cell_data, K, ends):
-    if ends is not None and len(cell_data[0]) == 1 and ends[0][0] == ends[1][0] == "dirichlet":
-        return                              # no active node (test_matvec_and_row_sums_...)
-    base = _build(cell_data, 0.0, ends)
-    if ends is None and base.size == 1:     # its corner folds into d after the K term
-        with pytest.raises(ParameterError, match="ring of one node"):
-            base._recoupled(K)
-        return
-    assert_same_pencil(base._recoupled(K), _build(cell_data, K, ends))
+def test_only_a_pencil_at_K_0_is_recoupled():
+    # a 2D pencil at K = 0 re-couples as a 1D one does; a pencil already coupled is refused
+    grid, bc = grid_2d(4), BoundaryCondition.robin(0.4)
+    fieldv = sample_potential(grid, DistributionSpec.uniform(0.0, 1.0), 3)
+    _assert_same_csr(assemble(grid, fieldv, 0.0, bc)._recoupled(5.0).matrix,
+                     assemble(grid, fieldv, 5.0, bc).matrix)
+    for op in (assemble(grid, fieldv, 5.0, bc), assemble_ring(np.full(5, 0.2), np.ones(5), 3.0)):
+        with pytest.raises(ParameterError, match="only a pencil assembled at K = 0"):
+            op._recoupled(5.0)
 
 
-def test_only_a_1d_pencil_at_K_0_is_recoupled():
-    grid = grid_2d(4)
-    with pytest.raises(ParameterError, match="only a 1D pencil assembled at K = 0"):
-        assemble(grid, _one_field(grid), 0.0, BoundaryCondition.neumann())._recoupled(5.0)
-    ring = assemble_ring(np.full(5, 0.2), np.ones(5), 3.0)
-    with pytest.raises(ParameterError, match="only a 1D pencil assembled at K = 0"):
-        ring._recoupled(5.0)
+@pytest.mark.parametrize("K", [-1.0, np.nan, np.inf])
+@pytest.mark.parametrize("build", [
+    lambda K: assemble(grid_1d(6), _one_field(grid_1d(6)), K, BoundaryCondition.neumann()),
+    lambda K: assemble(grid_2d(4), _one_field(grid_2d(4)), K, BoundaryCondition.dirichlet()),
+    lambda K: assemble_line(np.full(4, 0.25), np.ones(4), K, BoundaryCondition.robin(1.0)),
+    lambda K: assemble_ring(np.full(4, 0.25), np.ones(4), K),
+], ids=["lattice-1d", "lattice-2d", "line", "ring"])
+def test_every_assembly_rejects_a_negative_or_non_finite_K(build, K):
+    with pytest.raises(ParameterError, match="K must be >= 0 and finite"):
+        build(K)
 
 
 # --- the lattice pencil built once per (grid, walls) ---------------------------------
@@ -344,21 +344,35 @@ _LATTICE_BC = st.one_of(
        st.one_of(st.just(0.0), st.floats(0.0, 1e7)), st.data())
 def test_cached_lattice_pencil_assembles_a_fresh_build(n_cells, nodes_per_cell, bc, K, data):
     # every field re-couples the (grid, walls) pencil built once at K = 0: the bits of a
-    # fresh `_axis_1d` build at K, and no operator can write to the arrays they all share
+    # line or ring built afresh on the lattice's widths, and no operator can write to the
+    # arrays they all share, in 1D or 2D
     grid = GridSpec(1, n_cells, nodes_per_cell)
     values = np.array(data.draw(st.lists(st.floats(0.0, 10.0), min_size=n_cells,
                                          max_size=n_cells)))
     op = assemble(grid, PotentialField(grid, values, 0), K, bc)
-    n = grid.nodes_per_axis
-    ends = None if bc.kind == "periodic" else bc.end_specs()
-    A, m, v, (lo, hi) = operator_mod._axis_1d(np.full(n - 1, grid.spacing),
-                                              np.repeat(values, nodes_per_cell), ends, K)
-    coords = np.linspace(0.0, 1.0, n)
-    coords = coords[:-1] if ends is None else coords[int(lo):n - int(hi)]
-    assert_same_pencil(op, DiscreteOperator(A, m, bc, K, (coords,), ((lo, hi),), v))
+    widths, cell_values = np.full(grid.nodes_per_axis - 1, grid.spacing), np.repeat(values,
+                                                                                  nodes_per_cell)
+    fresh = (assemble_ring(widths, cell_values, K) if bc.kind == "periodic"
+             else assemble_line(widths, cell_values, K, bc))
+    bits = lambda x: np.asarray(x, float).tobytes()
+    assert [bits(a) for a in op.A] == [bits(a) for a in fresh.A]
+    assert (bits(op.mass), bits(op.vnode)) == (bits(fresh.mass), bits(fresh.vnode))
+    assert (op.coupling, op.trimmed) == (fresh.coupling, fresh.trimmed)
     other = assemble(grid, PotentialField(grid, values[::-1].copy(), 1), K, bc)
     shared = [op.A[1], op.mass, op.axes[0]] + ([op.A[0]] if K == 0 else [])
     for x, y in zip(shared, [other.A[1], other.mass, other.axes[0], other.A[0]]):
         assert x is y
         with pytest.raises(ValueError, match="read-only"):
             x[0] = 1.0
+    if bc.kind in ("periodic", "mixed"):    # 1D only
+        return
+    grid = GridSpec(2, 3, nodes_per_cell)
+    op, other = (assemble(grid, PotentialField(grid, np.full((3, 3), x), 0), K, bc)
+                 for x in (1.0, 2.0))
+    base = operator_mod._lattice_pencil(grid, bc)[0]
+    for x, y in zip([op.mass, *op.axes], [other.mass, *other.axes]):
+        assert x is y
+    assert op.A is not base.A               # each field's K*V*m goes into its own CSR
+    for x in (op.mass, op.axes[0], base.A.data, base.A.indices, base.A.indptr):
+        with pytest.raises(ValueError, match="read-only"):
+            x[0] = 1

@@ -18,8 +18,9 @@ from walk_oracles import (boundary_value_at, boundary_values, in_cell_hop,
 
 def test_start_point_must_lie_in_domain():
     fieldv = sample_potential(grid_1d(10), DistributionSpec.bernoulli(1.0), 0)
-    with pytest.raises(ParameterError, match="probe .* outside the closed unit domain"):
-        estimate_landscape_mc(-0.1, fieldv, 10.0, BoundaryCondition.neumann(), PathConfig())
+    for x in (-0.1, np.nan):
+        with pytest.raises(ParameterError, match="probe .* outside the closed unit domain"):
+            estimate_landscape_mc(x, fieldv, 10.0, BoundaryCondition.neumann(), PathConfig())
 
 
 def test_a_standard_error_needs_two_paths():
@@ -27,10 +28,18 @@ def test_a_standard_error_needs_two_paths():
         PathConfig(n_paths=1)
 
 
+@pytest.mark.parametrize("settings", [{"dt": np.nan}, {"dt": np.inf}, {"t_max": np.nan},
+                                      {"t_max": np.inf}, {"t_max": 0.0}], ids=str)
+def test_a_walk_needs_a_positive_finite_step_and_horizon(settings):
+    with pytest.raises(ParameterError, match="positive and finite"):
+        PathConfig(**settings)
+
+
 def test_negative_disorder_strength_rejected():
     fieldv = sample_potential(grid_1d(10), DistributionSpec.bernoulli(1.0), 0)
-    with pytest.raises(ParameterError, match="K must be >= 0"):
-        estimate_landscape_mc(0.5, fieldv, -1.0, BoundaryCondition.neumann(), PathConfig())
+    for K in (-1.0, np.nan, np.inf):
+        with pytest.raises(ParameterError, match="K must be >= 0"):
+            estimate_landscape_mc(0.5, fieldv, K, BoundaryCondition.neumann(), PathConfig())
 
 
 def test_constant_potential_estimate_is_exact():
