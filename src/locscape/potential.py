@@ -44,12 +44,19 @@ def grid_2d(n_cells: int, nodes_per_cell: int = 4) -> GridSpec:
     return GridSpec(2, n_cells, nodes_per_cell)
 
 
-# kind -> (parameter count, test of the parameters, what the test demands)
+# kind -> (parameter count, test of the parameters, what the test demands); each test is a
+# chain of comparisons that NaN and the infinite bound fail
 _KINDS = {
     "bernoulli": (1, lambda p: 0.0 <= p <= 1.0, "p in [0, 1]"),
-    "uniform": (2, lambda a, b: 0.0 <= a < b, "0 <= a < b"),
-    "normal": (2, lambda mu, sigma: sigma > 0, "sigma > 0"),
-    "gamma": (2, lambda mu, sigma: mu > 0 and sigma > 0, "mu > 0 and sigma > 0"),
+    "uniform": (2, lambda a, b: 0.0 <= a < b < np.inf, "0 <= a < b < inf"),
+    "normal": (2, lambda mu, sigma: -np.inf < mu < np.inf and 0 < sigma < np.inf,
+               "finite mu and 0 < sigma < inf"),
+    # `sample` draws with shape mu^2/sigma^2 and scale sigma^2/mu, which must not reach 0
+    # or overflow either; a variance of 0 fails before it divides
+    "gamma": (2, lambda mu, sigma: (0 < mu < np.inf and 0 < sigma and 0 < sigma * sigma < np.inf
+                                    and 0 < mu * mu / (sigma * sigma) < np.inf
+                                    and 0 < sigma * sigma / mu < np.inf),
+              "0 < mu < inf and 0 < sigma < inf, with mu^2/sigma^2 and sigma^2/mu in (0, inf)"),
 }
 
 
@@ -109,7 +116,7 @@ class DistributionSpec:
 
 @dataclass(frozen=True)
 class PotentialField:
-    """Realized potential: one nonnegative value per lattice cell.
+    """Realized potential: one nonnegative, finite value per lattice cell.
 
     ``cell_values`` has shape (N,) in 1D or (N, N) in 2D with axis 0 = x.
     """
@@ -124,8 +131,8 @@ class PotentialField:
         expect = (self.grid.cells_per_side,) * self.grid.dim
         if vals.shape != expect:
             raise ParameterError(f"cell_values shape {vals.shape} != {expect}")
-        if np.any(vals < 0):
-            raise ParameterError("cell values must be nonnegative")
+        if not (0 <= vals.min() and vals.max() < np.inf):     # NaN fails as well
+            raise ParameterError("cell values must be nonnegative and finite")
         vals = vals.copy()
         vals.flags.writeable = False
         object.__setattr__(self, "cell_values", vals)

@@ -6,32 +6,35 @@ written A = T' + c w w^T with w = e_0 + e_{n-1}: T' drops both corner entries an
 |c| to its two end diagonals, which keeps it SPD whenever A is, and each solve is one
 `pttrs` plus a Sherman-Morrison correction.  2D operators are factored by SuperLU.
 `_factor` is the one place that factors A, or in 1D A - sigma M; it serves `solve_linear`,
-the ground pair of a ring and shift-invert Lanczos (ARPACK in standard mode) for the other
-eigenpairs of rings and 2D operators.  Every solve `solve_linear` accepts also passes its
-certificate that A is not singular to working precision.
+the ground pair of every 1D pencil and shift-invert Lanczos (ARPACK in standard mode) for
+the other eigenpairs of rings and 2D operators.  Every solve `solve_linear` accepts also
+passes its certificate that A is not singular to working precision.
 
-Non-periodic 1D pencils get their eigenpairs from LAPACK's tridiagonal routines instead,
+The ground pair (k = 1) of every 1D pencil, line or ring, comes from certified shifted
+inverse iteration on its own factor, started from x = A^{-1} M 1.  Each step takes the
+Rayleigh quotient rho and eta = ||A x - rho M x||_{M^-1} / ||x||_M, so that some eigenvalue
+lies in [rho - eta, rho + eta], and tol = max(1e-10 max(1, rho), the round-off floor of eta).
+A factor of A - sigma M at sigma = rho - max(eta, tol) whose LDL^T pivots (and, on a ring,
+Sherman-Morrison denominator) are all positive proves, as a Sturm count does, that
+lambda_1 > sigma (to within that floor; see `_factor`), and the next solve uses the last
+shift so proven.  Below the floor a factor proves nothing, so a shift proposed there is
+raised to the floor.  A factor that fails proves lambda_1 < sigma, so the eigenvalue in
+[rho - eta, rho + eta] is a higher one, and inverse iteration far below lambda_1 turns the
+iterate away from it slowly when lambda_1 / lambda_2 is near 1.  The step then factors at
+the midpoint of (last proven shift, least failed shift), so each overshoot at least halves
+the bracket on lambda_1.  Once eta <= tol at a proven shift of at least rho - tol,
+|lambda_1 - rho| <= tol up to the floor: the eigenvalue is the ground one.  One more solve at
+that shift polishes the vector, and the pair must still meet the residual bound.  A pencil
+not certified within _GROUND_STEPS steps falls through: a ring to Lanczos, a line to the
+tridiagonal route below.
+
+Other eigenpairs of non-periodic 1D pencils come from LAPACK's tridiagonal routines,
 called directly: Sturm bisection (`dstebz`) for the eigenvalues and inverse iteration
-(`dstein`) for the vectors.  `ground_cluster` asks bisection only for the ground cluster
-that a multimodality trial reads: lambda_1 alone, then one Sturm count to show whether any
-other eigenvalue lies within DEGENERACY_RTOL of it.  No 1D path reads A as CSR.
-
-A ring's ground pair (k = 1) comes from certified shifted inverse iteration on its own
-factor, started from x = A^{-1} M 1.  Each step takes the Rayleigh quotient rho and
-eta = ||A x - rho M x||_{M^-1} / ||x||_M, so that some eigenvalue lies in
-[rho - eta, rho + eta], and tol = max(1e-10 max(1, rho), the round-off floor of eta).  A
-factor of A - sigma M at sigma = rho - max(eta, tol) whose LDL^T pivots and Sherman-Morrison
-denominator are all positive proves, as a Sturm count does, that lambda_1 > sigma (to within
-that floor; see `_factor`), and the next solve uses the last shift so proven.  Below the
-floor a factor proves nothing, so a shift proposed there is raised to the floor.  A factor
-that fails proves lambda_1 < sigma, so the eigenvalue in [rho - eta, rho + eta] is a higher
-one, and inverse iteration far below lambda_1 turns the iterate away from it slowly when
-lambda_1 / lambda_2 is near 1.  The step then factors at the midpoint of (last proven shift,
-least failed shift), so each overshoot at least halves the bracket on lambda_1.  Once
-eta <= tol at a proven shift of at least rho - tol, |lambda_1 - rho| <= tol up to the floor:
-the eigenvalue is the ground one.  One more solve at that shift polishes the vector, and the
-pair must still meet the residual bound.  A ring not certified within _RING_STEPS steps
-falls through to Lanczos.
+(`dstein`) for the vectors.  A line takes that route for its ground pair only when its
+factor at shift 0 is singular (reflecting walls with K V = 0) or the iteration is not
+certified.  `ground_cluster` runs one Sturm count about lambda_1 to show whether any other
+eigenvalue lies within DEGENERACY_RTOL of it, and bisects for the members only when one
+does.  No 1D path reads A as CSR.
 """
 
 import math
@@ -48,8 +51,8 @@ from .rng import stream
 EIG_TOL = 1e-8        # eigenpair residual bound, relative to max(1, |lambda|)
 SOLVE_TOL = 1e-10     # linear-solve residual bound, relative to ||A|| ||w|| + ||M rhs||
 MAX_ITER = 10_000
-_RING_STEPS = 30      # shifted inverse-iteration steps for a ring's ground pair
-_RING_RTOL = 1e-10    # its certificate: eigenvalue within _RING_RTOL max(1, |lambda|)
+_GROUND_STEPS = 30    # shifted inverse-iteration steps for a 1D ground pair
+_GROUND_RTOL = 1e-10  # its certificate: eigenvalue within _GROUND_RTOL max(1, |lambda|)
 DEGENERACY_RTOL = 1e-6
 _EPS = np.finfo(float).eps
 
@@ -88,18 +91,18 @@ def _factor(op: DiscreteOperator, shift: float = 0.0):
 
     A matrix that is not positive definite raises SingularOperatorError: reflecting or
     periodic walls with K V = 0, a pivot or Sherman-Morrison denominator that is not
-    positive, or an exactly singular SuperLU factor.  In 1D a factor that returns at a shift
-    at or above the round-off floor f = 8 eps max_i(sum_j |A_ij| / m_i) of
-    `_ring_ground_pair` is thus a proof, as a Sturm count is, that every eigenvalue of the
-    pencil exceeds the shift, to within f: the pivots' round-off acts as a perturbation of
-    A - shift M smaller than f M, so a factor can return at a shift up to a fraction of f
-    above lambda_1.  Below the floor it proves nothing: round-off can leave every pivot and
-    the denominator positive although A - shift M is indefinite, as for a ring with K V = 0
-    at shifts of 1e-20 to 1e-17 of the floor, so no caller asks for such a shift.  The K V = 0
-    check runs at shift 0 only, where A is singular and round-off can leave every pivot
-    positive.  At a shift at or above the floor, A - shift M of such an operator has the
-    eigenvalue -shift, and a pivot or the denominator is not positive, so the factor raises
-    without the check.
+    positive, or an exactly singular SuperLU factor.  A LAPACK call that reports an invalid
+    argument (info < 0) raises ConvergenceError naming the routine.  In 1D, line or ring, a
+    factor that returns at a shift at or above the round-off floor `_floor` is thus a proof,
+    as a Sturm count is, that every eigenvalue of the pencil exceeds the shift, to within
+    the floor f: the pivots' round-off acts as a perturbation of A - shift M smaller than
+    f M, so a factor can return at a shift up to a fraction of f above lambda_1.  Below the
+    floor it proves nothing: round-off can leave every pivot and the denominator positive
+    although A - shift M is indefinite, as for a ring with K V = 0 at shifts of 1e-20 to
+    1e-17 of the floor, so no caller asks for such a shift.  The K V = 0 check runs at
+    shift 0 only, where A is singular and round-off can leave every pivot positive.  At a
+    shift at or above the floor, A - shift M of such an operator has the eigenvalue -shift,
+    and a pivot or the denominator is not positive, so the factor raises without the check.
     """
     if (not shift and op.bc.kind in ("neumann", "periodic")
             and (op.coupling * op.vnode).max() == 0.0):
@@ -120,11 +123,21 @@ def _factor(op: DiscreteOperator, shift: float = 0.0):
     if info > 0:
         raise SingularOperatorError(
             f"operator is not positive definite: LDL^T pivot {info} is not > 0")
+    if info:
+        raise ConvergenceError(f"LDL^T factorization (dpttrf) failed: info {info}",
+                               residual=None)
+
+    def pttrs(b):
+        x, info = sla.lapack.dpttrs(d, e, b)
+        if info:
+            raise ConvergenceError(f"LDL^T solve (dpttrs) failed: info {info}", residual=None)
+        return x
+
     if not c:
-        return lambda b: sla.lapack.dpttrs(d, e, b)[0]
+        return pttrs
     w = np.zeros(len(d))
     w[0] = w[-1] = 1.0
-    z = sla.lapack.dpttrs(d, e, w)[0]       # T'^{-1} w
+    z = pttrs(w)                            # T'^{-1} w
     denom = 1.0 + c * (z[0] + z[-1])        # Sherman-Morrison: A is SPD iff this is positive
     if not denom > 0.0:
         raise SingularOperatorError(
@@ -132,20 +145,25 @@ def _factor(op: DiscreteOperator, shift: float = 0.0):
     z *= c / denom
 
     def solve(b):
-        y = sla.lapack.dpttrs(d, e, b)[0]
+        y = pttrs(b)
         return y - (y[0] + y[-1]) * z
 
     return solve
 
 
-def _ring_ground_pair(op: DiscreteOperator, solve):
-    """The ground pair of a ring by certified shifted inverse iteration, or None when
-    _RING_STEPS steps do not certify one; ``solve`` is A^{-1} from `_factor` (see
-    `smallest_eigenpairs`)."""
-    # the round-off in eta: its floor where a ring's cells are short or K V m is small
-    noise = 8 * _EPS * np.max(op._abs_row_sums() / op.mass)
+def _floor(op: DiscreteOperator) -> float:
+    """The round-off floor 8 eps max_i(sum_j |A_ij| / m_i) of a 1D factor's certificate and
+    of eta, which dominates where cells are short or K V m is small."""
+    return 8 * _EPS * np.max(op._abs_row_sums() / op.mass)
+
+
+def _ground_pair(op: DiscreteOperator, solve):
+    """The ground pair of a 1D pencil by certified shifted inverse iteration, or None when
+    _GROUND_STEPS steps do not certify one; ``solve`` is A^{-1} from `_factor` (see the
+    module docstring)."""
+    noise = _floor(op)
     x, shift, upper, certified = solve(op.mass), 0.0, math.inf, False     # A^{-1} M 1
-    for _ in range(_RING_STEPS):
+    for _ in range(_GROUND_STEPS):
         x /= math.sqrt(x @ (op.mass * x))   # ||x||_M = 1
         Mx = op.mass * x
         Ax = op._matvec(x)
@@ -157,7 +175,7 @@ def _ring_ground_pair(op: DiscreteOperator, solve):
                 pass
         r = Ax - rho * Mx
         eta = math.sqrt(r @ (r / op.mass))  # some eigenvalue lies in [rho - eta, rho + eta]
-        tol = max(_RING_RTOL * max(1.0, rho), noise)
+        tol = max(_GROUND_RTOL * max(1.0, rho), noise)
         sigma = rho - max(eta, tol)
         if sigma > shift:
             for trial in (sigma, 0.5 * (shift + min(sigma, upper))):
@@ -175,25 +193,37 @@ def _ring_ground_pair(op: DiscreteOperator, solve):
     return None
 
 
+def _line_ground_pair(op: DiscreteOperator):
+    """The certified ground pair of a non-periodic 1D pencil, or None when its factor at
+    shift 0 is singular (reflecting walls with K V = 0, where lambda_1 = 0) or the iteration
+    is not certified: either way the caller bisects."""
+    try:
+        solve = _factor(op)
+    except SingularOperatorError:
+        return None
+    return _ground_pair(op, solve)
+
+
 def smallest_eigenpairs(op: DiscreteOperator, k: int) -> list[EigenPair]:
     """The k smallest eigenpairs of A u = lambda M u, eigenvalues non-decreasing.
 
-    Non-periodic 1D pencils are tridiagonal with diagonal M, so they are solved
-    directly on M^{-1/2} A M^{-1/2}: bisection (`dstebz`) for the k eigenvalues, then
-    inverse iteration (`dstein`) for their vectors.  A ring's ground pair (k = 1) is
-    certified shifted inverse iteration on the ring's LDL^T factor (module docstring): each
-    step proves a shift below lambda_1 by factoring at it, or bisects the bracket on
-    lambda_1 when that factor fails, and the pair is returned once its
-    eigenvalue is certified to lie within 1e-10 max(1, lambda) of lambda_1 (or the round-off
-    floor of its residual) and it meets the residual bound.  A ring not certified within
-    _RING_STEPS steps, a ring with k > 1 and a 2D operator use shift-invert Lanczos at
-    shift 0: ARPACK in standard mode on
+    The ground pair (k = 1) of every 1D pencil, line or ring, is certified shifted inverse
+    iteration on its LDL^T factor (module docstring): each step proves a shift below
+    lambda_1 by factoring at it, or bisects the bracket on lambda_1 when that factor fails,
+    and the pair is returned once its eigenvalue is certified to lie within
+    1e-10 max(1, lambda) of lambda_1 (or the round-off floor of its residual) and it meets
+    the residual bound.  Non-periodic 1D pencils are tridiagonal with diagonal M, so a line
+    with k > 1, a line whose factor at shift 0 is singular and a line not certified within
+    _GROUND_STEPS steps are solved directly on M^{-1/2} A M^{-1/2}: bisection (`dstebz`) for
+    the k eigenvalues, then inverse iteration (`dstein`) for their vectors.  A ring not
+    certified within _GROUND_STEPS steps, a ring with k > 1 and a 2D operator use
+    shift-invert Lanczos at shift 0: ARPACK in standard mode on
     x -> M^{1/2} A^{-1} M^{1/2} x, with A^{-1} from `_factor`, started from a vector
     drawn from a fixed counter-based stream; its eigenvalues theta give lambda = 1/theta,
     and its vectors y give u = M^{-1/2} y.  While a pair misses the residual bound (up to
     five times), one more solve per pair, A^{-1} M u, and Rayleigh-Ritz on those k vectors
-    refine them.  A singular operator raises SingularOperatorError.  Every route is
-    deterministic, and the contract is the residual bound, not the method.
+    refine them.  A singular ring or 2D operator raises SingularOperatorError.  Every route
+    is deterministic, and the contract is the residual bound, not the method.
     """
     n = op.size
     if k < 1:
@@ -201,12 +231,15 @@ def smallest_eigenpairs(op: DiscreteOperator, k: int) -> list[EigenPair]:
     if k >= n:
         raise ParameterError(f"k={k} too large for operator of dimension {n}")
     if op.dim == 1 and op.bc.kind != "periodic":
+        pairs = _line_ground_pair(op) if k == 1 else None
+        if pairs:
+            return pairs
         d, e, s = _scaled_tridiagonal(op)
         w, iblock, isplit = _stebz(d, e, 2, iu=k)
         return _pairs(op, *_stein(d, e, s, w, iblock, isplit))
     solve = _factor(op)
     if k == 1 and op.dim == 1:
-        pairs = _ring_ground_pair(op, solve)
+        pairs = _ground_pair(op, solve)
         if pairs:
             return pairs
     root_m = np.sqrt(op.mass)
@@ -246,12 +279,15 @@ def ground_cluster(op: DiscreteOperator) -> list[EigenPair]:
 
     A member is any lambda with |lambda - lambda_1| < DEGENERACY_RTOL |lambda|, the rule that
     gives every pair its ``cluster`` label, so the members are the pairs of cluster 0.  A
-    non-periodic 1D pencil is solved by bisection for lambda_1 alone (`dstebz`), then one
-    Sturm count on the bracket (lambda_1 (1 - rtol), lambda_1 / (1 - rtol)], widened by the
-    bisection's absolute tolerance; only when it holds more than lambda_1 does a second
-    bisection on it find the members.  `dstein` computes vectors for the members only.
-    Rings and 2D operators take the ground cluster of smallest_eigenpairs(op, 3).  Every
-    returned pair meets the residual bound of `smallest_eigenpairs`.
+    non-periodic 1D pencil takes lambda_1 and its mode from the certified iteration of
+    `smallest_eigenpairs` (or, where that route falls back, from bisection for lambda_1
+    alone, `dstebz`), then runs one Sturm count on the bracket
+    (lambda_1 (1 - rtol), lambda_1 / (1 - rtol)], widened by the bisection's absolute
+    tolerance and by the certificate's bound on lambda_1.  When the count is 1 the ground
+    pair is the cluster; only when it holds more does a bisection on the bracket find the
+    members, and `dstein` computes vectors for the members only.  Rings and 2D operators
+    take the ground cluster of smallest_eigenpairs(op, 3).  Every returned pair meets the
+    residual bound of `smallest_eigenpairs`.
     """
     if op.dim != 1 or op.bc.kind == "periodic":
         pairs = smallest_eigenpairs(op, 3)
@@ -259,19 +295,28 @@ def ground_cluster(op: DiscreteOperator) -> list[EigenPair]:
     if op.size < 2:
         raise ParameterError(f"ground_cluster needs an operator of dimension >= 2, got {op.size}")
     d, e, s = _scaled_tridiagonal(op)
-    w, iblock, isplit = _stebz(d, e, 2, iu=1)
-    lam, rtol = w[0], DEGENERACY_RTOL
-    # dstebz's absolute tolerance: ulp times the Gerschgorin bound of the spectrum
+    pairs = _line_ground_pair(op)
+    if pairs:                               # certified: |lambda_1 - lam| <= slack
+        lam = pairs[0].eigenvalue
+        slack = max(_GROUND_RTOL * max(1.0, lam), _floor(op))
+    else:
+        w, iblock, isplit = _stebz(d, e, 2, iu=1)
+        lam, slack = w[0], 0.0
+    rtol = DEGENERACY_RTOL
+    # the bracket's margin: dstebz's absolute tolerance, ulp times the Gerschgorin bound of
+    # the spectrum, plus the certificate's bound
     r = np.abs(d)
     r[:-1] += np.abs(e)
     r[1:] += np.abs(e)
-    atol = _EPS * r.max()
+    atol = _EPS * r.max() + slack
     vl = lam - rtol * abs(lam) - atol
     vu = lam + rtol / (1.0 - rtol) * abs(lam) + atol
     count = len(_stebz(d, e, 1, vl, vu, tol=np.inf)[0])   # an infinite tol only counts
     if count < 1:
         raise ConvergenceError(f"Sturm count found no eigenvalue in ({vl:.17g}, {vu:.17g}] "
                                f"about lambda_1 = {lam:.17g}", residual=None)
+    if count == 1 and pairs:
+        return pairs
     if count > 1:
         w, iblock, isplit = _stebz(d, e, 1, vl, vu)
         order = np.argsort(w)

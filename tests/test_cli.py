@@ -112,6 +112,11 @@ _SMALL_1D, _SMALL_2D = ["n_cells=6"], ["dim=2", "n_cells=3"]
     ("solve", [*_SMALL_1D, 'bc="robin"', "h=Infinity"]),
     ("boundary-prob", [*_SMALL_1D, 'bc="robin"', "h=Infinity"]),
     ("dist-study", ["h_list=[Infinity]"]),
+    ("multimodal-prob", [*_SMALL_1D, 'dist="uniform"', "dist_params=[0.0,Infinity]"]),
+    ("potential", [*_SMALL_1D, 'dist="normal"', "dist_params=[NaN,1.0]"]),
+    ("potential", [*_SMALL_1D, 'dist="normal"', "dist_params=[0.5,Infinity]"]),
+    ("solve", [*_SMALL_1D, 'dist="gamma"', "dist_params=[Infinity,1.0]"]),
+    ("potential", [*_SMALL_1D, 'dist="gamma"', "dist_params=[1e200,1e-200]"]),  # sigma^2 -> 0
     *[(command, [*small, f"K={K}"]) for K in ("NaN", "Infinity", "1e400")
       for command, small in [("solve", _SMALL_1D), ("landscape", _SMALL_1D),
                              ("multimodal-prob", _SMALL_1D), ("multimodal-prob", _SMALL_2D)]],

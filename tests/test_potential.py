@@ -44,6 +44,17 @@ def test_sampling_is_deterministic_in_seed():
     lambda: DistributionSpec.uniform(0.7, 0.7),
     lambda: DistributionSpec.normal(0.5, 0.0),
     lambda: DistributionSpec.gamma(0.5, -1.0),
+    # NaN and infinite parameters fail every test
+    lambda: DistributionSpec.bernoulli(float("nan")),
+    lambda: DistributionSpec.uniform(0.0, float("inf")),
+    lambda: DistributionSpec.uniform(float("nan"), 1.0),
+    lambda: DistributionSpec.normal(float("nan"), 1.0),
+    lambda: DistributionSpec.normal(float("-inf"), 1.0),
+    lambda: DistributionSpec.normal(0.5, float("inf")),
+    lambda: DistributionSpec.gamma(float("inf"), 1.0),
+    lambda: DistributionSpec.gamma(0.5, float("nan")),
+    lambda: DistributionSpec.gamma(1e200, 1e-200),      # sigma^2 underflows to 0
+    lambda: DistributionSpec.gamma(1e-200, 1e200),      # the scale overflows
 ])
 def test_invalid_distribution_parameters(bad):
     with pytest.raises(ParameterError):
@@ -190,7 +201,9 @@ def test_save_load_roundtrip_property(tmp_path_factory, fieldv):
     "1 4 2\n0.0\n1.0\n0.0\n1.0\n",                        # header without seed and dist
     "1 4 2 7 bernoulli 0.5\n0.0\n1.0\n0.0\n",              # 3 values for 4 cells
     "1 4 2 7 frob 1.0\n0.0\n1.0\n0.0\n1.0\n",             # unknown distribution
-], ids=["short-header", "value-count", "unknown-dist"])
+    "1 4 2 7 raw\n0.0\ninf\n0.0\n1.0\n",                    # an infinite cell value
+    "1 4 2 7 raw\n0.0\nnan\n0.0\n1.0\n",                    # a NaN cell value
+], ids=["short-header", "value-count", "unknown-dist", "infinite-cell", "nan-cell"])
 def test_malformed_potential_file_is_a_parameter_error(tmp_path, text):
     path = tmp_path / "bad.txt"
     path.write_text(text)

@@ -231,7 +231,7 @@ def test_singular_pencil_past_the_neumann_check_rejected(grid, bc):
 
 
 def _floor(op):
-    """The round-off floor of `_ring_ground_pair`: 8 eps max_i(sum_j |A_ij| / m_i)."""
+    """The round-off floor of `_ground_pair`: 8 eps max_i(sum_j |A_ij| / m_i)."""
     return 8 * np.finfo(float).eps * np.max(op._abs_row_sums() / op.mass)
 
 
@@ -379,6 +379,52 @@ def test_tridiagonal_branch_on_nonuniform_line(monkeypatch):
     _assert_matches_oracle(op, smallest_eigenpairs(op, 4))
 
 
+@st.composite
+def _line_cases(draw):
+    """A random 1D line under any non-periodic walls, its values scaled by 10**uniform(-200, 1)
+    in about half the draws, with K = 0 or K in [1e-6, 1e7], log-uniform."""
+    grid = GridSpec(1, draw(st.integers(2, 20)), draw(st.integers(2, 8)))
+    fieldv = sample_potential(grid, draw(FIELD_DISTS), draw(st.integers(0, 2**32)))
+    fieldv = replace(fieldv, cell_values=fieldv.cell_values * 10.0 ** draw(_LOG_SCALE))
+    K = draw(st.one_of(st.just(0.0), st.floats(-6.0, 7.0).map(lambda t: 10.0 ** t)))
+    return assemble(grid, fieldv, K, draw(_LINE_BC))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_line_cases())
+def test_line_ground_pair_matches_dense_and_bisection(op):
+    # the certified iteration's lambda_1 (bisection's where the line's factor is singular or
+    # the iteration is not certified) agrees with the dense and the bisected lambda_1 to
+    # within its certificate, 1e-10 max(1, lambda), plus the round-off floor
+    lam_dense = scipy.linalg.eigh(op.matrix.toarray(), np.diag(op.mass), eigvals_only=True)[0]
+    d, e, _ = solver._scaled_tridiagonal(op)
+    lam_bisected = solver._stebz(d, e, 2, iu=1)[0][0]
+    (pair,) = smallest_eigenpairs(op, 1)
+    tol = 1e-10 * max(1.0, abs(lam_dense)) + _floor(op)
+    assert abs(pair.eigenvalue - lam_dense) <= tol
+    assert abs(pair.eigenvalue - lam_bisected) <= tol
+    assert pair.residual <= solver.EIG_TOL * max(1.0, abs(pair.eigenvalue))
+
+
+@pytest.mark.parametrize("bc", [
+    BoundaryCondition.neumann(),
+    BoundaryCondition.robin(0.0),
+    BoundaryCondition.mixed("neumann", "neumann"),
+], ids=["neumann", "robin-h0", "mixed-neumann-neumann"])
+@pytest.mark.parametrize("K, p", [(0.0, 0.5), (5.0, 0.0)], ids=["K0", "V0"])
+def test_reflecting_line_with_zero_potential_term_has_lambda_1_zero(bc, K, p):
+    # A is singular, so the line's factor at shift 0 fails, by the K V = 0 check or at a
+    # pivot; the line falls back to bisection, which finds lambda_1 = 0 and a constant mode
+    grid = grid_1d(10)
+    op = assemble(grid, sample_potential(grid, DistributionSpec.bernoulli(p), 0), K, bc)
+    with pytest.raises(SingularOperatorError):
+        solver._factor(op)
+    for pairs in (smallest_eigenpairs(op, 1), solver.ground_cluster(op)):
+        (pair,) = pairs
+        assert abs(pair.eigenvalue) <= _floor(op)
+        assert np.ptp(pair.mode) <= 1e-12 and pair.mode.max() == 1.0
+
+
 def test_degenerate_criterion_6_trial_solves():
     # trial 150 of the criterion-6 Dirichlet ensemble: six interior zero runs of two cells
     # give a cluster degenerate to round-off, where shift-invert Lanczos missed the residual
@@ -488,7 +534,7 @@ def test_ring_solves_match_dense_solves(op, seed):
 
 
 @settings(max_examples=200, deadline=None)
-@given(_ring_cases())
+@given(st.one_of(_ring_cases(), _line_cases()))     # the one iteration serves lines too
 @example(_RING_NEAR_THE_FLOOR)
 def test_ring_iteration_never_factors_below_the_floor(op):
     shifts, factor = [], solver._factor
@@ -502,7 +548,7 @@ def test_ring_iteration_never_factors_below_the_floor(op):
     except SingularOperatorError:           # singular to working precision: no iteration
         return
     with mock.patch.object(solver, "_factor", recording_factor):
-        solver._ring_ground_pair(op, solve)
+        solver._ground_pair(op, solve)
     assert all(shift >= _floor(op) for shift in shifts)
 
 
@@ -530,7 +576,7 @@ def test_ring_iteration_never_certifies_an_excited_pair():
     op = assemble_ring(np.full(40, 0.025), np.random.default_rng(6).uniform(0.0, 1.0, 40), 300.0)
     (lam1, _), (lam2, u2) = dense_eigenpairs(op, 2)
     solve, starts = solver._factor(op), [u2]
-    pairs = solver._ring_ground_pair(op, lambda b: starts.pop().copy() if starts else solve(b))
+    pairs = solver._ground_pair(op, lambda b: starts.pop().copy() if starts else solve(b))
     assert pairs is None or abs(pairs[0].eigenvalue - lam1) <= 1e-10 * lam1
 
 
@@ -538,13 +584,32 @@ def test_ring_iteration_never_certifies_an_excited_pair():
 def test_ring_ground_pair_past_the_step_cap_falls_through_to_lanczos(steps, monkeypatch):
     # the toy ring's ground pair takes 5 to 8 steps to certify, so a cap of 0 or 2 hands
     # it to shift-invert Lanczos, which must still meet the bound
-    monkeypatch.setattr(solver, "_RING_STEPS", steps)
+    monkeypatch.setattr(solver, "_GROUND_STEPS", steps)
     calls = []
     _recording(monkeypatch, calls, "eigsh")
     op = toy_operator(REFERENCE_PARAMS, 700.0, nodes_per_unit=200)
     _assert_matches_oracle(op, smallest_eigenpairs(op, 1))
     assert [call[0] for call in calls] == ["eigsh"]
     _assert_arpack_factors_nothing(calls[0])
+
+
+@pytest.mark.parametrize("steps", [0, 2])
+def test_line_ground_pair_past_the_step_cap_falls_through_to_bisection(steps, strong_disorder_1d,
+                                                                        monkeypatch):
+    # the line's ground pair takes 5 or more steps to certify, so a cap of 0 or 2 hands it
+    # to bisection for lambda_1 and dstein for its vector, which must still meet the bound
+    grid, fieldv, K, bc = strong_disorder_1d
+    monkeypatch.setattr(solver, "_GROUND_STEPS", steps)
+    calls = []
+    _recording(monkeypatch, calls, "dstebz", solver.sla.lapack)
+    _recording(monkeypatch, calls, "dstein", solver.sla.lapack)
+    op = assemble(grid, fieldv, K, bc)
+    _assert_matches_oracle(op, smallest_eigenpairs(op, 1))
+    assert [name for name, *_ in calls] == ["dstebz", "dstein"]
+    assert calls[0][1][2] == 2              # RANGE='I': lambda_1 by bisection
+    calls.clear()
+    _assert_matches_oracle(op, solver.ground_cluster(op))
+    assert [name for name, *_ in calls] == ["dstebz", "dstebz", "dstein"]
 
 
 @pytest.mark.parametrize("op", [
@@ -632,15 +697,16 @@ def _multimodal_trial(trial, bc=BoundaryCondition.dirichlet()):
 @pytest.mark.parametrize("trial, members", [(0, 1), (150, 3)], ids=["singleton", "six-fold"])
 def test_multimodal_trial_bisects_once_and_solves_only_the_members(trial, members,
                                                                    monkeypatch):
-    # one full-range bisection for lambda_1, one Sturm count of its bracket, a second
-    # bisection only when the count shows company, and dstein vectors for the members only
+    # lambda_1 from the certified iteration, never a full-range bisection; one Sturm count of
+    # its bracket; a bisection only when the count shows company, and dstein vectors for the
+    # members only, so none for a singleton, whose pair is the iteration's
     calls = []
     _recording(monkeypatch, calls, "dstebz", solver.sla.lapack)
     _recording(monkeypatch, calls, "dstein", solver.sla.lapack)
     assert not _multimodal_trial(trial).failed
     stebz = [(a[2], a[7]) for name, a, _ in calls if name == "dstebz"]     # (range, tol)
-    assert stebz == [(2, 0.0), (1, np.inf)] + [(1, 0.0)] * (members > 1)
-    assert [len(a[2]) for name, a, _ in calls if name == "dstein"] == [members]
+    assert stebz == [(1, np.inf)] + [(1, 0.0)] * (members > 1)
+    assert [len(a[2]) for name, a, _ in calls if name == "dstein"] == [members] * (members > 1)
 
 
 def test_periodic_multimodal_trial_runs_shift_invert_once(monkeypatch):
@@ -651,15 +717,28 @@ def test_periodic_multimodal_trial_runs_shift_invert_once(monkeypatch):
     _assert_arpack_factors_nothing(calls[0])
 
 
-@pytest.mark.parametrize("name", ["dstebz", "dstein"])
+# the coupling at which a Neumann line's route calls each routine: the LDL^T factor serves
+# every line with K V > 0, and the tridiagonal routines serve the singular K V = 0 line
+_ROUTE_K = {"dpttrf": 5e4, "dpttrs": 5e4, "dstebz": 0.0, "dstein": 0.0}
+
+
+@pytest.mark.parametrize("name", ["dstebz", "dstein", "dpttrf", "dpttrs"])
 @pytest.mark.parametrize("predicate", ["boundary", "multimodal"])
 def test_tridiagonal_lapack_failure_is_a_failed_trial(name, predicate, monkeypatch):
-    real = getattr(solver.sla.lapack, name)
-    monkeypatch.setattr(solver.sla.lapack, name, lambda *a: (*real(*a)[:-1], 1))   # info 1
-    spec = ExperimentSpec(grid_1d(20), DistributionSpec.bernoulli(0.5), 5e4,
+    # a factor's failure is an invalid-argument info < 0; info > 0 from dpttrf is its proof
+    # that the matrix is not positive definite
+    real, calls = getattr(solver.sla.lapack, name), []
+    info = -1 if name.startswith("dpt") else 1
+    monkeypatch.setattr(solver.sla.lapack, name,
+                        lambda *a: calls.append(name) or (*real(*a)[:-1], info))
+    spec = ExperimentSpec(grid_1d(20), DistributionSpec.bernoulli(0.5), _ROUTE_K[name],
                           BoundaryCondition.neumann(), 1, 7, predicate)
     record = experiments.run_trial(spec, 0)
+    assert calls, f"the {predicate} trial's route does not call {name}"
     assert record.failed and np.isnan(record.eigenvalue)
+    op = assemble(spec.grid, sample_potential(spec.grid, spec.dist, 7), spec.K, spec.bc)
     with pytest.raises(ConvergenceError, match=name):
-        solver.ground_cluster(assemble(spec.grid, sample_potential(spec.grid, spec.dist, 7),
-                                       spec.K, spec.bc))
+        if predicate == "multimodal":
+            solver.ground_cluster(op)
+        else:
+            smallest_eigenpairs(op, 1)
