@@ -14,17 +14,31 @@ The ground pair (k = 1) of every 1D pencil, line or ring, comes from certified s
 inverse iteration on its own factor, started from x = A^{-1} M 1.  Each step takes the
 Rayleigh quotient rho and eta = ||A x - rho M x||_{M^-1} / ||x||_M, so that some eigenvalue
 lies in [rho - eta, rho + eta], and tol = max(1e-10 max(1, rho), the round-off floor of eta).
-A factor of A - sigma M at sigma = rho - max(eta, tol) whose LDL^T pivots (and, on a ring,
-Sherman-Morrison denominator) are all positive proves, as a Sturm count does, that
-lambda_1 > sigma (to within that floor; see `_factor`), and the next solve uses the last
-shift so proven.  Below the floor a factor proves nothing, so a shift proposed there is
-raised to the floor.  A factor that fails proves lambda_1 < sigma, so the eigenvalue in
-[rho - eta, rho + eta] is a higher one, and inverse iteration far below lambda_1 turns the
-iterate away from it slowly when lambda_1 / lambda_2 is near 1.  The step then factors at
-the midpoint of (last proven shift, least failed shift), so each overshoot at least halves
-the bracket on lambda_1.  Once eta <= tol at a proven shift of at least rho - tol,
-|lambda_1 - rho| <= tol up to the floor: the eigenvalue is the ground one.  One more solve at
-that shift polishes the vector, and the pair must still meet the residual bound.  A pencil
+A factor of A - sigma M whose LDL^T pivots (and, on a ring, Sherman-Morrison denominator)
+are all positive proves, as a Sturm count does, that lambda_1 > sigma (to within that floor;
+see `_factor`), and the next solve uses the last shift so proven.  While rho - max(eta, tol)
+lies above that shift, a step proposes up to three shifts in this order and keeps the first
+whose factor returns:
+
+1. rho - max(8 eta^2 / g, tol), after the Kato-Temple inequality
+   rho - lambda_1 <= eta^2 / (lambda_2 - rho).  g = (rho - s)(eta_prev / eta - 1) estimates
+   the gap lambda_2 - lambda_1 from the last step's contraction eta / eta_prev at the shift
+   s of its solve, so this shift is proposed only when 0 < eta < eta_prev and g > 0: never
+   on the first step, which has no contraction, nor at an exact eigenvector;
+2. rho - max(eta, tol), the lower end of the residual interval;
+3. the midpoint of (last proven shift, least failed shift).
+
+A trial outside that interval is skipped.  Below the floor a factor proves nothing, so a
+shift proposed there is raised to the floor.  A factor that fails proves lambda_1 < sigma and
+lowers the least failed shift to sigma, so the step's later trials lie below it, and a step
+whose rho - max(eta, tol) fails too factors at the midpoint, which halves the bracket on
+lambda_1; without the bracket, inverse iteration far below lambda_1 turns the iterate away
+from a higher eigenvalue in [rho - eta, rho + eta] slowly when lambda_1 / lambda_2 is near 1.
+The proposals only choose where to factor: a shift is proven by its own factor alone, so a
+wrong gap estimate costs one failed factor, never the certificate.  Once eta <= tol at a
+proven shift of at least rho - tol, |lambda_1 - rho| <= tol up to the floor: the eigenvalue
+is the ground one.  One more solve at that shift polishes the vector, and the pair must still
+meet the residual bound.  A pencil
 not certified within _GROUND_STEPS steps falls through: a ring to Lanczos, a line to the
 tridiagonal route below.
 
@@ -53,6 +67,7 @@ SOLVE_TOL = 1e-10     # linear-solve residual bound, relative to ||A|| ||w|| + |
 MAX_ITER = 10_000
 _GROUND_STEPS = 30    # shifted inverse-iteration steps for a 1D ground pair
 _GROUND_RTOL = 1e-10  # its certificate: eigenvalue within _GROUND_RTOL max(1, |lambda|)
+_TEMPLE = 8.0         # safety factor on its Kato-Temple shift proposal
 DEGENERACY_RTOL = 1e-6
 _EPS = np.finfo(float).eps
 
@@ -159,10 +174,18 @@ def _floor(op: DiscreteOperator) -> float:
 
 def _ground_pair(op: DiscreteOperator, solve):
     """The ground pair of a 1D pencil by certified shifted inverse iteration, or None when
-    _GROUND_STEPS steps do not certify one; ``solve`` is A^{-1} from `_factor` (see the
-    module docstring)."""
+    _GROUND_STEPS steps do not certify one; ``solve`` is A^{-1} from `_factor`.
+
+    A step whose rho - max(eta, tol) lies above the last proven shift tries, in order, the
+    Kato-Temple shift rho - max(_TEMPLE eta^2 / g, tol) (g the gap lambda_2 - lambda_1
+    estimated from the last step's contraction, only when 0 < eta < eta_prev), then
+    rho - max(eta, tol), then the midpoint of (shift, upper), skipping any trial outside
+    (shift, upper), and keeps the first whose factor returns.  Only a returned factor raises
+    the proven shift and only a failed one lowers upper, so the order of the proposals
+    cannot weaken the certificate (see the module docstring)."""
     noise = _floor(op)
     x, shift, upper, certified = solve(op.mass), 0.0, math.inf, False     # A^{-1} M 1
+    eta_prev = 0.0                          # no contraction measured before the first step
     for _ in range(_GROUND_STEPS):
         x /= math.sqrt(x @ (op.mass * x))   # ||x||_M = 1
         Mx = op.mass * x
@@ -177,17 +200,22 @@ def _ground_pair(op: DiscreteOperator, solve):
         eta = math.sqrt(r @ (r / op.mass))  # some eigenvalue lies in [rho - eta, rho + eta]
         tol = max(_GROUND_RTOL * max(1.0, rho), noise)
         sigma = rho - max(eta, tol)
+        # lambda_2 - lambda_1 from the last step's contraction at shift; 0 when there is none
+        gap = (rho - shift) * (eta_prev / eta - 1.0) if 0.0 < eta < eta_prev else 0.0
+        eta_prev = eta
         if sigma > shift:
-            for trial in (sigma, 0.5 * (shift + min(sigma, upper))):
-                if trial < noise:           # below the floor a factor proves nothing,
-                    if upper <= noise:      # so try the floor, unless it has failed
-                        break
-                    trial = noise
+            trials = [sigma, 0.5 * (shift + min(sigma, upper))]
+            if gap > 0.0:                   # Kato-Temple: rho - lambda_1 <= eta^2 / gap
+                trials.insert(0, rho - max(_TEMPLE * eta * eta / gap, tol))
+            for trial in trials:
+                trial = max(trial, noise)   # below the floor a factor proves nothing
+                if not shift < trial < upper:
+                    continue
                 try:                        # a factor proves lambda_1 > trial
                     solve, shift = _factor(op, trial), trial
                     break
                 except SingularOperatorError:   # lambda_1 < trial: bisect (shift, upper)
-                    upper = min(upper, trial)
+                    upper = trial
         certified = eta <= tol and shift >= sigma     # so |lambda_1 - rho| <= tol
         x = solve(Mx)
     return None

@@ -12,8 +12,8 @@ from scipy.sparse.linalg import LinearOperator
 from locscape import (REFERENCE_PARAMS, BoundaryCondition, ConvergenceError, DiscreteOperator,
                       DistributionSpec, ExperimentSpec, GridSpec, ParameterError, PotentialField,
                       SingularOperatorError, TwoWellParams, assemble, assemble_line, assemble_ring,
-                      experiments, grid_1d, grid_2d, peak_height_ratio, sample_potential,
-                      smallest_eigenpairs, solve_linear, solver, toy_operator)
+                      critical_coupling_sweep, experiments, grid_1d, grid_2d, peak_height_ratio,
+                      sample_potential, smallest_eigenpairs, solve_linear, solver, toy_operator)
 from conftest import CELLS, FIELD_DISTS, cells, dense_eigenpairs, rayleigh_quotient
 
 
@@ -533,23 +533,78 @@ def test_ring_solves_match_dense_solves(op, seed):
         _assert_matches_oracle(op, smallest_eigenpairs(op, 1), modes=separated[0])
 
 
+def _recording_factor(log):
+    """A stand-in for solver._factor that appends (shift, factor returned) to log."""
+    factor = solver._factor
+
+    def recording_factor(op, shift=0.0):
+        try:
+            solve = factor(op, shift)
+        except SingularOperatorError:
+            log.append((shift, False))
+            raise
+        log.append((shift, True))
+        return solve
+
+    return recording_factor
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(_ring_cases(), _line_cases()))     # the one iteration serves lines too
 @example(_RING_NEAR_THE_FLOOR)
 def test_ring_iteration_never_factors_below_the_floor(op):
-    shifts, factor = [], solver._factor
-
-    def recording_factor(op, shift=0.0):
-        shifts.append(shift)
-        return factor(op, shift)
-
     try:
-        solve = factor(op)
+        solve = solver._factor(op)
     except SingularOperatorError:           # singular to working precision: no iteration
         return
-    with mock.patch.object(solver, "_factor", recording_factor):
+    log = []
+    with mock.patch.object(solver, "_factor", _recording_factor(log)):
         solver._ground_pair(op, solve)
-    assert all(shift >= _floor(op) for shift in shifts)
+    assert all(shift >= _floor(op) for shift, _ in log)
+
+
+def _criterion_5_pencil(trial):
+    """Trial `trial` of the criterion-5 ensemble: Bernoulli(0.5) cells, Robin h = 0.01."""
+    grid = grid_1d(50)
+    fieldv = sample_potential(grid, DistributionSpec.bernoulli(0.5), 314 ^ trial)
+    return assemble(grid, fieldv, 5e4, BoundaryCondition.robin(0.01))
+
+
+def _factors_per_ground_pair(log):
+    # every ground pair starts from its factor at shift 0, and the iteration never factors
+    # there, since the floor is positive
+    return len(log) / sum(shift == 0.0 for shift, _ in log)
+
+
+def test_ground_pairs_take_few_factors():
+    # factor attempts per ground pair, the one at shift 0 included: the reference sweep at
+    # 300 nodes per unit (74 ring solves) takes 5.88, and criterion-5 trials 0-99 take 5.94;
+    # shifting only to rho - eta, far below lambda_1 while eta >> rho - lambda_1, took 7.18
+    # and 7.12
+    sweep, trials = [], []
+    with mock.patch.object(solver, "_factor", _recording_factor(sweep)):
+        critical_coupling_sweep(REFERENCE_PARAMS, nodes_per_unit=300)
+    with mock.patch.object(solver, "_factor", _recording_factor(trials)):
+        for trial in range(100):
+            smallest_eigenpairs(_criterion_5_pencil(trial), 1)
+    assert _factors_per_ground_pair(sweep) < 6.5
+    assert _factors_per_ground_pair(trials) < 6.5
+
+
+def test_an_overshooting_kato_temple_shift_is_bisected_away():
+    # trial 1 of the criterion-5 ensemble: lambda_2 - lambda_1 = 9.2e-3, and the Kato-Temple
+    # proposal of the fourth factor lands above lambda_1, so its factor fails and the step
+    # falls back to rho - eta
+    op = _criterion_5_pencil(1)
+    log = []
+    with mock.patch.object(solver, "_factor", _recording_factor(log)):
+        (pair,) = smallest_eigenpairs(op, 1)
+    lam = dense_eigenpairs(op, 1)[0][0]
+    assert abs(pair.eigenvalue - lam) <= 1e-10 * max(1.0, lam) + _floor(op)
+    assert all(shift < lam + _floor(op) for shift, returned in log if returned)
+    failed = [i for i, (_, returned) in enumerate(log) if not returned]
+    assert failed
+    assert all(log[i + 1][0] < log[i][0] for i in failed)
 
 
 def test_ring_ground_mode_resolves_a_near_degenerate_crossover(monkeypatch):
@@ -582,8 +637,8 @@ def test_ring_iteration_never_certifies_an_excited_pair():
 
 @pytest.mark.parametrize("steps", [0, 2])
 def test_ring_ground_pair_past_the_step_cap_falls_through_to_lanczos(steps, monkeypatch):
-    # the toy ring's ground pair takes 5 to 8 steps to certify, so a cap of 0 or 2 hands
-    # it to shift-invert Lanczos, which must still meet the bound
+    # the toy ring's ground pair is certified at its 7th step and returned at its 8th, so a
+    # cap of 0 or 2 hands it to shift-invert Lanczos, which must still meet the bound
     monkeypatch.setattr(solver, "_GROUND_STEPS", steps)
     calls = []
     _recording(monkeypatch, calls, "eigsh")
@@ -596,8 +651,9 @@ def test_ring_ground_pair_past_the_step_cap_falls_through_to_lanczos(steps, monk
 @pytest.mark.parametrize("steps", [0, 2])
 def test_line_ground_pair_past_the_step_cap_falls_through_to_bisection(steps, strong_disorder_1d,
                                                                         monkeypatch):
-    # the line's ground pair takes 5 or more steps to certify, so a cap of 0 or 2 hands it
-    # to bisection for lambda_1 and dstein for its vector, which must still meet the bound
+    # the line's ground pair is certified at its 8th step and returned at its 9th, so a cap
+    # of 0 or 2 hands it to bisection for lambda_1 and dstein for its vector, which must
+    # still meet the bound
     grid, fieldv, K, bc = strong_disorder_1d
     monkeypatch.setattr(solver, "_GROUND_STEPS", steps)
     calls = []
